@@ -58,7 +58,6 @@ from .thermo import (
 )
 from .transfer import (
     OperatorTable,
-    OrbitOperator,
     operator_norm_bounds_check,
     oracle_transfer,
     perturbed_chain_identity_check,

@@ -208,12 +208,16 @@ def _run_decay_base(lab, config, seed, threads):
     return results, bool(ok), art
 
 
-def _run_sigma2(lab, config, seed, threads):
+def _sigma2(lab, g, config, seed, threads):
     st = config["statistics"]
-    rep = limits.sigma2_estimate(
-        lab, None, M=st["m"], n_base_samples=st["n_base_samples"], n_var=st["n"],
+    return limits.sigma2_estimate(
+        lab, g, M=st["m"], n_base_samples=st["n_base_samples"], n_var=st["n"],
         trials=st["trials"], seed=seed, tail_tol=st["tail_tol"], m_max=st["m_max"],
         sample_depth=config["numerics"]["sample_depth"], threads=threads)
+
+
+def _run_sigma2(lab, config, seed, threads):
+    rep = _sigma2(lab, None, config, seed, threads)
     rows = [(m, s, se) for m, (s, se) in enumerate(zip(rep.s_values, rep.s_std_errs))]
     art = {"covariance.csv": csv_text(("m", "s_m", "std_err"), rows)}
     return rep.as_dict(), bool(rep.agreement and rep.tail_ok), art
@@ -223,10 +227,7 @@ def _run_clt(lab, config, seed, threads):
     st = config["statistics"]
     exp = config["experiment"]["clt"]
     g = _observable_for(lab, exp["observable"])
-    var = limits.sigma2_estimate(
-        lab, g, M=st["m"], n_base_samples=st["n_base_samples"], n_var=st["n"],
-        trials=st["trials"], seed=seed, tail_tol=st["tail_tol"], m_max=st["m_max"],
-        sample_depth=config["numerics"]["sample_depth"], threads=threads)
+    var = _sigma2(lab, g, config, seed, threads)
     res = limits.clt_test(lab, g, sigma2=var.sigma2_series, n=st["n"], trials=st["trials"],
                           seed=seed, sample_depth=config["numerics"]["sample_depth"],
                           threads=threads)
@@ -234,16 +235,12 @@ def _run_clt(lab, config, seed, threads):
     results["sigma2"] = var.sigma2_series
     results["sigma2_mc"] = var.sigma2_mc
     # raw samples and histogram-vs-density plot data
-    _, sums = limits.orbit_birkhoff_sums(lab, g, [st["n"]], st["trials"], seed, stream=29,
-                                         sample_depth=config["numerics"]["sample_depth"],
-                                         threads=threads)
-    samples = (sums[0] - st["n"] * res.mu_orbit) / np.sqrt(st["n"])
-    hist, edges = np.histogram(samples, bins=40, density=True)
+    hist, edges = np.histogram(res.samples, bins=40, density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     sig = np.sqrt(max(var.sigma2_series, 1e-300))
     gauss = np.exp(-0.5 * (centers / sig) ** 2) / (sig * np.sqrt(2 * np.pi))
     art = {
-        "samples.csv": csv_text(("trial", "normalized_sum"), list(enumerate(samples.tolist()))),
+        "samples.csv": csv_text(("trial", "normalized_sum"), list(enumerate(res.samples.tolist()))),
         "histogram.csv": csv_text(("bin_center", "density", "gaussian_density"),
                                   list(zip(centers.tolist(), hist.tolist(), gauss.tolist()))),
     }

@@ -75,6 +75,14 @@ DEFAULTS = {
     },
 }
 
+# Integer settings and their floors: below a floor a run dies inside numpy or
+# returns a verdict that means nothing.
+INTEGER_FLOORS = {
+    "numerics.n_points": 4,  # the widest interpolation stencil (cubic)
+    "numerics.pullback_depth": 2,  # conformal_pullback compares depths K and K - 2
+    "numerics.sample_depth": 1,  # ensembles need at least one level behind x
+}
+
 SUBCOMMANDS = ("thermo", "gap", "bounds", "encoding", "condition-h", "assumption6",
                "decay-base", "sigma2", "clt", "lil", "coboundary", "all")
 
@@ -100,8 +108,14 @@ def _merge(defaults, user, path=""):
 
 
 def resolve_config(user: dict | None = None) -> dict:
-    """Merge a user config over the defaults; unknown keys are fatal."""
-    return _merge(DEFAULTS, user or {})
+    """Merge a user config over the defaults; unknown keys and out-of-range integers are fatal."""
+    config = _merge(DEFAULTS, user or {})
+    for path, floor in INTEGER_FLOORS.items():
+        section, key = path.split(".")
+        value = config[section][key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < floor:
+            raise ConfigError(f"{path} must be an integer >= {floor}, got {value!r}")
+    return config
 
 
 def load_config(path: str | None) -> dict:

@@ -6,14 +6,16 @@ a base point x depends only on its symbol at coordinate 0:
     T_x(z) = d(e) z + eps(e) sin(2 pi z) / (2 pi)   mod 1,   e = x_0,
 
 so branches are enumerable per symbol while the conformal data downstream
-still depends on infinitely many coordinates.  This module holds the maps and
-their inverse branches, Birkhoff sums, grid-sampled functions with periodic
-interpolation, the alpha-variation, and the positive cone calculus.
+still depends on infinitely many coordinates.  `map_lift` is the only place
+this formula is written.  This module holds the maps and their inverse
+branches, Birkhoff sums, grid-sampled functions with periodic interpolation,
+the alpha-variation, and the positive cone calculus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,12 +89,14 @@ class SystemSpec:
             raise FiberError(f"expansion violated: min d - 2 pi max eps = {gamma} <= 1")
 
     @property
-    def degree(self) -> int:
-        return max(self.branch_count)
-
-    @property
     def alphabet(self) -> range:
         return range(self.base.alphabet_size)
+
+    @cached_property
+    def map_coefficients(self) -> tuple:
+        """(d, eps) per symbol as float arrays, to be indexed by symbol arrays."""
+        return (np.asarray(self.branch_count, dtype=np.float64),
+                np.asarray(self.nonlinearity, dtype=np.float64))
 
     @property
     def has_geometric_potential(self) -> bool:
@@ -179,10 +183,20 @@ def circle_distance(a, b):
     return np.minimum(d, 1.0 - d)
 
 
-def apply_map_symbol(spec: SystemSpec, e: int, z):
-    d = spec.branch_count[e]
-    eps = spec.nonlinearity[e]
-    w = (d * np.asarray(z, dtype=np.float64) + eps * np.sin(TWO_PI * np.asarray(z)) / TWO_PI) % 1.0
+def map_lift(spec: SystemSpec, e, z):
+    """d(e) z + eps(e) sin(2 pi z) / (2 pi): the lift of T_e, an increasing bijection
+    [0, 1] -> [0, d(e)].  e is a symbol or an array of symbols broadcasting against z."""
+    d, eps = spec.map_coefficients
+    return d[e] * z + eps[e] * np.sin(TWO_PI * z) / TWO_PI
+
+
+def apply_map_symbol(spec: SystemSpec, e, z, jitter=None):
+    """T_e(z) in [0, 1) for a symbol or an array of symbols e; `jitter` is added
+    to the lift before the reduction mod 1."""
+    w = map_lift(spec, e, np.asarray(z, dtype=np.float64))
+    if jitter is not None:
+        w = w + jitter
+    w = w % 1.0
     return np.where(w >= 1.0, 0.0, w)
 
 
@@ -198,24 +212,22 @@ def map_derivative_symbol(spec: SystemSpec, e: int, z):
 def inverse_branches_symbol(spec: SystemSpec, e: int, w, newton_tol=1e-13, max_iter=60) -> np.ndarray:
     """All d(e) preimages of each w under the symbol-e map; shape (d, len(w)).
 
-    The lift F(z) = d z + eps sin(2 pi z)/(2 pi) is a strictly increasing
-    bijection [0,1] -> [0,d], so branch j solves F(z) = w + j.  For eps = 0 the
+    Branch j solves map_lift(z) = w + j.  For eps = 0 the
     closed form (w + j)/d is returned; otherwise Newton from that starting
     point, with a hard error if the residual tolerance is not met (impossible
     under the expansion invariant, kept as a tripwire).
     """
     w = np.atleast_1d(np.asarray(w, dtype=np.float64))
     d = spec.branch_count[e]
-    eps = spec.nonlinearity[e]
     targets = w[None, :] + np.arange(d, dtype=np.float64)[:, None]
     z = targets / d
-    if eps == 0.0:
+    if spec.nonlinearity[e] == 0.0:
         return z
     for _ in range(max_iter):
-        f = d * z + eps * np.sin(TWO_PI * z) / TWO_PI - targets
+        f = map_lift(spec, e, z) - targets
         if np.max(np.abs(f)) <= newton_tol:
             break
-        z = z - f / (d + eps * np.cos(TWO_PI * z))
+        z = z - f / map_derivative_symbol(spec, e, z)
     else:
         bad = np.unravel_index(np.argmax(np.abs(f)), f.shape)
         raise FiberError(
@@ -269,14 +281,8 @@ class CoboundaryObservable:
         self.const = float(const)
 
     def values_for_symbol(self, e, z) -> np.ndarray:
-        e = np.asarray(e, dtype=np.int64)
         z = np.asarray(z, dtype=np.float64)
-        if e.ndim == 0:
-            tz = apply_map_symbol(self.spec, int(e), z)
-        else:
-            d = np.asarray(self.spec.branch_count, dtype=np.float64)[e]
-            eps = np.asarray(self.spec.nonlinearity, dtype=np.float64)[e]
-            tz = (d * z + eps * np.sin(TWO_PI * z) / TWO_PI) % 1.0
+        tz = apply_map_symbol(self.spec, np.asarray(e, dtype=np.int64), z)
         return self.k(z) - self.k(tz) + self.const
 
     def values(self, x: BasePoint, z) -> np.ndarray:
@@ -329,7 +335,6 @@ def interp_stencil(points, n: int, kind: str):
         idx = np.stack([i0, i0 + 1]) % n
         wts = np.stack([1.0 - t, t])
     elif kind == "cubic":
-        idx = np.stack([i0 - 1, i0, i0 + 1, i0 + 2]) % n
         wm1 = -t * (t - 1.0) * (t - 2.0) / 6.0
         w0 = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
         w1 = -t * (t + 1.0) * (t - 2.0) / 2.0
@@ -385,6 +390,23 @@ class GridFunction:
         return cls(np.full(n_points, c), interp=interp, fiber=fiber)
 
 
+def _shift_windows(vals: np.ndarray, reach: float):
+    """Every grid pair within `reach` as one (kmax, n) view: row k - 1 holds
+    vals[(i + k) % n] at column i, k = 1..kmax = min(floor(reach n), n // 2).
+    Also returns the pair distance of each row."""
+    n = len(vals)
+    kmax = min(int(np.floor(reach * n)), n // 2)
+    ext = np.concatenate([vals, vals[:kmax]])
+    windows = np.lib.stride_tricks.sliding_window_view(ext, n)[1:]
+    return windows, [min(k, n - k) / n for k in range(1, kmax + 1)]
+
+
+def _shift_diffs(vals: np.ndarray, reach: float):
+    """Per shift k, max |vals(i) - vals(i + k)| over i, with the pair distances."""
+    windows, dists = _shift_windows(vals, reach)
+    return np.abs(vals - windows).max(axis=1).tolist(), dists
+
+
 def variation_alpha(u, alpha: float, eta: float) -> float:
     """Grid alpha-variation: max |u(y)-u(y')| / dist^alpha over 0 < dist <= eta.
 
@@ -392,16 +414,10 @@ def variation_alpha(u, alpha: float, eta: float) -> float:
     under grid refinement; pairs run over all node offsets within eta.
     """
     vals = u.values if isinstance(u, GridFunction) else np.asarray(u)
-    n = len(vals)
     if not 0.0 < alpha <= 1.0:
         raise FiberError("alpha must lie in (0, 1]")
-    kmax = min(int(np.floor(eta * n)), n // 2)
-    best = 0.0
-    for k in range(1, kmax + 1):
-        dist = min(k, n - k) / n
-        diff = np.max(np.abs(vals - np.roll(vals, -k)))
-        best = max(best, diff / dist**alpha)
-    return float(best)
+    diffs, dists = _shift_diffs(vals, eta)
+    return float(max([0.0, *(diff / dist**alpha for diff, dist in zip(diffs, dists))]))
 
 
 def alpha_norm(u, alpha: float, eta: float) -> float:
@@ -475,17 +491,15 @@ def cone_check(
     if abs(mass - 1.0) > mass_tol:
         return ConeCertificate(False, "mass", None, abs(mass - 1.0), mass)
 
-    kmax = min(int(np.floor(holder.xi * n)), n // 2)
+    windows, dists = _shift_windows(vals, holder.xi)
+    bound = np.array([np.exp(s * Q * dist**holder.alpha) for dist in dists])[:, None]
+    # rows 2k - 2 and 2k - 1 scan shift k both ways; ties go to the first row, then node
+    margins = np.stack([vals - bound * windows, windows - bound * vals], axis=1).reshape(-1, n)
+    cols = margins.argmax(axis=1)
     worst = (-np.inf, None)
-    for k in range(1, kmax + 1):
-        dist = min(k, n - k) / n
-        bound = np.exp(s * Q * dist**holder.alpha)
-        rolled = np.roll(vals, -k)
-        for a, b in ((vals, rolled), (rolled, vals)):
-            margin = a - bound * b
-            i = int(np.argmax(margin))
-            if margin[i] > worst[0]:
-                worst = (float(margin[i]), (i, (i + k) % n))
+    for row, (i, m) in enumerate(zip(cols.tolist(), margins[np.arange(len(cols)), cols].tolist())):
+        if m > worst[0]:
+            worst = (m, (i, (i + row // 2 + 1) % n))
     if worst[1] is not None and worst[0] > slack:
         return ConeCertificate(False, "oscillation", worst[1], worst[0], mass)
     return ConeCertificate(True, "ok", worst[1], worst[0] if worst[1] else 0.0, mass)
@@ -494,12 +508,7 @@ def cone_check(
 def cone_oscillation(u, eta: float) -> float:
     """max |u(y) - u(y')| over grid pairs with 0 < dist <= eta (no normalization)."""
     vals = u.values if isinstance(u, GridFunction) else np.asarray(u)
-    n = len(vals)
-    kmax = min(int(np.floor(eta * n)), n // 2)
-    best = 0.0
-    for k in range(1, kmax + 1):
-        best = max(best, float(np.max(np.abs(vals - np.roll(vals, -k)))))
-    return best
+    return max([0.0, *_shift_diffs(vals, eta)[0]])
 
 
 def cone_variation_bound(holder: HolderParams, s: float, sup_norm: float, Q=None) -> float:

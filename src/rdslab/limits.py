@@ -17,7 +17,7 @@ import scipy.stats
 
 from . import rng
 from .base import sample_seeds, symbols_for_seeds
-from .fiber import GridFunction
+from .fiber import GridFunction, apply_map_symbol
 from .thermo import Lab
 
 SIGMA2_FLOOR = 1e-3
@@ -44,7 +44,8 @@ class OrbitEnsemble:
     requested nu snapshots (each with pullback depth >= depth); an upward
     pushforward from level -depth builds rho snapshots.  Steps group trials
     by their current symbol, so the whole batch advances with a handful of
-    sparse matrix products per level.
+    sparse matrix products per level; `transport` is the one normalized
+    forward step.
     """
 
     def __init__(self, lab: Lab, n_trials: int, master_seed: int, stream: int,
@@ -71,24 +72,19 @@ class OrbitEnsemble:
         self._lam = np.zeros((self.n_trials, self.fwd + 2 * self.depth))
         omega = np.full((self.n_trials, n), 1.0 / n)
         for j in range(self.fwd + self.depth - 1, -self.depth - 1, -1):
-            omega = self._grouped(self.symbol(j), "adjoint_batch", omega)
+            omega = self._grouped(j, lambda e, rows: lab.table.op(e).adjoint_batch(rows), omega)
             sums = omega.sum(axis=1)
             self._lam[:, j + self.depth] = sums
             omega = omega / sums[:, None]
             if j in self.nu_levels:
-                self.nu_snap[j] = omega.copy()
+                self.nu_snap[j] = omega
 
-        # upward pushforward: density snapshots
-        self.rho_snap = {}
-        if self.rho_levels:
-            u = np.ones((self.n_trials, n))
-            if -self.depth in self.rho_levels:
-                self.rho_snap[-self.depth] = u.copy()
-            for j in range(-self.depth, max(self.rho_levels)):
-                u = self._grouped(self.symbol(j), "apply_batch", u)
-                u = u / self.lam_at(j)[:, None]
-                if j + 1 in self.rho_levels:
-                    self.rho_snap[j + 1] = u.copy()
+        # upward pushforward of the constant density: rho snapshots
+        self.rho_snap = {-self.depth: np.ones((self.n_trials, n))}
+        for level in self.rho_levels:
+            self.rho_at(level)
+        if -self.depth not in self.rho_levels:
+            del self.rho_snap[-self.depth]
 
     def symbol(self, j) -> np.ndarray:
         return self._symbols[:, int(j) - self._sym_lo]
@@ -97,13 +93,30 @@ class OrbitEnsemble:
         """Per-trial eigenvalue at level j (pullback depth >= `depth` for j <= fwd)."""
         return self._lam[:, int(j) + self.depth]
 
-    def _grouped(self, syms, method: str, rows: np.ndarray) -> np.ndarray:
+    def _grouped(self, j: int, step, rows: np.ndarray) -> np.ndarray:
+        """step(e, rows) on each group of trials whose symbol at level j is e."""
+        syms = self.symbol(j)
         out = np.empty_like(rows)
         for e in self.lab.spec.alphabet:
             mask = syms == e
             if np.any(mask):
-                out[mask] = getattr(self.lab.table.op(e), method)(rows[mask])
+                out[mask] = step(e, rows[mask])
         return out
+
+    def transport(self, rows: np.ndarray, j: int, r: float = 0.0, observable=None) -> np.ndarray:
+        """Rows pushed from level j to j + 1 by their trial's normalized operator.
+
+        r != 0 applies the perturbed operator u -> L(e^{i r g} u) of the
+        observable g (default: the lab's) before dividing by lambda at j.
+        """
+        table = self.lab.table
+        g = observable if observable is not None else self.lab.observable
+
+        def step(e, u):
+            if r == 0.0:
+                return table.op(e).apply_batch(u)
+            return table.op(e).apply_perturbed_batch(u, table.phase_at_branches(e, g, r))
+        return self._grouped(j, step, rows) / self.lam_at(j)[:, None]
 
     def rho_at(self, level: int) -> np.ndarray:
         """rho rows at a level, pushing the nearest lower snapshot forward on demand."""
@@ -112,8 +125,7 @@ class OrbitEnsemble:
         have = max(j for j in self.rho_snap if j <= level)
         u = self.rho_snap[have]
         for j in range(have, level):
-            u = self._grouped(self.symbol(j), "apply_batch", u)
-            u = u / self.lam_at(j)[:, None]
+            u = self.transport(u, j)
         self.rho_snap[level] = u
         return u
 
@@ -137,23 +149,10 @@ class OrbitEnsemble:
         u = rng.to_unit(rng.keyed_hash(key, np.arange(self.n_trials)))
         jit = rng.to_unit(rng.keyed_hash(rng.derive_key(key, 0x717), np.arange(self.n_trials)))
         n = self.lab.n_points
-        cells = np.empty(self.n_trials, dtype=np.int64)
-        for t in range(self.n_trials):
-            cells[t] = np.searchsorted(cdf[t], u[t], side="left")
-        cells = np.minimum(cells, n - 1)
+        # each cdf row is non-decreasing, so counting entries below u is a
+        # left-sided binary search on every row at once
+        cells = np.minimum((cdf < u[:, None]).sum(axis=1), n - 1)
         return (cells + jit) / n
-
-    def step_map(self, level, z) -> np.ndarray:
-        """z -> T(z) using each trial's symbol at the level (pointwise)."""
-        spec = self.lab.spec
-        e = self.symbol(level)
-        d = np.asarray(spec.branch_count, dtype=np.float64)[e]
-        eps = np.asarray(spec.nonlinearity, dtype=np.float64)[e]
-        w = (d * z + eps * np.sin(2 * np.pi * z) / (2 * np.pi)) % 1.0
-        return np.where(w >= 1.0, 0.0, w)
-
-    def observe(self, g, level, z) -> np.ndarray:
-        return g.values_for_symbol(self.symbol(level), z)
 
     def chain_perturbed(self, rows: np.ndarray, start: int, r_per_level, observable=None) -> np.ndarray:
         """Row-wise perturbed operator chain over levels start, start+1, ...
@@ -161,23 +160,9 @@ class OrbitEnsemble:
         r_per_level lists one frequency per level; zero entries fall back to
         the plain normalized step.
         """
-        g = observable if observable is not None else self.lab.observable
         out = rows.astype(complex)
         for i, r in enumerate(r_per_level):
-            j = start + i
-            syms = self.symbol(j)
-            nxt = np.empty_like(out)
-            for e in self.lab.spec.alphabet:
-                mask = syms == e
-                if not np.any(mask):
-                    continue
-                op = self.lab.table.op(e)
-                if r == 0.0:
-                    nxt[mask] = op.apply_batch(out[mask])
-                else:
-                    phase = self.lab.table.phase_at_branches(e, g, r)
-                    nxt[mask] = op.apply_perturbed_batch(out[mask], phase)
-            out = nxt / self.lam_at(j)[:, None]
+            out = self.transport(out, start + i, r, observable)
         return out
 
 
@@ -195,23 +180,18 @@ def _orbit_chunk(lab: Lab, g, record_at, pos, n_steps, size, seed, stream, sampl
     ens = OrbitEnsemble(lab, size, seed, stream, fwd=0, depth=sample_depth,
                         nu_levels=(0,), rho_levels=(0,))
     z = ens.sample_z(0)
-    spec = lab.spec
-    d_arr = np.asarray(spec.branch_count, dtype=np.float64)
-    e_arr = np.asarray(spec.nonlinearity, dtype=np.float64)
     jitter_keys = rng.derive_keys(rng.derive_key(seed, 0x7177, stream), 1, size)
     S = np.zeros(size)
     out = np.zeros((len(record_at), size))
     block = 2048
     for j0 in range(0, n_steps, block):
         j1 = min(j0 + block, n_steps)
-        syms = symbols_for_seeds(spec.base, ens.seeds, j0, j1)
+        syms = symbols_for_seeds(lab.spec.base, ens.seeds, j0, j1)
         jit = rng.to_unit(rng.keyed_hash_grid(jitter_keys, np.arange(j0, j1)))
         for j in range(j0, j1):
             e = syms[:, j - j0]
             S = S + g.values_for_symbol(e, z)
-            znew = (d_arr[e] * z + e_arr[e] * np.sin(2 * np.pi * z) / (2 * np.pi)
-                    + (jit[:, j - j0] - 0.5) * JITTER_SCALE) % 1.0
-            z = np.where(znew >= 1.0, 0.0, znew)
+            z = apply_map_symbol(lab.spec, e, z, jitter=(jit[:, j - j0] - 0.5) * JITTER_SCALE)
             t = j + 1
             if running_stat is not None:
                 running_stat(t, S, sl)
@@ -244,13 +224,11 @@ def orbit_birkhoff_sums(lab: Lab, g, record_at, trials: int, seed: int, stream: 
     n_steps = record_at[-1]
     pos = {t: i for i, t in enumerate(record_at)}
     bounds = list(range(0, trials, ORBIT_CHUNK)) + [trials]
-    jobs = []
-    for ci, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        jobs.append((ci, a, b))
+    jobs = list(enumerate(zip(bounds[:-1], bounds[1:])))
     out = np.zeros((len(record_at), trials))
 
     def run(job):
-        ci, a, b = job
+        ci, (a, b) = job
         sub = (int(stream) << 20) | ci
         return a, b, _orbit_chunk(lab, g, record_at, pos, n_steps, b - a, seed, sub,
                                   sample_depth, running_stat, slice(a, b))
@@ -314,8 +292,8 @@ def encoding_check(lab: Lab, r_sequence, n_base_samples: int, seed: int,
     z = ens.sample_z(0)
     phase = np.zeros(n_base_samples)
     for j in range(n):
-        phase = phase + r_sequence[j] * ens.observe(g, j, z)
-        z = ens.step_map(j, z)
+        phase = phase + r_sequence[j] * g.values_for_symbol(ens.symbol(j), z)
+        z = apply_map_symbol(lab.spec, ens.symbol(j), z)
     lhs_t = np.exp(1j * phase)
     rows = ens.chain_perturbed(ens.rho_snap[0], 0, r_sequence, observable=g)
     rhs_t = ens.fiber_integral(n, rows)
@@ -608,8 +586,7 @@ def covariance_sequence(lab: Lab, g, M: int, n_base_samples: int, seed: int,
             mum = ens.mu_weights(m)
             gm_all[m].extend(((mum * gm).sum(axis=1)).tolist())
             if m < M:
-                u = ens._grouped(ens.symbol(m), "apply_batch", u)
-                u = u / ens.lam_at(m)[:, None]
+                u = ens.transport(u, m)
         g0_all.extend(g_mean0.tolist())
         done += size
         ci += 1
@@ -748,6 +725,7 @@ class CltResult:
     mu_thermo_se: float
     centering_consistent: bool
     orbit_bias_warning: bool = False
+    samples: np.ndarray | None = None  # the normalized sums; not part of the report results
 
     def as_dict(self):
         return {k: getattr(self, k) for k in (
@@ -788,17 +766,15 @@ def clt_test(lab: Lab, g=None, sigma2: float | None = None, n: int = 10_000,
 
     samples = (sn - n * mu_orbit) / np.sqrt(n)
     if sigma2 <= SIGMA2_FLOOR:
-        return CltResult("degenerate: use coboundary_check", float("nan"), float("nan"),
-                         float(sigma2), n, trials, float(samples.mean()), float(samples.var(ddof=1)),
-                         float(scipy.stats.skew(samples)), mu_orbit, mu_orbit_se,
-                         mu_thermo, mu_thermo_se, bool(consistent),
-                         orbit_bias_warning=not lab.spec.has_geometric_potential)
-    ks = scipy.stats.kstest(samples, "norm", args=(0.0, np.sqrt(sigma2)))
-    return CltResult("ok", float(ks.statistic), float(ks.pvalue), float(sigma2), n, trials,
+        status, ks_stat, p_value = "degenerate: use coboundary_check", float("nan"), float("nan")
+    else:
+        ks = scipy.stats.kstest(samples, "norm", args=(0.0, np.sqrt(sigma2)))
+        status, ks_stat, p_value = "ok", float(ks.statistic), float(ks.pvalue)
+    return CltResult(status, ks_stat, p_value, float(sigma2), n, trials,
                      float(samples.mean()), float(samples.var(ddof=1)),
                      float(scipy.stats.skew(samples)), mu_orbit, mu_orbit_se,
                      mu_thermo, mu_thermo_se, bool(consistent),
-                     orbit_bias_warning=not lab.spec.has_geometric_potential)
+                     orbit_bias_warning=not lab.spec.has_geometric_potential, samples=samples)
 
 
 @dataclass

@@ -55,10 +55,6 @@ class FiberMeasure:
     def mass(self) -> float:
         return float(self.weights.sum())
 
-    @classmethod
-    def lebesgue(cls, n_points: int, fiber=None) -> "FiberMeasure":
-        return cls(np.full(n_points, 1.0 / n_points), fiber=fiber)
-
 
 def pullback_sweep(table: OperatorTable, x: BasePoint, start: int, stop: int):
     """Adjoint pullback along the orbit of x, from level `start` down to `stop`.
@@ -105,11 +101,6 @@ class Lab:
     @property
     def interp(self) -> str:
         return self.table.interp
-
-    def cache_clear(self):
-        self._nu.clear()
-        self._lam.clear()
-        self._rho.clear()
 
     # -- conformal family ---------------------------------------------------
 
@@ -176,14 +167,6 @@ class Lab:
         return transfer_iterate(self.table, x, u, n, kind=kind, lambda_chain=chain,
                                 r_sequence=r_sequence,
                                 observable=observable or self.observable)
-
-    def rho_orbit(self, x: BasePoint, n: int) -> list:
-        """[rho_x, L0 rho_x, ..., L0^n rho_x]: the density transported along the orbit."""
-        out = [self.rho(x)]
-        for j in range(n):
-            out.append(transfer_apply(self.table, x.shift_by(j), out[-1],
-                                      kind="normalized", lam=self.lam(x.shift_by(j))))
-        return out
 
     def duality_residual(self, x: BasePoint, u_values: np.ndarray) -> float:
         """|nu_{shift x}(L_x u) - lambda_x nu_x(u)|, the defining identity of (nu, lambda)."""
@@ -448,14 +431,6 @@ def regularity_pairs(spec: BaseMeasureSpec, seed: int, depths, reps: int = 2) ->
     return pairs
 
 
-def normalized_iterate_of_one(lab: Lab, x: BasePoint, n: int) -> GridFunction:
-    """L_0^n 1 transported to the fiber over x (pushforward from depth n)."""
-    lab.ensure_chain(x, -n, -1)
-    u = GridFunction(np.ones(lab.n_points), interp=lab.interp, fiber=x.shift_by(-n))
-    return transfer_iterate(lab.table, x.shift_by(-n), u, n, kind="normalized",
-                            lambda_chain=[lab.lam(x.shift_by(j)) for j in range(-n, 0)])
-
-
 def regularity_check(lab: Lab, base_pairs, n_list, beta_grid=None) -> RegularityReport:
     """Hölder ratio tables for lambda, rho and L_0^n 1 over pinned base pairs.
 
@@ -476,8 +451,8 @@ def regularity_check(lab: Lab, base_pairs, n_list, beta_grid=None) -> Regularity
         dlam.append(abs(lab.lam(x) - lab.lam(y)))
         drho.append(float(np.max(np.abs(lab.rho(x).values - lab.rho(y).values))))
         for n in n_list:
-            vx = normalized_iterate_of_one(lab, x, n)
-            vy = normalized_iterate_of_one(lab, y, n)
+            # L_0^n 1 transported to x is the depth-n density
+            vx, vy = lab.rho(x, n), lab.rho(y, n)
             diter[int(n)].append(float(np.max(np.abs(vx.values - vy.values))))
 
     def fit(deltas):

@@ -9,8 +9,6 @@ N * deg^n) is kept only as the ground-truth oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -114,34 +112,6 @@ class OperatorTable:
     def phase_at_branches(self, e: int, observable, r: float) -> np.ndarray:
         zb = self.ops[e].branch_points
         return np.exp(1j * r * observable.values_for_symbol(e, zb))
-
-
-@dataclass
-class OrbitOperator:
-    """Record of an orbit-composed operator: fibers start .. shift^depth(start)."""
-
-    start: BasePoint
-    depth: int
-    kind: str
-    r_sequence: tuple = ()
-    lambda_chain: tuple = ()
-
-    @property
-    def end(self) -> BasePoint:
-        return self.start.shift_by(self.depth)
-
-    def compose(self, other: "OrbitOperator") -> "OrbitOperator":
-        if other.start != self.end:
-            raise TransferError("composition fibers do not match")
-        if other.kind != self.kind:
-            raise TransferError("composition kinds do not match")
-        return OrbitOperator(
-            self.start,
-            self.depth + other.depth,
-            self.kind,
-            self.r_sequence + other.r_sequence,
-            self.lambda_chain + other.lambda_chain,
-        )
 
 
 def _check_fiber(u: GridFunction, x: BasePoint):

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 import rdslab as rl
+
+# Property tests replay the same examples on every run: no flaky draws and no
+# per-example deadline on a loaded machine.
+settings.register_profile("rdslab", derandomize=True, deadline=None, max_examples=60)
+settings.load_profile("rdslab")
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
+import inspect
 import json
 import os
 
 import pytest
 
 import rdslab.cli as cli
+from rdslab import limits
 from rdslab.config import (
     ConfigError,
     apply_overrides,
@@ -52,6 +54,18 @@ def test_cli_run_unknown_key_exit_1(tmp_path, capsys):
     assert "n_poins" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("numerics.n_points", 0), ("numerics.n_points", 3), ("numerics.n_points", 512.0),
+    ("numerics.pullback_depth", 0), ("numerics.pullback_depth", 1),
+    ("numerics.sample_depth", 0), ("numerics.sample_depth", -3), ("numerics.sample_depth", True),
+])
+def test_integer_settings_below_floor_exit_1(tmp_path, capsys, key, value):
+    code = cli.run("thermo", out_dir=str(tmp_path), sets=[f"{key}={json.dumps(value)}"])
+    assert code == 1
+    assert f"config error: {key} must be an integer" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_config_hash_sensitivity():
     base = resolve_config({})
     h0 = config_hash(base)
@@ -91,6 +105,23 @@ def test_clt_report_keys(tmp_path):
     assert "histogram.csv" in artifacts
     assert artifacts["histogram.csv"].splitlines()[0] == "bin_center,density,gaussian_density"
     assert report["untested_theoretical_claims"]
+
+
+def test_clt_computes_no_orbit_sums_twice(monkeypatch):
+    real = limits.orbit_birkhoff_sums
+    sig = inspect.signature(real)
+    calls = []
+
+    def recording(*args, **kwargs):
+        bound = sig.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(tuple((k, tuple(v) if k == "record_at" else v)
+                           for k, v in bound.arguments.items()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(limits, "orbit_birkhoff_sums", recording)
+    cli.build_report("clt", small_config())
+    assert calls and len(set(calls)) == len(calls)
 
 
 def test_decay_base_csv_columns(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rdslab as rl
 from rdslab.base import sample_base
@@ -10,6 +12,7 @@ from rdslab.fiber import (
     birkhoff_sum,
     cone_check,
     cone_embed,
+    cone_oscillation,
     cone_variation_bound,
     inverse_branches,
     inverse_branches_symbol,
@@ -109,18 +112,79 @@ def test_variation_spike_grows_with_resolution():
     assert vals[-1] == pytest.approx(512.0)
 
 
-def test_variation_matches_bruteforce_scan():
-    gen = np.random.default_rng(0)
-    vals = gen.normal(size=48)
-    n = len(vals)
-    alpha, eta = 0.7, 0.21
+def bruteforce_pairs(n, reach):
+    """Grid pairs (k, i, (i + k) mod n, distance) within reach, shift by shift."""
+    kmax = min(int(np.floor(reach * n)), n // 2)
+    for k in range(1, kmax + 1):
+        yield k, [(i, (i + k) % n) for i in range(n)], min(k, n - k) / n
+
+
+def bruteforce_variation(vals, alpha, eta):
     best = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = min(abs(i - j), n - abs(i - j)) / n
-            if 0 < d <= eta:
-                best = max(best, abs(vals[i] - vals[j]) / d**alpha)
-    assert variation_alpha(GridFunction(vals), alpha, eta) == pytest.approx(best)
+    for _, pairs, dist in bruteforce_pairs(len(vals), eta):
+        for i, j in pairs:
+            best = max(best, np.abs(vals[i] - vals[j]) / dist**alpha)
+    return float(best)
+
+
+def bruteforce_oscillation(vals, eta):
+    best = 0.0
+    for _, pairs, _ in bruteforce_pairs(len(vals), eta):
+        for i, j in pairs:
+            best = max(best, float(np.abs(vals[i] - vals[j])))
+    return best
+
+
+def bruteforce_cone(vals, s, hp):
+    """(ok, reason, worst pair, margin) of the oscillation test; ties go to the first pair."""
+    worst, where = -np.inf, None
+    for k, pairs, dist in bruteforce_pairs(len(vals), hp.xi):
+        bound = np.exp(s * hp.Q_tilde * dist**hp.alpha)
+        for forward in (True, False):
+            for i, j in pairs:
+                a, b = (vals[i], vals[j]) if forward else (vals[j], vals[i])
+                if a - bound * b > worst:
+                    worst, where = float(a - bound * b), (i, j)
+    slack = 1e-11 * max(float(np.max(np.abs(vals))), 1.0)
+    if where is not None and worst > slack:
+        return False, "oscillation", where, worst
+    return True, "ok", where, worst if where else 0.0
+
+
+grid_values = st.lists(st.one_of(st.integers(-3, 3).map(float),
+                                 st.floats(-10, 10, allow_nan=False)), min_size=4, max_size=48)
+
+
+@given(grid_values, grid_values, st.booleans(), st.floats(0.05, 1.0), st.floats(0.0, 0.7),
+       st.floats(0.01, 3.0))
+def test_variation_matches_bruteforce_scan(re, im, complex_values, alpha, eta, s):
+    n = min(len(re), len(im))
+    vals = np.array(re[:n]) + 1j * np.array(im[:n]) if complex_values else np.array(re)
+    assert variation_alpha(GridFunction(vals), alpha, eta) == bruteforce_variation(vals, alpha, eta)
+    assert cone_oscillation(vals, eta) == bruteforce_oscillation(vals, eta)
+    # a positive, Lebesgue-normalized function reaches the oscillation scan
+    h = np.abs(vals) + 0.05
+    h = h / h.mean()
+    hp = rl.HolderParams(alpha=alpha, eta=0.5, xi=max(eta, 1e-3), H_tilde=1.0, gamma_star=2.0)
+    cert = cone_check(GridFunction(h), s, np.full(len(h), 1.0 / len(h)), hp)
+    assert (cert.ok, cert.reason, cert.worst_pair, cert.worst_margin) == bruteforce_cone(h, s, hp)
+
+
+def test_apply_map_symbol_on_symbol_array_matches_scalar_symbols():
+    spec = rl.make_system()
+    gen = np.random.default_rng(3)
+    e = gen.integers(0, spec.base.alphabet_size, size=777)
+    z = gen.uniform(size=777)
+    z[:3] = [0.0, 0.5, np.nextafter(1.0, 0.0)]
+    batched = apply_map_symbol(spec, e, z)
+    for sym in spec.alphabet:
+        assert np.array_equal(batched[e == sym], apply_map_symbol(spec, sym, z[e == sym]))
+    jit = gen.uniform(-1e-13, 1e-13, size=777)
+    jittered = apply_map_symbol(spec, e, z, jitter=jit)
+    for sym in spec.alphabet:
+        mask = e == sym
+        assert np.array_equal(jittered[mask], apply_map_symbol(spec, sym, z[mask], jitter=jit[mask]))
+    assert np.all((jittered >= 0.0) & (jittered < 1.0))
 
 
 def test_gridfunction_node_exactness_and_order():

@@ -6,7 +6,6 @@ from rdslab.base import sample_base
 from rdslab.fiber import GridFunction
 from rdslab.thermo import random_smooth_functions
 from rdslab.transfer import (
-    OrbitOperator,
     TransferError,
     chain_error_budget,
     oracle_transfer,
@@ -203,15 +202,6 @@ def test_operator_norm_constant_potential():
     out = transfer_iterate(lab.table, x, GridFunction(np.ones(256)), 6,
                            kind="normalized", lambda_chain=chain)
     assert np.max(np.abs(out.values - 1.0)) < 1e-10  # L0 1 = 1 when rho = 1
-
-
-def test_orbit_operator_composition(gibbs_lab):
-    x = sample_base(gibbs_lab.spec.base, 30, 0)
-    a = OrbitOperator(x, 2, "normalized", lambda_chain=(1.0, 1.0))
-    b = OrbitOperator(x.shift_by(2), 3, "normalized", lambda_chain=(1.0, 1.0, 1.0))
-    assert a.compose(b).depth == 5
-    with pytest.raises(TransferError):
-        b.compose(a)
 
 
 def test_grid_vs_oracle_convergence_order(gibbs_lab):
