@@ -68,14 +68,13 @@ class BasePoint:
     def symbols(self, lo: int, hi: int) -> np.ndarray:
         """Symbols at relative coordinates lo, ..., hi-1 (vectorized)."""
         idx = np.arange(lo, hi, dtype=np.int64) + self.offset
-        u = rng.to_unit(rng.keyed_hash(self.seed, idx))
-        out = np.searchsorted(self.law.cumulative(), u, side="right")
+        out = _symbols_of_unit(self.law, rng.to_unit(rng.keyed_hash(self.seed, idx)))
         if self.overrides:
             for j, s in self.overrides:
                 inside = (j >= idx[0]) & (j <= idx[-1]) if len(idx) else False
                 if inside:
                     out[j - idx[0]] = s
-        return out.astype(np.int64)
+        return out
 
     def with_overrides(self, pins: dict) -> "BasePoint":
         """Pin symbols at the given *relative* coordinates."""
@@ -110,8 +109,20 @@ def symbols_for_seeds(spec: BaseMeasureSpec, seeds: np.ndarray, lo: int, hi: int
     kept vectorized for Monte Carlo loops.
     """
     idx = np.arange(lo, hi, dtype=np.int64)
-    u = rng.to_unit(rng.keyed_hash_grid(seeds, idx))
-    return np.searchsorted(spec.cumulative(), u, side="right").astype(np.int64)
+    return _symbols_of_unit(spec, rng.to_unit(rng.keyed_hash_grid(seeds, idx)))
+
+
+def _symbols_of_unit(spec: BaseMeasureSpec, u: np.ndarray) -> np.ndarray:
+    """Symbol drawn by each uniform u in [0, 1): the number of cumulative weights <= u.
+
+    These are the integers of searchsorted(cumulative(), u, side="right"); the
+    last cumulative weight is 1 > u, so it is never counted and is left out.
+    """
+    edges = spec.cumulative()[:-1]
+    out = (u >= edges[0]).astype(np.int64)
+    for c in edges[1:]:
+        out += u >= c
+    return out
 
 
 @dataclass(frozen=True)

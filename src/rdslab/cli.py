@@ -90,10 +90,12 @@ def _observable_for(lab, name: str, const: float = 0.25):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: each returns (results, contract_ok, artifacts)
+# subcommand implementations: each returns (results, contract_ok, artifacts).
+# `memo` is a dict that lives for one build_report call and holds results
+# that several subcommands of `all` share.
 
 
-def _run_thermo(lab, config, seed, threads):
+def _run_thermo(lab, config, seed, threads, memo):
     exp = config["experiment"]["thermo"]
     x = sample_base(lab.spec.base, seed, exp["stream"])
     pull = thermo.conformal_pullback(lab, x, n_probe=exp["n_probe"], seed=seed)
@@ -135,7 +137,7 @@ def _gap_inputs(lab, config, seed):
     return xs, us, range(exp["n_min"], exp["n_max"] + 1)
 
 
-def _run_gap(lab, config, seed, threads):
+def _run_gap(lab, config, seed, threads, memo):
     xs, us, n_range = _gap_inputs(lab, config, seed)
     fit = thermo.gap_estimate(lab, xs, us, n_range)
     ok = fit.measurable and fit.kappa < 1.0 and fit.r_squared >= 0.98
@@ -143,7 +145,7 @@ def _run_gap(lab, config, seed, threads):
     return fit.as_dict(), bool(ok), {"gap.csv": csv_text(("n", "mean_log_residual"), rows)}
 
 
-def _run_bounds(lab, config, seed, threads):
+def _run_bounds(lab, config, seed, threads, memo):
     exp = config["experiment"]["bounds"]
     xs = [sample_base(lab.spec.base, seed, 100 + i) for i in range(exp["n_x"])]
     rep = transfer.operator_norm_bounds_check(lab, xs, exp["r_grid"], exp["n_max"], seed=seed)
@@ -154,7 +156,7 @@ def _run_bounds(lab, config, seed, threads):
     return results, bool(ok), {}
 
 
-def _run_encoding(lab, config, seed, threads):
+def _run_encoding(lab, config, seed, threads, memo):
     exp = config["experiment"]["encoding"]
     res = limits.encoding_check(lab, exp["r_sequence"], config["statistics"]["n_base_samples"],
                                 seed, sample_depth=config["numerics"]["sample_depth"],
@@ -162,7 +164,7 @@ def _run_encoding(lab, config, seed, threads):
     return res.as_dict(), bool(res.within_tolerance), {}
 
 
-def _run_condition_h(lab, config, seed, threads):
+def _run_condition_h(lab, config, seed, threads, memo):
     exp = config["experiment"]["condition_h"]
     block = limits.BlockConfig(n=exp["block_n"], m=exp["block_m"], k=min(exp["k_list"]),
                                boundaries=tuple(exp["boundaries"]),
@@ -180,7 +182,7 @@ def _run_condition_h(lab, config, seed, threads):
     return res.as_dict(), bool(ok), art
 
 
-def _run_assumption6(lab, config, seed, threads):
+def _run_assumption6(lab, config, seed, threads, memo):
     exp = config["experiment"]["assumption6"]
     pairs = thermo.regularity_pairs(lab.spec.base, seed, exp["pair_depths"], exp["pair_reps"])
     res = limits.assumption6_check(lab, exp["n_list"], exp["r_draws"], pairs, seed,
@@ -193,7 +195,7 @@ def _run_assumption6(lab, config, seed, threads):
     return results, bool(ok), {}
 
 
-def _run_decay_base(lab, config, seed, threads):
+def _run_decay_base(lab, config, seed, threads, memo):
     exp = config["experiment"]["decay_base"]
     F = window_mean(*exp["f_window"])
     G = window_mean(*exp["g_window"])
@@ -208,26 +210,31 @@ def _run_decay_base(lab, config, seed, threads):
     return results, bool(ok), art
 
 
-def _sigma2(lab, g, config, seed, threads):
-    st = config["statistics"]
-    return limits.sigma2_estimate(
-        lab, g, M=st["m"], n_base_samples=st["n_base_samples"], n_var=st["n"],
-        trials=st["trials"], seed=seed, tail_tol=st["tail_tol"], m_max=st["m_max"],
-        sample_depth=config["numerics"]["sample_depth"], threads=threads)
+def _sigma2(lab, g, config, seed, threads, memo):
+    """The sigma2 report of observable g (None: the lab's), computed once per memo."""
+    g = g if g is not None else lab.observable
+    key = ("sigma2", g)
+    if key not in memo:
+        st = config["statistics"]
+        memo[key] = limits.sigma2_estimate(
+            lab, g, M=st["m"], n_base_samples=st["n_base_samples"], n_var=st["n"],
+            trials=st["trials"], seed=seed, tail_tol=st["tail_tol"], m_max=st["m_max"],
+            sample_depth=config["numerics"]["sample_depth"], threads=threads)
+    return memo[key]
 
 
-def _run_sigma2(lab, config, seed, threads):
-    rep = _sigma2(lab, None, config, seed, threads)
+def _run_sigma2(lab, config, seed, threads, memo):
+    rep = _sigma2(lab, None, config, seed, threads, memo)
     rows = [(m, s, se) for m, (s, se) in enumerate(zip(rep.s_values, rep.s_std_errs))]
     art = {"covariance.csv": csv_text(("m", "s_m", "std_err"), rows)}
     return rep.as_dict(), bool(rep.agreement and rep.tail_ok), art
 
 
-def _run_clt(lab, config, seed, threads):
+def _run_clt(lab, config, seed, threads, memo):
     st = config["statistics"]
     exp = config["experiment"]["clt"]
     g = _observable_for(lab, exp["observable"])
-    var = _sigma2(lab, g, config, seed, threads)
+    var = _sigma2(lab, g, config, seed, threads, memo)
     res = limits.clt_test(lab, g, sigma2=var.sigma2_series, n=st["n"], trials=st["trials"],
                           seed=seed, sample_depth=config["numerics"]["sample_depth"],
                           threads=threads)
@@ -248,7 +255,7 @@ def _run_clt(lab, config, seed, threads):
     return results, bool(ok), art
 
 
-def _run_lil(lab, config, seed, threads):
+def _run_lil(lab, config, seed, threads, memo):
     exp = config["experiment"]["lil"]
     res = limits.lil_probe(lab, None, n_max=exp["n_max"], trials=exp["trials"], seed=seed,
                            sample_depth=config["numerics"]["sample_depth"], threads=threads)
@@ -258,7 +265,7 @@ def _run_lil(lab, config, seed, threads):
     return res.as_dict(), bool(ok), art
 
 
-def _run_coboundary(lab, config, seed, threads):
+def _run_coboundary(lab, config, seed, threads, memo):
     exp = config["experiment"]["coboundary"]
     g = _observable_for(lab, exp["observable"], const=exp["coboundary_const"])
     res = limits.coboundary_check(lab, g, n_list=exp["n_list"], trials=exp["trials"],
@@ -298,19 +305,20 @@ def build_report(subcommand: str, config: dict, threads: int = 1) -> dict:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     seed = int(config["statistics"]["seed"])
     lab = _build_lab(config)
+    memo = {}
     if subcommand == "all":
         sub_results, ok_all, artifacts = {}, True, {}
         for name in SUBCOMMANDS:
             if name == "all":
                 continue
-            res, ok, art = _RUNNERS[name](lab, config, seed, threads)
+            res, ok, art = _RUNNERS[name](lab, config, seed, threads, memo)
             sub_results[name] = {"results": res, "contract_ok": ok}
             ok_all = ok_all and ok
             for fname, text in art.items():
                 artifacts[f"{name}-{fname}"] = text
         results, contract_ok = sub_results, ok_all
     else:
-        results, contract_ok, artifacts = _RUNNERS[subcommand](lab, config, seed, threads)
+        results, contract_ok, artifacts = _RUNNERS[subcommand](lab, config, seed, threads, memo)
     report = {
         "subcommand": subcommand,
         "seed": seed,

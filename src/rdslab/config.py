@@ -81,6 +81,8 @@ INTEGER_FLOORS = {
     "numerics.n_points": 4,  # the widest interpolation stencil (cubic)
     "numerics.pullback_depth": 2,  # conformal_pullback compares depths K and K - 2
     "numerics.sample_depth": 1,  # ensembles need at least one level behind x
+    "statistics.n_base_samples": 2,  # base-sample standard errors use ddof = 1
+    "statistics.trials": 2,  # orbit-sum variances use ddof = 1
 }
 
 SUBCOMMANDS = ("thermo", "gap", "bounds", "encoding", "condition-h", "assumption6",

@@ -6,10 +6,11 @@ a base point x depends only on its symbol at coordinate 0:
     T_x(z) = d(e) z + eps(e) sin(2 pi z) / (2 pi)   mod 1,   e = x_0,
 
 so branches are enumerable per symbol while the conformal data downstream
-still depends on infinitely many coordinates.  `map_lift` is the only place
-this formula is written.  This module holds the maps and their inverse
-branches, Birkhoff sums, grid-sampled functions with periodic interpolation,
-the alpha-variation, and the positive cone calculus.
+still depends on infinitely many coordinates.  `_lift`, behind `map_lift`
+and `apply_map_symbol`, is the only place this formula is written.  This
+module holds the maps and their inverse branches, Birkhoff sums, grid-sampled
+functions with periodic interpolation, the alpha-variation, and the positive
+cone calculus.
 """
 
 from __future__ import annotations
@@ -187,17 +188,44 @@ def map_lift(spec: SystemSpec, e, z):
     """d(e) z + eps(e) sin(2 pi z) / (2 pi): the lift of T_e, an increasing bijection
     [0, 1] -> [0, d(e)].  e is a symbol or an array of symbols broadcasting against z."""
     d, eps = spec.map_coefficients
-    return d[e] * z + eps[e] * np.sin(TWO_PI * z) / TWO_PI
+    return _lift(d[e], eps[e], z)
+
+
+def _lift(d, eps, z, out=None, scratch=None):
+    """The lift with its coefficients already gathered (d, eps broadcast against z).
+
+    The one place the formula is written.  With buffers every step runs in
+    place: `out` may be z itself, `scratch` must not be.
+    """
+    s = np.multiply(z, TWO_PI, out=scratch)
+    s = np.sin(s, out=scratch)
+    s = np.multiply(eps, s, out=scratch)
+    s = np.divide(s, TWO_PI, out=scratch)
+    w = np.multiply(d, z, out=out)
+    return np.add(w, s, out=out)
+
+
+def _map_step(d, eps, z, jitter=None, out=None, scratch=None):
+    """T(z) in [0, 1) from gathered coefficients, `jitter` added to the lift first;
+    `out` and `scratch` as for `_lift`.
+
+    w - floor(w) has the bits of w % 1.0 for every finite w here: both are exact
+    for w >= 0, and both round w + 1 once when a negative jitter takes w below 0.
+    That rounding can give exactly 1, which maps to 0.
+    """
+    w = _lift(d, eps, z, out, scratch)
+    if jitter is not None:
+        w = np.add(w, jitter, out=out)
+    w = np.asarray(np.subtract(w, np.floor(w, out=scratch), out=out))
+    w[w >= 1.0] = 0.0
+    return w
 
 
 def apply_map_symbol(spec: SystemSpec, e, z, jitter=None):
     """T_e(z) in [0, 1) for a symbol or an array of symbols e; `jitter` is added
     to the lift before the reduction mod 1."""
-    w = map_lift(spec, e, np.asarray(z, dtype=np.float64))
-    if jitter is not None:
-        w = w + jitter
-    w = w % 1.0
-    return np.where(w >= 1.0, 0.0, w)
+    d, eps = spec.map_coefficients
+    return _map_step(d[e], eps[e], np.asarray(z, dtype=np.float64), jitter)
 
 
 def apply_map(spec: SystemSpec, x: BasePoint, z):

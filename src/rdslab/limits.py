@@ -17,7 +17,7 @@ import scipy.stats
 
 from . import rng
 from .base import sample_seeds, symbols_for_seeds
-from .fiber import GridFunction, apply_map_symbol
+from .fiber import GridFunction, _map_step, apply_map_symbol
 from .thermo import Lab
 
 SIGMA2_FLOOR = 1e-3
@@ -40,12 +40,17 @@ class OrbitEnsemble:
     """Batch of i.i.d. base points with conformal data along a forward window.
 
     Level j is the fiber over shift^j(x_t).  A single downward adjoint sweep
-    from level fwd + depth to level -depth records the lambda chain and the
-    requested nu snapshots (each with pullback depth >= depth); an upward
-    pushforward from level -depth builds rho snapshots.  Steps group trials
-    by their current symbol, so the whole batch advances with a handful of
-    sparse matrix products per level; `transport` is the one normalized
-    forward step.
+    from level fwd + depth stops at level min(nu_levels + [0]), the lowest
+    level anything reads; it records the lambda chain at levels >= 0 and the
+    requested nu snapshots (each with pullback depth >= depth).  rho starts
+    from the constant density at level -depth and is pushed up to level 0,
+    each level rescaled to unit row sums, then scaled in place so that
+    nu_0(rho_0) = 1.  That is the lambda-normalized pushforward L^depth 1 /
+    prod lambda up to rounding, since the discrete sweep satisfies
+    nu_{j+1}(L u) = lambda_j nu_j(u).  rho_snap always holds level 0;
+    levels above it come from `transport`, the one normalized forward step.
+    Steps group trials by their current symbol, so the whole batch advances
+    with a handful of sparse matrix products per level.
     """
 
     def __init__(self, lab: Lab, n_trials: int, master_seed: int, stream: int,
@@ -62,36 +67,42 @@ class OrbitEnsemble:
         n = lab.n_points
         self.nu_levels = sorted(set(int(j) for j in nu_levels))
         self.rho_levels = sorted(set(int(j) for j in rho_levels))
-        if self.nu_levels and self.nu_levels[-1] > self.fwd:
-            raise LimitsError("nu level beyond the forward window")
-        if self.rho_levels and (self.rho_levels[-1] > self.fwd or self.rho_levels[0] < -self.depth):
-            raise LimitsError("rho level outside the window")
+        if self.nu_levels and (self.nu_levels[-1] > self.fwd or self.nu_levels[0] < -self.depth):
+            raise LimitsError("nu level outside the window")
 
         # downward adjoint sweep: lambda chain and conformal snapshots
         self.nu_snap = {}
-        self._lam = np.zeros((self.n_trials, self.fwd + 2 * self.depth))
+        self._lam = np.zeros((self.n_trials, self.fwd + self.depth))
         omega = np.full((self.n_trials, n), 1.0 / n)
-        for j in range(self.fwd + self.depth - 1, -self.depth - 1, -1):
+        for j in range(self.fwd + self.depth - 1, min(self.nu_levels + [0]) - 1, -1):
             omega = self._grouped(j, lambda e, rows: lab.table.op(e).adjoint_batch(rows), omega)
             sums = omega.sum(axis=1)
-            self._lam[:, j + self.depth] = sums
-            omega = omega / sums[:, None]
+            if j >= 0:
+                self._lam[:, j] = sums
+            omega /= sums[:, None]
             if j in self.nu_levels:
                 self.nu_snap[j] = omega
+            if j == 0:
+                nu0 = omega
 
-        # upward pushforward of the constant density: rho snapshots
-        self.rho_snap = {-self.depth: np.ones((self.n_trials, n))}
+        # upward pushforward of the constant density, normalized at level 0
+        rho = np.ones((self.n_trials, n))
+        for j in range(-self.depth, 0):
+            rho = self._grouped(j, lambda e, rows: lab.table.op(e).apply_batch(rows), rho)
+            rho /= rho.sum(axis=1)[:, None]
+        rho /= np.einsum("ij,ij->i", nu0, rho)[:, None]
+        self.rho_snap = {0: rho}
         for level in self.rho_levels:
             self.rho_at(level)
-        if -self.depth not in self.rho_levels:
-            del self.rho_snap[-self.depth]
 
     def symbol(self, j) -> np.ndarray:
         return self._symbols[:, int(j) - self._sym_lo]
 
     def lam_at(self, j) -> np.ndarray:
-        """Per-trial eigenvalue at level j (pullback depth >= `depth` for j <= fwd)."""
-        return self._lam[:, int(j) + self.depth]
+        """Per-trial eigenvalue at level j >= 0 (pullback depth >= `depth` for j <= fwd)."""
+        if j < 0:
+            raise LimitsError(f"no lambda below level 0 (asked for {j})")
+        return self._lam[:, int(j)]
 
     def _grouped(self, j: int, step, rows: np.ndarray) -> np.ndarray:
         """step(e, rows) on each group of trials whose symbol at level j is e."""
@@ -119,9 +130,11 @@ class OrbitEnsemble:
         return self._grouped(j, step, rows) / self.lam_at(j)[:, None]
 
     def rho_at(self, level: int) -> np.ndarray:
-        """rho rows at a level, pushing the nearest lower snapshot forward on demand."""
+        """rho rows at a level in [0, fwd], pushing the nearest lower snapshot forward on demand."""
         if level in self.rho_snap:
             return self.rho_snap[level]
+        if not 0 <= level <= self.fwd:
+            raise LimitsError(f"rho level {level} outside [0, fwd]")
         have = max(j for j in self.rho_snap if j <= level)
         u = self.rho_snap[have]
         for j in range(have, level):
@@ -173,6 +186,9 @@ def _complex_se(values: np.ndarray) -> float:
 
 JITTER_SCALE = 2.0**-43
 ORBIT_CHUNK = 500
+# Steps per block of symbols and jitter.  A block's step-major rows stay in
+# cache at chunk width; 2048 steps spilled it (64-256 measured, 128 kept).
+ORBIT_BLOCK = 128
 
 
 def _orbit_chunk(lab: Lab, g, record_at, pos, n_steps, size, seed, stream, sample_depth,
@@ -181,18 +197,23 @@ def _orbit_chunk(lab: Lab, g, record_at, pos, n_steps, size, seed, stream, sampl
                         nu_levels=(0,), rho_levels=(0,))
     z = ens.sample_z(0)
     jitter_keys = rng.derive_keys(rng.derive_key(seed, 0x7177, stream), 1, size)
+    d, eps = lab.spec.map_coefficients
     S = np.zeros(size)
+    scratch = np.empty(size)
     out = np.zeros((len(record_at), size))
-    block = 2048
-    for j0 in range(0, n_steps, block):
-        j1 = min(j0 + block, n_steps)
-        syms = symbols_for_seeds(lab.spec.base, ens.seeds, j0, j1)
-        jit = rng.to_unit(rng.keyed_hash_grid(jitter_keys, np.arange(j0, j1)))
-        for j in range(j0, j1):
-            e = syms[:, j - j0]
-            S = S + g.values_for_symbol(e, z)
-            z = apply_map_symbol(lab.spec, e, z, jitter=(jit[:, j - j0] - 0.5) * JITTER_SCALE)
-            t = j + 1
+    for j0 in range(0, n_steps, ORBIT_BLOCK):
+        j1 = min(j0 + ORBIT_BLOCK, n_steps)
+        # step-major: row k of each block belongs to step j0 + k
+        syms = np.ascontiguousarray(symbols_for_seeds(lab.spec.base, ens.seeds, j0, j1).T)
+        hashes = rng.keyed_hash_grid(jitter_keys, np.arange(j0, j1))
+        jit = np.ascontiguousarray(rng.to_unit(hashes).T)
+        jit -= 0.5
+        jit *= JITTER_SCALE
+        d_rows, eps_rows = d[syms], eps[syms]
+        for k in range(j1 - j0):
+            S += g.values_for_symbol(syms[k], z)
+            _map_step(d_rows[k], eps_rows[k], z, jit[k], out=z, scratch=scratch)
+            t = j0 + k + 1
             if running_stat is not None:
                 running_stat(t, S, sl)
             if t in pos:
@@ -207,7 +228,8 @@ def orbit_birkhoff_sums(lab: Lab, g, record_at, trials: int, seed: int, stream: 
     Initial fiber points are drawn from the invariant fiber measures, so the
     sampled process is stationary.  Returns (times, matrix (len(times),
     trials)).  `running_stat(t, S, trial_slice)` is called after every step;
-    symbols are generated in column blocks to bound memory.
+    S is one buffer updated in place, so the callback must not keep it.
+    Symbols and jitter are generated in blocks of ORBIT_BLOCK steps.
 
     Every step applies a keyed jitter of size 2^-43.  Without it, float64
     iteration of d z mod 1 drains mantissa bits (multiplying by the branch

@@ -29,5 +29,10 @@ def degenerate_lab():
 
 
 @pytest.fixture(scope="session")
+def small_stats_lab():
+    return rl.Lab(rl.make_system(), n_points=128, pullback_depth=16)
+
+
+@pytest.fixture(scope="session")
 def small_gibbs_lab():
     return rl.Lab(rl.gibbs_system(), n_points=256, pullback_depth=20)

@@ -3,12 +3,15 @@ import itertools
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rdslab as rl
 from rdslab.base import (
     BaseMeasureSpec,
     BaseMetricParams,
     BaseObservable,
+    _symbols_of_unit,
     base_correlation_check,
     base_distance,
     distance_to,
@@ -198,3 +201,18 @@ def test_observable_reads_only_its_window():
     assert F.value(outside) == before
     inside = x.with_overrides({0: 1 - x.symbol(0)})
     assert F.value(inside) != before
+
+
+@given(st.lists(st.integers(1, 50), min_size=2, max_size=4),
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40))
+def test_symbol_lookup_matches_searchsorted(parts, draws):
+    w = np.array(parts, dtype=float)
+    spec = BaseMeasureSpec(len(w), tuple(w / w.sum()))
+    c = spec.cumulative()
+    edges = c[:-1].tolist()
+    # draws exactly on each inner edge, one ulp below it, and the extremes of [0, 1)
+    u = np.array(draws + edges + [np.nextafter(v, 0.0) for v in edges]
+                 + [0.0, np.nextafter(1.0, 0.0)])
+    got = _symbols_of_unit(spec, u)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.searchsorted(c, u, side="right"))

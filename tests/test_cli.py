@@ -58,6 +58,7 @@ def test_cli_run_unknown_key_exit_1(tmp_path, capsys):
     ("numerics.n_points", 0), ("numerics.n_points", 3), ("numerics.n_points", 512.0),
     ("numerics.pullback_depth", 0), ("numerics.pullback_depth", 1),
     ("numerics.sample_depth", 0), ("numerics.sample_depth", -3), ("numerics.sample_depth", True),
+    ("statistics.n_base_samples", 1), ("statistics.trials", 1), ("statistics.trials", 0),
 ])
 def test_integer_settings_below_floor_exit_1(tmp_path, capsys, key, value):
     code = cli.run("thermo", out_dir=str(tmp_path), sets=[f"{key}={json.dumps(value)}"])
@@ -122,6 +123,29 @@ def test_clt_computes_no_orbit_sums_twice(monkeypatch):
     monkeypatch.setattr(limits, "orbit_birkhoff_sums", recording)
     cli.build_report("clt", small_config())
     assert calls and len(set(calls)) == len(calls)
+
+
+def test_all_computes_sigma2_once_per_observable(monkeypatch):
+    real = limits.sigma2_estimate
+    observables = []
+
+    def counting(lab, g=None, **kwargs):
+        observables.append(g)
+        return real(lab, g, **kwargs)
+
+    monkeypatch.setattr(limits, "sigma2_estimate", counting)
+    for name in cli._RUNNERS:
+        if name not in ("sigma2", "clt"):
+            monkeypatch.setitem(cli._RUNNERS, name, lambda *args: ({}, True, {}))
+    cfg = small_config()
+    cli.build_report("all", cfg)
+    assert len(observables) == 1 and observables[0] is not None
+    # the memo lives for one report: a second report computes sigma2 again
+    cli.build_report("all", cfg)
+    assert len(observables) == 2
+    cfg["experiment"]["clt"]["observable"] = "coboundary"
+    cli.build_report("all", cfg)
+    assert len(observables) == 4  # a different observable is a different estimate
 
 
 def test_decay_base_csv_columns(tmp_path):

@@ -187,6 +187,24 @@ def test_apply_map_symbol_on_symbol_array_matches_scalar_symbols():
     assert np.all((jittered >= 0.0) & (jittered < 1.0))
 
 
+def test_apply_map_symbol_matches_remainder_reduction():
+    # the reduction w - floor(w) must give the bits of the lift % 1.0, with 1.0 sent to 0
+    spec = rl.make_system()
+    gen = np.random.default_rng(4)
+    preimages = [inverse_branches_symbol(spec, e, [0.0, 0.5]).ravel() for e in spec.alphabet]
+    z = np.concatenate([gen.uniform(size=400), [0.0, 1e-300, np.nextafter(1.0, 0.0)], *preimages])
+    z = np.tile(z, 3)
+    e = gen.integers(0, spec.base.alphabet_size, size=len(z))
+    jit = np.concatenate([gen.uniform(-2.0**-44, 2.0**-44, size=len(z) // 3),
+                          np.full(len(z) // 3, -1e-18), np.full(len(z) // 3, 1e-18)])
+    d, eps = spec.map_coefficients
+    for j in (None, jit):
+        w = d[e] * z + eps[e] * np.sin(TWO_PI * z) / TWO_PI
+        w = (w if j is None else w + j) % 1.0
+        assert np.array_equal(apply_map_symbol(spec, e, z, jitter=j), np.where(w >= 1.0, 0.0, w))
+    assert np.any(apply_map_symbol(spec, e, z, jitter=jit)[z == 0.0] == 0.0)  # w + 1 rounded to 1
+
+
 def test_gridfunction_node_exactness_and_order():
     z = np.arange(64) / 64
     vals = np.sin(TWO_PI * z) + 0.3 * np.cos(2 * TWO_PI * z)

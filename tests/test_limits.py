@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 import rdslab as rl
+from rdslab import rng
 from rdslab.base import sample_base
 from rdslab.fiber import CoboundaryObservable, ScaledObservable, SystemObservable
 from rdslab.limits import (
+    JITTER_SCALE,
+    ORBIT_BLOCK,
+    ORBIT_CHUNK,
     SIGMA2_FLOOR,
     BlockConfig,
     LimitsError,
@@ -246,6 +250,87 @@ def test_orbit_ensemble_levels(stats_lab):
     assert np.allclose(ens.lam_at(0), 1.0, atol=1e-10)  # geometric potential
     z = ens.sample_z(0)
     assert np.all((0 <= z) & (z < 1))
+
+
+def test_orbit_ensemble_rho_is_the_lambda_normalized_pushforward(stats_lab):
+    lab, fwd, depth = stats_lab, 3, 12
+    ens = OrbitEnsemble(lab, 50, 3, 5, fwd=fwd, depth=depth, nu_levels=(0, fwd), rho_levels=(0, 2))
+    rho0 = ens.rho_snap[0]
+    assert np.abs((ens.nu_snap[0] * rho0).sum(axis=1) - 1.0).max() <= 1e-13
+
+    def grouped(j, method, rows):
+        out = np.empty_like(rows)
+        for e in lab.spec.alphabet:
+            mask = ens.symbol(j) == e
+            out[mask] = getattr(lab.table.op(e), method)(rows[mask])
+        return out
+
+    # the full adjoint sweep down to -depth, then L^depth 1 divided by lambda at every level
+    lam, omega = {}, np.full((50, lab.n_points), 1.0 / lab.n_points)
+    for j in range(fwd + depth - 1, -depth - 1, -1):
+        omega = grouped(j, "adjoint_batch", omega)
+        lam[j] = omega.sum(axis=1)
+        omega = omega / lam[j][:, None]
+    u = np.ones_like(omega)
+    for j in range(-depth, 0):
+        u = grouped(j, "apply_batch", u) / lam[j][:, None]
+    assert np.abs(rho0 / u - 1.0).max() <= 1e-12
+    for j in range(fwd + depth):  # the chain at levels >= 0 is the full sweep's, bit for bit
+        assert np.array_equal(ens.lam_at(j), lam[j])
+    with pytest.raises(LimitsError):
+        ens.lam_at(-1)
+    with pytest.raises(LimitsError):
+        OrbitEnsemble(lab, 5, 3, 5, fwd=fwd, depth=depth, rho_levels=(-1, 0))
+    # level 0 is always held, so any level in [0, fwd] can be reached later
+    late = OrbitEnsemble(lab, 50, 3, 5, fwd=fwd, depth=depth, rho_levels=(2,))
+    assert np.allclose(late.rho_at(1), ens.rho_at(1), rtol=1e-12, atol=0)
+    with pytest.raises(LimitsError):
+        late.rho_at(fwd + 1)
+
+
+def reference_orbit_sums(lab, g, record_at, trials, seed, stream, sample_depth, stat_calls):
+    """The per-step loop the blocked kernel replaced: one symbol and jitter column
+    per step, the lift written out, reduction by % 1.0, a new S every step."""
+    d, eps = lab.spec.map_coefficients
+    out = np.zeros((len(record_at), trials))
+    for ci, a in enumerate(range(0, trials, ORBIT_CHUNK)):
+        b = min(a + ORBIT_CHUNK, trials)
+        sub = (stream << 20) | ci
+        ens = OrbitEnsemble(lab, b - a, seed, sub, fwd=0, depth=sample_depth)
+        z = ens.sample_z(0)
+        keys = rng.derive_keys(rng.derive_key(seed, 0x7177, sub), 1, b - a)
+        S = np.zeros(b - a)
+        for j in range(record_at[-1]):
+            u = rng.to_unit(rng.keyed_hash_grid(ens.seeds, [j]))[:, 0]
+            e = np.searchsorted(lab.spec.base.cumulative(), u, side="right")
+            jit = (rng.to_unit(rng.keyed_hash_grid(keys, [j]))[:, 0] - 0.5) * JITTER_SCALE
+            S = S + g.values_for_symbol(e, z)
+            w = (d[e] * z + eps[e] * np.sin(TWO_PI * z) / TWO_PI + jit) % 1.0
+            z = np.where(w >= 1.0, 0.0, w)
+            stat_calls.append((j + 1, S.copy(), (a, b)))
+            if j + 1 in record_at:
+                out[record_at.index(j + 1), a:b] = S
+    return out
+
+
+@pytest.mark.parametrize("observable", ["system", "coboundary", "scaled"])
+@pytest.mark.parametrize("trials,record_at", [
+    (37, [ORBIT_BLOCK - 1, ORBIT_BLOCK, ORBIT_BLOCK + 1]),
+    (ORBIT_CHUNK + 3, [1, 2 * ORBIT_BLOCK + 5]),
+])
+def test_orbit_sums_bit_identical_to_per_step_loop(small_stats_lab, observable, trials, record_at):
+    lab = small_stats_lab
+    g = {"system": lab.observable,
+         "coboundary": CoboundaryObservable(lab.spec, const=0.25),
+         "scaled": ScaledObservable(lab.observable, -1.5)}[observable]
+    calls, ref_calls = [], []
+    _, sums = orbit_birkhoff_sums(
+        lab, g, record_at, trials, seed=31, stream=3, sample_depth=6,
+        running_stat=lambda t, S, sl: calls.append((t, S.copy(), (sl.start, sl.stop))))
+    ref = reference_orbit_sums(lab, g, record_at, trials, 31, 3, 6, ref_calls)
+    assert np.array_equal(sums, ref)
+    assert [(t, sl) for t, _, sl in calls] == [(t, sl) for t, _, sl in ref_calls]
+    assert all(np.array_equal(a[1], b[1]) for a, b in zip(calls, ref_calls))
 
 
 def test_orbit_sums_threads_identical(stats_lab):
