@@ -10,8 +10,10 @@ hash covers every semantically significant field.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
+import operator
 
 from .fiber import SystemSpec, make_system
 
@@ -83,6 +85,20 @@ INTEGER_FLOORS = {
     "numerics.sample_depth": 1,  # ensembles need at least one level behind x
     "statistics.n_base_samples": 2,  # base-sample standard errors use ddof = 1
     "statistics.trials": 2,  # orbit-sum variances use ddof = 1
+    "statistics.m": 1,  # the covariance series needs s_0 and one lag
+    "experiment.gap.n_x": 1,  # a conformal window needs at least one base point
+    "experiment.gap.n_min": 1,  # residuals start after one transfer step
+    "experiment.gap.n_max": 1,
+    "experiment.bounds.n_x": 1,
+    "experiment.bounds.uniform_n_x": 1,
+    "experiment.lil.n_max": 100,  # the iterated-logarithm probe's shortest horizon
+}
+
+# Integer list settings and the number of distinct values each needs.
+LIST_SIZES = {
+    "experiment.condition_h.k_list": 1,  # the block gap lengths to sample
+    "experiment.assumption6.n_list": 2,  # uniformity is a growth trend over n
+    "experiment.coboundary.n_list": 2,  # the growth slope is a fit over n
 }
 
 SUBCOMMANDS = ("thermo", "gap", "bounds", "encoding", "condition-h", "assumption6",
@@ -110,13 +126,23 @@ def _merge(defaults, user, path=""):
 
 
 def resolve_config(user: dict | None = None) -> dict:
-    """Merge a user config over the defaults; unknown keys and out-of-range integers are fatal."""
+    """Merge a user config over the defaults; unknown keys and out-of-range values are fatal."""
     config = _merge(DEFAULTS, user or {})
     for path, floor in INTEGER_FLOORS.items():
-        section, key = path.split(".")
-        value = config[section][key]
+        value = functools.reduce(operator.getitem, path.split("."), config)
         if isinstance(value, bool) or not isinstance(value, int) or value < floor:
             raise ConfigError(f"{path} must be an integer >= {floor}, got {value!r}")
+    gap = config["experiment"]["gap"]
+    if gap["n_max"] < gap["n_min"]:
+        raise ConfigError(f"experiment.gap.n_max must be an integer >= experiment.gap.n_min "
+                          f"= {gap['n_min']}, got {gap['n_max']!r}")
+    for path, size in LIST_SIZES.items():
+        value = functools.reduce(operator.getitem, path.split("."), config)
+        if (not isinstance(value, list) or len(value) < size
+                or any(isinstance(v, bool) or not isinstance(v, int) for v in value)
+                or len(set(value)) < size):
+            raise ConfigError(f"{path} must be a list of at least {size} distinct integers, "
+                              f"got {value!r}")
     return config
 
 

@@ -3,14 +3,14 @@
 Characteristic-function encodings, block near-independence decay, the
 covariance series and its asymptotic variance, CLT and iterated-logarithm
 probes, and the degenerate coboundary alternative.  All Monte Carlo here
-runs on an OrbitEnsemble: a batch of i.i.d. base points whose conformal data
-is built by one grouped adjoint sweep, with fiber states drawn from the
-invariant fiber measures by CDF inversion.
+runs on an OrbitEnsemble: a conformal window over a batch of i.i.d. base
+points, with fiber states drawn from the invariant fiber measures by CDF
+inversion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.stats
@@ -18,7 +18,8 @@ import scipy.stats
 from . import rng
 from .base import sample_seeds, symbols_for_seeds
 from .fiber import GridFunction, _map_step, apply_map_symbol
-from .thermo import Lab
+from .thermo import ConformalWindow, Lab
+from .transfer import transfer_iterate
 
 SIGMA2_FLOOR = 1e-3
 
@@ -36,119 +37,27 @@ class LimitsError(RuntimeError):
 # batched orbit machinery
 
 
-class OrbitEnsemble:
+class OrbitEnsemble(ConformalWindow):
     """Batch of i.i.d. base points with conformal data along a forward window.
 
-    Level j is the fiber over shift^j(x_t).  A single downward adjoint sweep
-    from level fwd + depth stops at level min(nu_levels + [0]), the lowest
-    level anything reads; it records the lambda chain at levels >= 0 and the
-    requested nu snapshots (each with pullback depth >= depth).  rho starts
-    from the constant density at level -depth and is pushed up to level 0,
-    each level rescaled to unit row sums, then scaled in place so that
-    nu_0(rho_0) = 1.  That is the lambda-normalized pushforward L^depth 1 /
-    prod lambda up to rounding, since the discrete sweep satisfies
-    nu_{j+1}(L u) = lambda_j nu_j(u).  rho_snap always holds level 0;
-    levels above it come from `transport`, the one normalized forward step.
-    Steps group trials by their current symbol, so the whole batch advances
-    with a handful of sparse matrix products per level.
+    A ConformalWindow whose symbol block [-depth, fwd + depth) is drawn from
+    keyed seeds (stream `stream` of `master_seed`), so trial t is the base
+    point of the t-th seed; fiber states are drawn from the invariant fiber
+    measures by CDF inversion.
     """
+
+    error = LimitsError
 
     def __init__(self, lab: Lab, n_trials: int, master_seed: int, stream: int,
                  fwd: int = 0, depth: int = 24, nu_levels=(0,), rho_levels=(0,)):
         self.lab = lab
         self.n_trials = int(n_trials)
-        self.depth = int(depth)
-        self.fwd = int(fwd)
         self.master_seed = int(master_seed)
         self.stream = int(stream)
         self.seeds = sample_seeds(master_seed, stream, n_trials)
-        self._sym_lo = -self.depth
-        self._symbols = symbols_for_seeds(lab.spec.base, self.seeds, self._sym_lo, self.fwd + self.depth)
-        n = lab.n_points
-        self.nu_levels = sorted(set(int(j) for j in nu_levels))
-        self.rho_levels = sorted(set(int(j) for j in rho_levels))
-        if self.nu_levels and (self.nu_levels[-1] > self.fwd or self.nu_levels[0] < -self.depth):
-            raise LimitsError("nu level outside the window")
-
-        # downward adjoint sweep: lambda chain and conformal snapshots
-        self.nu_snap = {}
-        self._lam = np.zeros((self.n_trials, self.fwd + self.depth))
-        omega = np.full((self.n_trials, n), 1.0 / n)
-        for j in range(self.fwd + self.depth - 1, min(self.nu_levels + [0]) - 1, -1):
-            omega = self._grouped(j, lambda e, rows: lab.table.op(e).adjoint_batch(rows), omega)
-            sums = omega.sum(axis=1)
-            if j >= 0:
-                self._lam[:, j] = sums
-            omega /= sums[:, None]
-            if j in self.nu_levels:
-                self.nu_snap[j] = omega
-            if j == 0:
-                nu0 = omega
-
-        # upward pushforward of the constant density, normalized at level 0
-        rho = np.ones((self.n_trials, n))
-        for j in range(-self.depth, 0):
-            rho = self._grouped(j, lambda e, rows: lab.table.op(e).apply_batch(rows), rho)
-            rho /= rho.sum(axis=1)[:, None]
-        rho /= np.einsum("ij,ij->i", nu0, rho)[:, None]
-        self.rho_snap = {0: rho}
-        for level in self.rho_levels:
-            self.rho_at(level)
-
-    def symbol(self, j) -> np.ndarray:
-        return self._symbols[:, int(j) - self._sym_lo]
-
-    def lam_at(self, j) -> np.ndarray:
-        """Per-trial eigenvalue at level j >= 0 (pullback depth >= `depth` for j <= fwd)."""
-        if j < 0:
-            raise LimitsError(f"no lambda below level 0 (asked for {j})")
-        return self._lam[:, int(j)]
-
-    def _grouped(self, j: int, step, rows: np.ndarray) -> np.ndarray:
-        """step(e, rows) on each group of trials whose symbol at level j is e."""
-        syms = self.symbol(j)
-        out = np.empty_like(rows)
-        for e in self.lab.spec.alphabet:
-            mask = syms == e
-            if np.any(mask):
-                out[mask] = step(e, rows[mask])
-        return out
-
-    def transport(self, rows: np.ndarray, j: int, r: float = 0.0, observable=None) -> np.ndarray:
-        """Rows pushed from level j to j + 1 by their trial's normalized operator.
-
-        r != 0 applies the perturbed operator u -> L(e^{i r g} u) of the
-        observable g (default: the lab's) before dividing by lambda at j.
-        """
-        table = self.lab.table
-        g = observable if observable is not None else self.lab.observable
-
-        def step(e, u):
-            if r == 0.0:
-                return table.op(e).apply_batch(u)
-            return table.op(e).apply_perturbed_batch(u, table.phase_at_branches(e, g, r))
-        return self._grouped(j, step, rows) / self.lam_at(j)[:, None]
-
-    def rho_at(self, level: int) -> np.ndarray:
-        """rho rows at a level in [0, fwd], pushing the nearest lower snapshot forward on demand."""
-        if level in self.rho_snap:
-            return self.rho_snap[level]
-        if not 0 <= level <= self.fwd:
-            raise LimitsError(f"rho level {level} outside [0, fwd]")
-        have = max(j for j in self.rho_snap if j <= level)
-        u = self.rho_snap[have]
-        for j in range(have, level):
-            u = self.transport(u, j)
-        self.rho_snap[level] = u
-        return u
-
-    def mu_weights(self, level: int) -> np.ndarray:
-        w = np.clip(self.nu_snap[level] * self.rho_at(level), 0.0, None)
-        return w / w.sum(axis=1)[:, None]
-
-    def fiber_integral(self, level: int, values: np.ndarray) -> np.ndarray:
-        """Per-trial integral of the row functions against nu at the level."""
-        return (self.nu_snap[level] * values).sum(axis=1)
+        symbols = symbols_for_seeds(lab.spec.base, self.seeds, -int(depth), int(fwd) + int(depth))
+        super().__init__(lab.table, symbols, -int(depth), fwd=fwd, depth=depth,
+                         nu_levels=nu_levels, rho_levels=rho_levels)
 
     def sample_z(self, level: int = 0, tag: int = 0) -> np.ndarray:
         """One fiber point per trial, drawn from mu at the level by CDF inversion.
@@ -171,11 +80,12 @@ class OrbitEnsemble:
         """Row-wise perturbed operator chain over levels start, start+1, ...
 
         r_per_level lists one frequency per level; zero entries fall back to
-        the plain normalized step.
+        the plain normalized step.  The observable defaults to the lab's.
         """
+        g = observable if observable is not None else self.lab.observable
         out = rows.astype(complex)
         for i, r in enumerate(r_per_level):
-            out = self.transport(out, start + i, r, observable)
+            out = self.transport(out, start + i, r, g)
         return out
 
 
@@ -379,13 +289,7 @@ class CondHResult:
     n_samples: int
 
     def as_dict(self):
-        return {
-            "rows": [vars(r) for r in self.rows],
-            "c_fit": self.c_fit,
-            "amplitude_fit": self.amplitude_fit,
-            "noise_dominated": self.noise_dominated,
-            "n_samples": self.n_samples,
-        }
+        return asdict(self)
 
 
 def condition_h_check(lab: Lab, config: BlockConfig, k_list, n_base_samples: int,
@@ -459,13 +363,7 @@ class Assumption6Result:
     uniform: bool
 
     def as_dict(self):
-        return {
-            "beta_pooled": self.beta_pooled,
-            "table": self.table,
-            "by_n": {str(k): v for k, v in self.by_n.items()},
-            "growth_slope": self.growth_slope,
-            "uniform": self.uniform,
-        }
+        return asdict(self)
 
 
 def assumption6_check(lab: Lab, n_list, r_draws: int, base_pairs, seed: int,
@@ -490,25 +388,34 @@ def assumption6_check(lab: Lab, n_list, r_draws: int, base_pairs, seed: int,
     n_list = sorted(int(n) for n in n_list)
     draws = [tuple(gen.uniform(-epsilon0, epsilon0, size=n_list[-1])) for _ in range(r_draws)]
 
-    def f_value(x, n, rs):
-        y = x.shift_by(-n)
-        u = GridFunction(lab.rho(y).values.astype(complex), interp=lab.interp, fiber=y)
-        chain = lab.iterate(y, u, n, kind="perturbed", r_sequence=rs[:n])
-        return lab.nu(x).integrate(chain.values)
-
     records = []
     pooled = []
     for n in n_list:
         anchored = []
         for x, y, margin in base_pairs:
-            pins = {i: x.symbol(i) for i in range(-n - int(margin), int(margin) + 1)}
+            lo, hi = -n - int(margin), int(margin) + 1
+            pins = dict(zip(range(lo, hi), x.symbols(lo, hi).tolist()))
             anchored.append((x, y.with_overrides(pins), int(margin)))
+        # one window over the chain starts n fibers behind both points of every
+        # pair: rho at level 0, the lambda chain, and nu at level n (at x itself)
+        starts = [p.shift_by(-n) for x, y, _ in anchored for p in (x, y)]
+        win = lab.window(starts, fwd=n, nu_levels=(n,))
+        rho, nu = win.rho_snap[0], win.nu_snap[n]
+        chains = np.stack([win.lam_at(j) for j in range(n)], axis=1)
+
+        def f_value(i, rs):
+            u = GridFunction(rho[i].astype(complex), interp=lab.interp, fiber=starts[i])
+            chain = transfer_iterate(lab.table, starts[i], u, n, kind="perturbed",
+                                     lambda_chain=chains[i], r_sequence=rs[:n],
+                                     observable=lab.observable)
+            return complex(nu[i] @ chain.values)
+
         for di, rs in enumerate(draws):
             sup = 0.0
             pair_stats = []
-            for x, y, margin in anchored:
-                fx = f_value(x, n, rs)
-                fy = f_value(y, n, rs)
+            for pi, (x, y, margin) in enumerate(anchored):
+                fx = f_value(2 * pi, rs)
+                fy = f_value(2 * pi + 1, rs)
                 d = 2.0 ** (-margin)
                 sup = max(sup, abs(fx), abs(fy))
                 pair_stats.append((d, abs(fx - fy)))
@@ -566,11 +473,6 @@ class CovarianceResult:
 
     def s_values(self):
         return np.array([r.operator_route for r in self.rows])
-
-    def as_dict(self):
-        return {"rows": [vars(r) for r in self.rows],
-                "n_samples": self.n_samples,
-                "n_orbit_trials": self.n_orbit_trials}
 
 
 def covariance_sequence(lab: Lab, g, M: int, n_base_samples: int, seed: int,
@@ -656,10 +558,7 @@ class VarianceReport:
     orbit_bias_warning: bool = False
 
     def as_dict(self):
-        return {k: getattr(self, k) for k in (
-            "s_values", "s_std_errs", "sigma2_series", "sigma2_series_se",
-            "sigma2_mc", "sigma2_mc_se", "m_used", "tail_bound", "tail_ok",
-            "agreement", "n_var", "trials", "mu_estimate", "orbit_bias_warning")}
+        return asdict(self)
 
 
 def sigma2_estimate(lab: Lab, g=None, M: int = 16, n_base_samples: int = 800,
@@ -750,11 +649,7 @@ class CltResult:
     samples: np.ndarray | None = None  # the normalized sums; not part of the report results
 
     def as_dict(self):
-        return {k: getattr(self, k) for k in (
-            "status", "ks_stat", "p_value", "sigma2_used", "n", "trials",
-            "sample_mean", "sample_var", "sample_skew",
-            "mu_orbit", "mu_orbit_se", "mu_thermo", "mu_thermo_se",
-            "centering_consistent", "orbit_bias_warning")}
+        return {k: v for k, v in asdict(self).items() if k != "samples"}
 
 
 def clt_test(lab: Lab, g=None, sigma2: float | None = None, n: int = 10_000,
@@ -811,9 +706,7 @@ class LilResult:
     orbit_bias_warning: bool = False
 
     def as_dict(self):
-        return {k: getattr(self, k) for k in (
-            "checkpoints", "median_trajectory", "terminal_values",
-            "median_terminal", "monotone", "sigma_used", "orbit_bias_warning")}
+        return {k: v for k, v in asdict(self).items() if k != "trajectories"}
 
 
 def lil_probe(lab: Lab, g=None, n_max: int = 100_000, trials: int = 200, seed: int = 42,
@@ -872,9 +765,7 @@ class CoboundaryResult:
     orbit_bias_warning: bool = False
 
     def as_dict(self):
-        return {k: getattr(self, k) for k in (
-            "n_list", "l2_norms", "growth_slope", "quarter_trend",
-            "quarter_decreasing", "verdict", "mu_estimate", "orbit_bias_warning")}
+        return asdict(self)
 
 
 def coboundary_check(lab: Lab, g=None, n_list=(100, 1000, 10_000), trials: int = 1000,
@@ -889,6 +780,8 @@ def coboundary_check(lab: Lab, g=None, n_list=(100, 1000, 10_000), trials: int =
     """
     g = g if g is not None else lab.observable
     n_list = sorted(set(int(v) for v in n_list))
+    if len(n_list) < 2:
+        raise LimitsError("the growth slope needs at least two distinct n")
     times, sums = orbit_birkhoff_sums(lab, g, n_list, trials, seed, stream=37,
                                       sample_depth=sample_depth, threads=threads)
     mu = float(sums[-1].mean() / times[-1])

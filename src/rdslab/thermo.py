@@ -1,25 +1,26 @@
 """Random thermodynamic formalism on orbit windows.
 
 Conformal weights nu_x arrive by pulling normalized Lebesgue weights back
-through the adjoint of the discretized operator from a fiber `pullback_depth`
-steps ahead; the normalizer of each pullback step is the eigenvalue lambda at
+through the adjoint of the discretized operator from a fiber deep in the
+future; the normalizer of each pullback step is the eigenvalue lambda at
 that fiber.  Invariant densities rho_x are pushforwards of the constant
-function from `pullback_depth` steps behind.  A Lab bundles the operator
-table with depth-tagged caches along orbits, and the module-level operations
-implement the pullback diagnostics, density construction, spectral-gap
-estimation, and base-regularity checks.
+function from `pullback_depth` steps behind.  A ConformalWindow computes
+all three for a block of base points with one grouped sweep; a Lab bundles
+the operator table with windows built per request, and the module-level
+operations implement the pullback diagnostics, density construction,
+spectral-gap estimation, and base-regularity checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import rng
 from .base import BaseMeasureSpec, BasePoint, base_distance, pinned_pair
 from .fiber import GridFunction, SystemSpec, alpha_norm, apply_map_symbol, default_observable
-from .transfer import OperatorTable, transfer_apply, transfer_iterate
+from .transfer import OperatorTable, transfer_apply
 
 
 class ThermoError(RuntimeError):
@@ -74,11 +75,134 @@ def pullback_sweep(table: OperatorTable, x: BasePoint, start: int, stop: int):
         yield j, lam, omega
 
 
-class Lab:
-    """Operator table plus depth-tagged conformal caches along orbits.
+class ConformalWindow:
+    """nu, lambda and rho along the orbits of a block of base points.
 
-    All cached quantities are pure functions of (spec, grid, depth, base
-    point), so concurrent duplicate computation is harmless.
+    Row t of `symbols` lists the symbols of base point x_t at levels lo,
+    lo + 1, ...; level j is the fiber over shift^j(x_t).  A single downward
+    adjoint sweep from level fwd + depth stops at min(nu_levels + [0]), the
+    lowest level anything reads; it records lambda at every level it passes
+    and the requested nu snapshots (each with pullback depth >= depth).  rho
+    starts from the constant density at level -rho_depth (default: depth)
+    and is pushed up to level 0, each level rescaled to unit row sums, then
+    scaled in place so that nu_0(rho_0) = 1.  That is the lambda-normalized
+    pushforward L^rho_depth 1 / prod lambda up to rounding, since the
+    discrete sweep satisfies nu_{j+1}(L u) = lambda_j nu_j(u).  rho_snap
+    always holds level 0; levels above it come from `transport`, the one
+    normalized forward step.  Steps group rows by their current symbol, so
+    the whole block advances with a handful of sparse matrix products per
+    level, and no row depends on the others.
+    """
+
+    error = ThermoError
+
+    def __init__(self, table: OperatorTable, symbols: np.ndarray, lo: int, fwd: int = 0,
+                 depth: int = 24, nu_levels=(0,), rho_levels=(0,), rho_depth: int | None = None):
+        self.table = table
+        self.fwd = int(fwd)
+        self.depth = int(depth)
+        self.rho_depth = self.depth if rho_depth is None else int(rho_depth)
+        self._symbols = symbols
+        self._sym_lo = int(lo)
+        self.nu_levels = sorted(set(int(j) for j in nu_levels))
+        self.rho_levels = sorted(set(int(j) for j in rho_levels))
+        stop = min(self.nu_levels + [0])
+        top = self.fwd + self.depth
+        if (self.nu_levels and self.nu_levels[-1] > self.fwd) or min(stop, -self.rho_depth) < lo \
+                or symbols.shape[1] < top - lo:
+            raise self.error("nu level above fwd, or a level outside the symbol block")
+        n_rows, n = symbols.shape[0], table.n_points
+
+        # downward adjoint sweep: lambda chain and conformal snapshots
+        self.nu_snap = {}
+        self._lam_lo = stop
+        self._lam = np.zeros((n_rows, top - stop))
+        omega = np.full((n_rows, n), 1.0 / n)
+        for j in range(top - 1, stop - 1, -1):
+            omega = self._grouped(j, lambda e, rows: table.op(e).adjoint_batch(rows), omega)
+            sums = omega.sum(axis=1)
+            if not np.all((sums > 0) & (sums < np.inf)):
+                raise self.error(f"degenerate pullback normalizer at level {j}")
+            self._lam[:, j - stop] = sums
+            omega /= sums[:, None]
+            if j in self.nu_levels:
+                self.nu_snap[j] = omega
+            if j == 0:
+                nu0 = omega
+
+        # upward pushforward of the constant density, normalized at level 0
+        rho = np.ones((n_rows, n))
+        for j in range(-self.rho_depth, 0):
+            rho = self._grouped(j, lambda e, rows: table.op(e).apply_batch(rows), rho)
+            rho /= rho.sum(axis=1)[:, None]
+        rho /= np.einsum("ij,ij->i", nu0, rho)[:, None]
+        self.rho_snap = {0: rho}
+        for level in self.rho_levels:
+            self.rho_at(level)
+
+    def symbol(self, j) -> np.ndarray:
+        return self._symbols[:, int(j) - self._sym_lo]
+
+    def lam_at(self, j) -> np.ndarray:
+        """Per-row eigenvalue at a level the sweep passed (pullback depth >= `depth` for j <= fwd)."""
+        if j < self._lam_lo:
+            raise self.error(f"no lambda below level {self._lam_lo} (asked for {j})")
+        return self._lam[:, int(j) - self._lam_lo]
+
+    def _grouped(self, j: int, step, rows: np.ndarray) -> np.ndarray:
+        """step(e, rows) on each group of rows whose symbol at level j is e."""
+        syms = self.symbol(j)
+        out = np.empty_like(rows)
+        for e in self.table.spec.alphabet:
+            mask = syms == e
+            if np.any(mask):
+                out[mask] = step(e, rows[mask])
+        return out
+
+    def transport(self, rows: np.ndarray, j: int, r: float = 0.0, observable=None) -> np.ndarray:
+        """Rows pushed from level j to j + 1 by their row's normalized operator.
+
+        r != 0 applies the perturbed operator u -> L(e^{i r g} u) of the
+        observable g before dividing by lambda at j.
+        """
+        table = self.table
+
+        def step(e, u):
+            if r == 0.0:
+                return table.op(e).apply_batch(u)
+            return table.op(e).apply_perturbed_batch(u, table.phase_at_branches(e, observable, r))
+        return self._grouped(j, step, rows) / self.lam_at(j)[:, None]
+
+    def rho_at(self, level: int) -> np.ndarray:
+        """rho rows at a level in [0, fwd], pushing the nearest lower snapshot forward on demand."""
+        if level in self.rho_snap:
+            return self.rho_snap[level]
+        if not 0 <= level <= self.fwd:
+            raise self.error(f"rho level {level} outside [0, fwd]")
+        have = max(j for j in self.rho_snap if j <= level)
+        u = self.rho_snap[have]
+        for j in range(have, level):
+            u = self.transport(u, j)
+        self.rho_snap[level] = u
+        return u
+
+    def mu_weights(self, level: int) -> np.ndarray:
+        w = np.clip(self.nu_snap[level] * self.rho_at(level), 0.0, None)
+        return w / w.sum(axis=1)[:, None]
+
+    def fiber_integral(self, level: int, values: np.ndarray) -> np.ndarray:
+        """Per-row integral of the row functions against nu at the level."""
+        return (self.nu_snap[level] * values).sum(axis=1)
+
+
+class Lab:
+    """Operator table plus conformal windows along orbits.
+
+    Every conformal value is read from a `ConformalWindow` built from the
+    request alone, with pullback depth pullback_depth + 1 at the highest
+    level read.  Windows are memoized by the full request (points, forward
+    levels, rho depth, nu levels), so each value is a pure function of
+    (spec, grid, depth, request) whatever was asked before.
     """
 
     def __init__(self, spec: SystemSpec, n_points: int = 1024, interp: str = "cubic",
@@ -90,9 +214,7 @@ class Lab:
         self.pullback_depth = int(pullback_depth)
         self.depth_max = int(depth_max)
         self.duality_tol = float(duality_tol)
-        self._nu = {}
-        self._lam = {}
-        self._rho = {}
+        self._windows = {}
 
     @property
     def n_points(self) -> int:
@@ -104,69 +226,52 @@ class Lab:
 
     # -- conformal family ---------------------------------------------------
 
-    def ensure_chain(self, x: BasePoint, lo: int, hi: int):
-        """Populate nu and lambda caches for fibers shift(x, j), j in [lo, hi]."""
+    def window(self, xs, fwd: int = 0, rho_depth: int | None = None,
+               nu_levels=(0,)) -> ConformalWindow:
+        """One grouped sweep over the orbits of the base points xs, rows in order.
+
+        lambda is held from level min(nu_levels + [0]) up, nu at each of
+        nu_levels (none above fwd), and rho at level 0 is the constant function
+        pushed `rho_depth` steps (default pullback_depth).  Symbols come from
+        BasePoint.symbols, so pinned overrides hold.
+        """
         K = self.pullback_depth
-        missing = [
-            j for j in range(lo, hi + 1)
-            if self._nu.get(x.shift_by(j), (0, None))[0] < K
-            or self._lam.get(x.shift_by(j), (0, None))[0] < K
-        ]
-        if not missing:
-            return
-        start = max(missing) + K + 1
-        stop = min(missing)
-        for j, lam, omega in pullback_sweep(self.table, x, start, stop):
-            y = x.shift_by(j)
-            nu_depth = start - j
-            lam_depth = start - j - 1
-            if lam_depth >= K and self._lam.get(y, (0, None))[0] < lam_depth:
-                self._lam[y] = (lam_depth, lam)
-            if nu_depth >= K and self._nu.get(y, (0, None))[0] < nu_depth:
-                self._nu[y] = (nu_depth, omega)
+        rho_depth = K if rho_depth is None else int(rho_depth)
+        key = (tuple(xs), int(fwd), rho_depth, tuple(sorted(set(int(j) for j in nu_levels))))
+        win = self._windows.get(key)
+        if win is None:
+            lo = min(key[3] + (0, -rho_depth))
+            symbols = np.stack([x.symbols(lo, key[1] + K + 1) for x in key[0]])
+            win = ConformalWindow(self.table, symbols, lo, fwd=key[1], depth=K + 1,
+                                  nu_levels=key[3], rho_depth=rho_depth)
+            self._windows[key] = win
+        return win
+
+    def ensure_chain(self, x: BasePoint, lo: int, hi: int) -> ConformalWindow:
+        """The one-point window holding nu and lambda on the fibers shift(x, j), j in [lo, hi]."""
+        return self.window((x,), fwd=max(hi, 0), nu_levels=range(lo, hi + 1))
 
     def nu(self, x: BasePoint) -> FiberMeasure:
-        self.ensure_chain(x, 0, 0)
-        return FiberMeasure(self._nu[x][1], fiber=x)
+        return FiberMeasure(self.ensure_chain(x, 0, 0).nu_snap[0][0], fiber=x)
 
     def lam(self, x: BasePoint) -> float:
-        self.ensure_chain(x, 0, 0)
-        return self._lam[x][1]
+        return float(self.ensure_chain(x, 0, 0).lam_at(0)[0])
 
     def lambda_chain(self, x: BasePoint, n: int) -> np.ndarray:
         """[lambda_x, lambda_{shift x}, ..., lambda_{shift^{n-1} x}]."""
         if n <= 0:
             return np.zeros(0)
-        self.ensure_chain(x, 0, n - 1)
-        return np.array([self._lam[x.shift_by(j)][1] for j in range(n)])
+        win = self.ensure_chain(x, 0, n - 1)
+        return np.array([win.lam_at(j)[0] for j in range(n)])
 
     def rho(self, x: BasePoint, depth: int | None = None) -> GridFunction:
         """Invariant density: the constant function pushed forward `depth` steps."""
-        K = self.pullback_depth if depth is None else int(depth)
-        key = (x, K)
-        if key in self._rho:
-            return self._rho[key]
-        self.ensure_chain(x, -K, -1)
-        u = GridFunction(np.ones(self.n_points), interp=self.interp, fiber=x.shift_by(-K))
-        out = transfer_iterate(
-            self.table, x.shift_by(-K), u, K, kind="normalized",
-            lambda_chain=[self._lam[x.shift_by(j)][1] for j in range(-K, 0)],
-        )
-        self._rho[key] = out
-        return out
+        return GridFunction(self.window((x,), rho_depth=depth).rho_snap[0][0],
+                            interp=self.interp, fiber=x)
 
     def mu(self, x: BasePoint) -> FiberMeasure:
         """Invariant fiber measure mu_x = rho_x nu_x (renormalized)."""
-        return FiberMeasure(self.nu(x).weights * self.rho(x).values, fiber=x)
-
-    # -- operator conveniences ----------------------------------------------
-
-    def iterate(self, x: BasePoint, u: GridFunction, n: int, kind: str = "raw",
-                r_sequence=None, observable=None) -> GridFunction:
-        chain = self.lambda_chain(x, n) if kind in ("normalized", "perturbed") else None
-        return transfer_iterate(self.table, x, u, n, kind=kind, lambda_chain=chain,
-                                r_sequence=r_sequence,
-                                observable=observable or self.observable)
+        return FiberMeasure(self.window((x,)).mu_weights(0)[0], fiber=x)
 
     def duality_residual(self, x: BasePoint, u_values: np.ndarray) -> float:
         """|nu_{shift x}(L_x u) - lambda_x nu_x(u)|, the defining identity of (nu, lambda)."""
@@ -188,24 +293,12 @@ class PullbackReport:
     duality_max: float
     converged: bool
 
-    def as_dict(self):
-        return {
-            "lambda": self.lam,
-            "depth_used": self.depth_used,
-            "lambda_delta": self.lambda_delta,
-            "duality_max": self.duality_max,
-            "converged": self.converged,
-        }
-
 
 def _pullback_at_depth(lab: Lab, x: BasePoint, depth: int):
     """(nu weights, lambda) at x from a fresh depth-`depth` sweep, no caches."""
-    lam_x = None
-    omega_x = None
-    for j, lam, omega in pullback_sweep(lab.table, x, depth + 1, 0):
-        if j == 0:
-            lam_x, omega_x = lam, omega
-    return omega_x, lam_x
+    for _, lam, omega in pullback_sweep(lab.table, x, depth + 1, 0):
+        pass  # the sweep ends at level 0
+    return omega, lam
 
 
 def random_smooth_functions(n_points: int, count: int, seed: int, interp: str = "cubic",
@@ -288,29 +381,24 @@ class DensityReport:
     fixed_point_residual: float
     nu_mass_residual: float
 
-    def as_dict(self):
-        return {
-            "depth_used": self.depth_used,
-            "cesaro_gap": self.cesaro_gap,
-            "fixed_point_residual": self.fixed_point_residual,
-            "nu_mass_residual": self.nu_mass_residual,
-        }
-
 
 def invariant_density(lab: Lab, x: BasePoint, depth: int | None = None) -> DensityReport:
     """rho at x as a depth-K pushforward, cross-checked against the Cesaro average.
 
-    The fixed-point residual compares L_0 rho_x with the independently built
-    rho at the image fiber (its own depth-K pushforward), so the residual
-    measures genuine convergence rather than a construction identity.
+    The residuals compare independently built objects, so they measure
+    genuine convergence rather than construction identities: the window
+    normalizes rho so that its own nu_0(rho_0) = 1, so the nu-mass residual
+    integrates rho against a fresh single-vector pullback instead, and the
+    fixed-point residual compares L_0 rho_x with the rho of the image fiber's
+    own window (its own depth-K pushforward).
     """
     K = lab.pullback_depth if depth is None else int(depth)
     rho = lab.rho(x, K)
-    lab.ensure_chain(x, -(K - 1), 0)
+    win = lab.ensure_chain(x, -(K - 1), 0)
     acc = GridFunction(np.ones(lab.n_points), interp=lab.interp, fiber=x.shift_by(-(K - 1)))
     for j in range(-(K - 1), 0):
         stepped = transfer_apply(lab.table, x.shift_by(j), acc, kind="normalized",
-                                 lam=lab.lam(x.shift_by(j)))
+                                 lam=win.lam_at(j)[0])
         acc = stepped.with_values(stepped.values + 1.0)
     cesaro = acc.values / K
     cesaro_gap = float(np.max(np.abs(rho.values - cesaro)))
@@ -318,7 +406,8 @@ def invariant_density(lab: Lab, x: BasePoint, depth: int | None = None) -> Densi
     rho_next = lab.rho(x.shift_by(1), K)
     pushed = transfer_apply(lab.table, x, rho, kind="normalized", lam=lab.lam(x))
     fixed_point = float(np.max(np.abs(pushed.values - rho_next.values)))
-    nu_mass = abs(lab.nu(x).integrate(rho) - 1.0)
+    nu_x = FiberMeasure(_pullback_at_depth(lab, x, lab.pullback_depth)[0], fiber=x)
+    nu_mass = abs(nu_x.integrate(rho) - 1.0)
     return DensityReport(rho, K, cesaro_gap, fixed_point, float(nu_mass))
 
 
@@ -334,15 +423,7 @@ class GapFit:
     note: str = ""
 
     def as_dict(self):
-        return {
-            "kappa": self.kappa,
-            "c": self.c,
-            "r_squared": self.r_squared,
-            "n_values": self.n_values,
-            "mean_log_residuals": self.mean_log_residuals,
-            "measurable": self.measurable,
-            "note": self.note,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "per_instance_slopes"}
 
 
 def gap_estimate(lab: Lab, x_samples, u_samples, n_range, noise_floor: float | None = None) -> GapFit:
@@ -359,28 +440,26 @@ def gap_estimate(lab: Lab, x_samples, u_samples, n_range, noise_floor: float | N
     floor = 100 * np.finfo(float).eps if noise_floor is None else noise_floor
     n_list = sorted(int(n) for n in n_range)
     n_max = n_list[-1]
+    win = lab.window(x_samples, fwd=n_max - 1)
+    nu0, rho0 = win.nu_snap[0], win.rho_snap[0]
+    # residuals[x, u, n - 1]: the whole x batch is transported at once per u
+    residuals = np.empty((len(rho0), len(u_samples), n_max))
+    for k, u in enumerate(u_samples):
+        norm_u = alpha_norm(u, hp.alpha, hp.eta)
+        w = u.values[None, :] - (nu0 @ u.values)[:, None] * rho0
+        for n in range(1, n_max + 1):
+            w = win.transport(w, n - 1)
+            residuals[:, k, n - 1] = np.max(np.abs(w), axis=1) / norm_u
     logs = {n: [] for n in n_list}
     slopes = []
-    for x in x_samples:
-        chain = lab.lambda_chain(x, n_max)
-        rho_x = lab.rho(x)
-        nu_x = lab.nu(x)
-        for u in u_samples:
-            norm_u = alpha_norm(u, hp.alpha, hp.eta)
-            w = GridFunction(u.values - nu_x.integrate(u.values) * rho_x.values,
-                             interp=u.interp, fiber=x)
-            inst = []
-            for n in range(1, n_max + 1):
-                w = transfer_apply(lab.table, x.shift_by(n - 1), w, kind="normalized",
-                                   lam=chain[n - 1])
-                val = float(np.max(np.abs(w.values))) / norm_u
-                if n in logs and val > floor:
-                    logs[n].append(np.log(val))
-                if val > floor:
-                    inst.append((n, np.log(val)))
-            if len(inst) >= 3:
-                arr = np.array(inst)
-                slopes.append(float(np.polyfit(arr[:, 0], arr[:, 1], 1)[0]))
+    for inst in residuals.reshape(-1, n_max):  # x-major, u-minor instances
+        above = [(n, float(np.log(v))) for n, v in enumerate(inst, 1) if v > floor]
+        for n, lv in above:
+            if n in logs:
+                logs[n].append(lv)
+        if len(above) >= 3:
+            arr = np.array(above)
+            slopes.append(float(np.polyfit(arr[:, 0], arr[:, 1], 1)[0]))
     usable = [(n, float(np.mean(v))) for n, v in logs.items() if v]
     if len(usable) < 3:
         return GapFit(float("nan"), float("nan"), float("nan"), n_list, [], slopes,
@@ -407,18 +486,6 @@ class RegularityReport:
     beta_bounded: dict
     bounds: dict
 
-    def as_dict(self):
-        return {
-            "depths": self.depths,
-            "distances": self.distances,
-            "lambda_diffs": self.lambda_diffs,
-            "rho_diffs": self.rho_diffs,
-            "iterate_diffs": {str(k): v for k, v in self.iterate_diffs.items()},
-            "beta_fitted": self.beta_fitted,
-            "beta_bounded": self.beta_bounded,
-            "bounds": self.bounds,
-        }
-
 
 def regularity_pairs(spec: BaseMeasureSpec, seed: int, depths, reps: int = 2) -> list:
     """Base pairs pinned to agree on symmetric windows [-D, D], D over depths."""
@@ -440,20 +507,26 @@ def regularity_check(lab: Lab, base_pairs, n_list, beta_grid=None) -> Regularity
     against log(distance), reported without asserting a theoretical value.
     """
     beta_grid = np.round(np.arange(0.1, 1.01, 0.1), 2) if beta_grid is None else np.asarray(beta_grid)
-    depths, dists, dlam, drho = [], [], [], []
+    pairs = [(x, y, int(depth), base_distance(x, y)) for x, y, depth in base_pairs]
+    pairs = [p for p in pairs if p[3] > 0]
+    depths = [p[2] for p in pairs]
+    dists = [p[3] for p in pairs]
+    dlam, drho = [], []
     diter = {int(n): [] for n in n_list}
-    for x, y, depth in base_pairs:
-        d = base_distance(x, y)
-        if d <= 0:
-            continue
-        depths.append(int(depth))
-        dists.append(d)
-        dlam.append(abs(lab.lam(x) - lab.lam(y)))
-        drho.append(float(np.max(np.abs(lab.rho(x).values - lab.rho(y).values))))
+    if pairs:
+        # one window over every pair's points, x and y alternating
+        points = [pt for x, y, _, _ in pairs for pt in (x, y)]
+
+        def row_diffs(rows):
+            return np.max(np.abs(rows[0::2] - rows[1::2]), axis=1).tolist()
+
+        win = lab.window(points)
+        lam = win.lam_at(0)
+        dlam = np.abs(lam[0::2] - lam[1::2]).tolist()
+        drho = row_diffs(win.rho_snap[0])
         for n in n_list:
             # L_0^n 1 transported to x is the depth-n density
-            vx, vy = lab.rho(x, n), lab.rho(y, n)
-            diter[int(n)].append(float(np.max(np.abs(vx.values - vy.values))))
+            diter[int(n)] = row_diffs(lab.window(points, rho_depth=int(n)).rho_snap[0])
 
     def fit(deltas):
         pts = [(np.log(dd), np.log(v)) for dd, v in zip(dists, deltas) if v > 1e-14]
@@ -484,19 +557,16 @@ def regularity_check(lab: Lab, base_pairs, n_list, beta_grid=None) -> Regularity
 
 def uniform_bounds_check(lab: Lab, x_samples, n_max: int) -> dict:
     """Measured envelope of L_0^n 1 and rho over samples: one C with C^-1 <= . <= C."""
+    # the sweep runs down to level -n_max, so lambda is held on the whole path
+    win = lab.window(x_samples, nu_levels=(-n_max, 0))
+    rho = win.rho_snap[0]
+    u = np.ones(rho.shape)
     lo, hi = np.inf, 0.0
-    rho_lo, rho_hi = np.inf, 0.0
-    for x in x_samples:
-        lab.ensure_chain(x, -n_max, 0)
-        u = GridFunction(np.ones(lab.n_points), interp=lab.interp, fiber=x.shift_by(-n_max))
-        for j in range(-n_max, 0):
-            u = transfer_apply(lab.table, x.shift_by(j), u, kind="normalized",
-                               lam=lab.lam(x.shift_by(j)))
-            lo = min(lo, float(np.min(u.values)))
-            hi = max(hi, float(np.max(u.values)))
-        r = lab.rho(x)
-        rho_lo = min(rho_lo, float(np.min(r.values)))
-        rho_hi = max(rho_hi, float(np.max(r.values)))
+    for j in range(-n_max, 0):
+        u = win.transport(u, j)
+        lo = min(lo, float(np.min(u)))
+        hi = max(hi, float(np.max(u)))
+    rho_lo, rho_hi = float(np.min(rho)), float(np.max(rho))
     c = max(hi, 1.0 / lo, rho_hi, 1.0 / rho_lo)
     return {
         "iterate_min": lo, "iterate_max": hi,
@@ -512,14 +582,15 @@ def fiberwise_invariance_residual(lab: Lab, x_samples, h_samples) -> float:
     The exact content of T-invariance for the skew product, checked at
     quadrature accuracy (the global statement follows by integrating over m).
     """
+    xs = list(x_samples)
+    k = len(xs)
+    mu = lab.window(xs + [x.shift_by(1) for x in xs]).mu_weights(0)  # rows x, then shift x
+    zp = np.arange(lab.n_points) / lab.n_points
     worst = 0.0
-    for x in x_samples:
-        mu_x = lab.mu(x)
-        mu_next = lab.mu(x.shift_by(1))
-        zp = np.arange(lab.n_points) / lab.n_points
+    for i, x in enumerate(xs):
         tz = apply_map_symbol(lab.spec, x.symbol(0), zp)
         for h in h_samples:
-            lhs = float(mu_x.weights @ h(tz))
-            rhs = mu_next.integrate(h(zp))
+            lhs = float(mu[i] @ h(tz))
+            rhs = float(mu[k + i] @ h(zp))
             worst = max(worst, abs(lhs - rhs))
     return worst

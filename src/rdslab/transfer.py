@@ -292,8 +292,10 @@ def operator_norm_bounds_check(lab, x_samples, r_grid, n_max: int, seed: int = 0
     sup_env = np.zeros(n_max)
     alpha_env = np.zeros(n_max)
     c_inf = 0.0
-    for x in x_samples:
-        chain = lab.lambda_chain(x, n_max)
+    xs = list(x_samples)
+    win = lab.window(xs, fwd=n_max - 1)
+    chains = np.stack([win.lam_at(j) for j in range(n_max)], axis=1)  # row i: lambda chain of xs[i]
+    for x, chain in zip(xs, chains):
         tests = [GridFunction(np.ones(table.n_points), interp=table.interp)]
         for _ in range(functions_per_sample):
             a = gen.normal(size=3) * [0.5, 0.3, 0.2]

@@ -59,11 +59,36 @@ def test_cli_run_unknown_key_exit_1(tmp_path, capsys):
     ("numerics.pullback_depth", 0), ("numerics.pullback_depth", 1),
     ("numerics.sample_depth", 0), ("numerics.sample_depth", -3), ("numerics.sample_depth", True),
     ("statistics.n_base_samples", 1), ("statistics.trials", 1), ("statistics.trials", 0),
+    ("statistics.m", -1), ("statistics.m", 0), ("experiment.gap.n_min", 0),
+    ("experiment.gap.n_max", 0), ("experiment.lil.n_max", 50), ("experiment.gap.n_x", 0),
+    ("experiment.bounds.uniform_n_x", 0),
 ])
 def test_integer_settings_below_floor_exit_1(tmp_path, capsys, key, value):
     code = cli.run("thermo", out_dir=str(tmp_path), sets=[f"{key}={json.dumps(value)}"])
     assert code == 1
     assert f"config error: {key} must be an integer" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_empty_gap_range_exit_1(tmp_path, capsys):
+    code = cli.run("gap", out_dir=str(tmp_path),
+                   sets=["experiment.gap.n_min=5", "experiment.gap.n_max=4"])
+    assert code == 1
+    assert ("config error: experiment.gap.n_max must be an integer >= experiment.gap.n_min"
+            in capsys.readouterr().err)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key,value", [
+    ("experiment.condition_h.k_list", []), ("experiment.condition_h.k_list", 3),
+    ("experiment.coboundary.n_list", [5]), ("experiment.coboundary.n_list", [100, 100]),
+    ("experiment.coboundary.n_list", [100, 1000.5]), ("experiment.assumption6.n_list", [2]),
+])
+def test_lists_too_short_exit_1(tmp_path, capsys, key, value):
+    # one n gives a one-point slope fit: no verdict may come from it
+    code = cli.run("coboundary", out_dir=str(tmp_path), sets=[f"{key}={json.dumps(value)}"])
+    assert code == 1
+    assert f"config error: {key} must be a list of at least" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

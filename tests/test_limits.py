@@ -234,6 +234,12 @@ def test_coboundary_check_verdicts(stats_lab):
     assert default.verdict == "not coboundary"
 
 
+def test_coboundary_needs_two_distinct_n(stats_lab):
+    for n_list in ((5,), (100, 100)):
+        with pytest.raises(LimitsError, match="two distinct n"):
+            coboundary_check(stats_lab, None, n_list=n_list, trials=10, seed=21)
+
+
 def test_coboundary_zero_observable(stats_lab):
     g = constant_observable(stats_lab.spec, 0.0)
     res = coboundary_check(stats_lab, g, n_list=(50, 200), trials=100, seed=23)
@@ -353,7 +359,9 @@ def test_perturbed_integral_normalization_at_zero_frequency(stats_lab):
         x = sample_base(lab.spec.base, 30, i)
         y = x.shift_by(-5)
         u = rl.GridFunction(lab.rho(y).values.astype(complex), fiber=y)
-        chain = lab.iterate(y, u, 5, kind="perturbed", r_sequence=(0.0,) * 5)
+        chain = rl.transfer_iterate(lab.table, y, u, 5, kind="perturbed",
+                                    lambda_chain=lab.lambda_chain(y, 5),
+                                    r_sequence=(0.0,) * 5, observable=lab.observable)
         val = lab.nu(x).integrate(chain.values)
         assert abs(val - 1.0) <= 1e-9
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rdslab as rl
 from rdslab.base import sample_base
@@ -174,3 +176,40 @@ def test_pullback_nonconvergence_flag(gibbs_lab):
 def test_cesaro_gap_on_nonlinear_system(stats_lab):
     rep = invariant_density(stats_lab, sample_base(stats_lab.spec.base, 42, 9), depth=30)
     assert rep.cesaro_gap < 1e-5
+
+
+def test_lab_values_do_not_depend_on_earlier_calls():
+    # a Lab that first read a long chain behind the point must return the same
+    # bits as a fresh one: every value is a pure function of its request
+    spec = rl.gibbs_system()
+    fresh, used = (rl.Lab(spec, n_points=256, pullback_depth=20) for _ in range(2))
+    x = sample_base(spec.base, 42, 0)
+    used.ensure_chain(x.shift_by(-5), 0, 10)
+    y = x.shift_by(1)
+    assert np.array_equal(fresh.rho(y).values, used.rho(y).values)
+    assert np.array_equal(fresh.nu(y).weights, used.nu(y).weights)
+    assert fresh.lam(y) == used.lam(y)
+
+
+@given(
+    points=st.lists(st.tuples(st.integers(0, 40),
+                              st.dictionaries(st.integers(-24, 24), st.integers(0, 1), max_size=4)),
+                    min_size=1, max_size=4),
+    fwd=st.integers(0, 3),
+    back=st.integers(0, 3),
+    rho_depth=st.sampled_from([None, 1, 6]),
+)
+def test_window_rows_bit_equal_to_one_point_windows(small_gibbs_lab, points, fwd, back, rho_depth):
+    # pinned overrides included: each row is the window of its own point
+    lab = small_gibbs_lab
+    xs = [sample_base(lab.spec.base, 5, s).with_overrides(pins) for s, pins in points]
+    levels = (-back, fwd)
+    win = lab.window(xs, fwd=fwd, rho_depth=rho_depth, nu_levels=levels)
+    for i, x in enumerate(xs):
+        one = lab.window([x], fwd=fwd, rho_depth=rho_depth, nu_levels=levels)
+        assert np.array_equal(one.symbol(0), [x.symbol(0)])
+        for j in levels:
+            assert np.array_equal(win.nu_snap[j][i], one.nu_snap[j][0])
+        for j in range(-back, fwd + lab.pullback_depth + 1):
+            assert win.lam_at(j)[i] == one.lam_at(j)[0]
+        assert np.array_equal(win.rho_at(fwd)[i], one.rho_at(fwd)[0])
