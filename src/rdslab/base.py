@@ -134,13 +134,10 @@ class BaseMetricParams:
     """
 
     truncation_window: int = 48
-    symbol_metric: str = "discrete"
 
     def __post_init__(self):
         if self.truncation_window < 1:
             raise BaseError("truncation_window must be >= 1")
-        if self.symbol_metric != "discrete":
-            raise BaseError(f"unsupported symbol metric {self.symbol_metric!r}")
 
     @property
     def truncation_error(self) -> float:

@@ -25,6 +25,7 @@ from .config import (
     ConfigError,
     apply_overrides,
     config_hash,
+    disjoint_from,
     load_config,
     resolve_config,
     system_from_config,
@@ -200,13 +201,13 @@ def _run_decay_base(lab, config, seed, threads, memo):
     F = window_mean(*exp["f_window"])
     G = window_mean(*exp["g_window"])
     rep = base_correlation_check(lab.spec.base, F, G, exp["n_list"], exp["n_samples"], seed)
-    # beyond this separation the windows are disjoint and the truth is exactly 0
-    disjoint_from = exp["g_window"][1] - exp["f_window"][0] + 1
-    ok = all(abs(r.estimate) <= 3.0 * r.std_err for r in rep.rows if r.n >= disjoint_from)
+    # from this separation on the windows are disjoint and the truth is exactly 0
+    start = disjoint_from(exp)
+    ok = all(abs(r.estimate) <= 3.0 * r.std_err for r in rep.rows if r.n >= start)
     rows = [(r.n, r.estimate, r.std_err, r.n_samples) for r in rep.rows]
     art = {"decay.csv": csv_text(("n", "estimate", "std_err", "n_samples"), rows)}
     results = rep.as_dict()
-    results["disjoint_from"] = disjoint_from
+    results["disjoint_from"] = start
     return results, bool(ok), art
 
 

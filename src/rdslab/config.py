@@ -99,6 +99,7 @@ LIST_SIZES = {
     "experiment.condition_h.k_list": 1,  # the block gap lengths to sample
     "experiment.assumption6.n_list": 2,  # uniformity is a growth trend over n
     "experiment.coboundary.n_list": 2,  # the growth slope is a fit over n
+    "experiment.decay_base.n_list": 1,  # the separations to sample
 }
 
 SUBCOMMANDS = ("thermo", "gap", "bounds", "encoding", "condition-h", "assumption6",
@@ -125,6 +126,11 @@ def _merge(defaults, user, path=""):
     return out
 
 
+def disjoint_from(decay: dict) -> int:
+    """Least separation n at which decay-base's windows F and G o shift^-n share no coordinate."""
+    return decay["g_window"][1] - decay["f_window"][0] + 1
+
+
 def resolve_config(user: dict | None = None) -> dict:
     """Merge a user config over the defaults; unknown keys and out-of-range values are fatal."""
     config = _merge(DEFAULTS, user or {})
@@ -143,6 +149,16 @@ def resolve_config(user: dict | None = None) -> dict:
                 or len(set(value)) < size):
             raise ConfigError(f"{path} must be a list of at least {size} distinct integers, "
                               f"got {value!r}")
+    decay = config["experiment"]["decay_base"]
+    for name in ("f_window", "g_window"):
+        w = decay[name]
+        if not (isinstance(w, list) and len(w) == 2 and all(type(v) is int for v in w)
+                and w[0] <= w[1]):
+            raise ConfigError(f"experiment.decay_base.{name} must be a window [lo, hi] of "
+                              f"integers with lo <= hi, got {w!r}")
+    if max(decay["n_list"]) < disjoint_from(decay):  # else the verdict checks no row
+        raise ConfigError(f"experiment.decay_base.n_list must hold an n >= {disjoint_from(decay)}"
+                          f" (disjoint windows), got {decay['n_list']!r}")
     return config
 
 

@@ -18,10 +18,11 @@ import scipy.stats
 from . import rng
 from .base import sample_seeds, symbols_for_seeds
 from .fiber import GridFunction, _map_step, apply_map_symbol
-from .thermo import ConformalWindow, Lab
+from .thermo import ConformalWindow, Lab, _mu_rows
 from .transfer import transfer_iterate
 
 SIGMA2_FLOOR = 1e-3
+CLT_THERMO_SAMPLES = 400
 
 UNTESTED_CLAIMS = (
     "almost-sure Brownian coupling (only its corollaries are tested)",
@@ -42,34 +43,31 @@ class OrbitEnsemble(ConformalWindow):
 
     A ConformalWindow whose symbol block [-depth, fwd + depth) is drawn from
     keyed seeds (stream `stream` of `master_seed`), so trial t is the base
-    point of the t-th seed; fiber states are drawn from the invariant fiber
-    measures by CDF inversion.
+    point of the t-th seed; fiber states at level 0 are drawn from the
+    invariant fiber measures by CDF inversion.
     """
 
     error = LimitsError
 
     def __init__(self, lab: Lab, n_trials: int, master_seed: int, stream: int,
-                 fwd: int = 0, depth: int = 24, nu_levels=(0,), rho_levels=(0,)):
+                 fwd: int = 0, depth: int = 24, nu_levels=(0,)):
         self.lab = lab
-        self.n_trials = int(n_trials)
-        self.master_seed = int(master_seed)
-        self.stream = int(stream)
         self.seeds = sample_seeds(master_seed, stream, n_trials)
+        self._z_key = rng.derive_key(master_seed, 0x5A17, stream, 0)
         symbols = symbols_for_seeds(lab.spec.base, self.seeds, -int(depth), int(fwd) + int(depth))
         super().__init__(lab.table, symbols, -int(depth), fwd=fwd, depth=depth,
-                         nu_levels=nu_levels, rho_levels=rho_levels)
+                         nu_levels=nu_levels)
 
-    def sample_z(self, level: int = 0, tag: int = 0) -> np.ndarray:
-        """One fiber point per trial, drawn from mu at the level by CDF inversion.
+    def sample_z(self) -> np.ndarray:
+        """One fiber point per trial, drawn from mu at level 0 by CDF inversion.
 
         The selected cell gets uniform in-cell jitter: bias O(1/N), dominated
         by Monte Carlo error at the default resolution.
         """
-        w = self.mu_weights(level)
-        cdf = np.cumsum(w, axis=1)
-        key = rng.derive_key(self.master_seed, 0x5A17, self.stream, tag)
-        u = rng.to_unit(rng.keyed_hash(key, np.arange(self.n_trials)))
-        jit = rng.to_unit(rng.keyed_hash(rng.derive_key(key, 0x717), np.arange(self.n_trials)))
+        cdf = np.cumsum(self.mu_weights(), axis=1)
+        trials = np.arange(len(self.seeds))
+        u = rng.to_unit(rng.keyed_hash(self._z_key, trials))
+        jit = rng.to_unit(rng.keyed_hash(rng.derive_key(self._z_key, 0x717), trials))
         n = self.lab.n_points
         # each cdf row is non-decreasing, so counting entries below u is a
         # left-sided binary search on every row at once
@@ -96,6 +94,7 @@ def _complex_se(values: np.ndarray) -> float:
 
 JITTER_SCALE = 2.0**-43
 ORBIT_CHUNK = 500
+COVARIANCE_CHUNK = 256
 # Steps per block of symbols and jitter.  A block's step-major rows stay in
 # cache at chunk width; 2048 steps spilled it (64-256 measured, 128 kept).
 ORBIT_BLOCK = 128
@@ -103,9 +102,8 @@ ORBIT_BLOCK = 128
 
 def _orbit_chunk(lab: Lab, g, record_at, pos, n_steps, size, seed, stream, sample_depth,
                  running_stat, sl):
-    ens = OrbitEnsemble(lab, size, seed, stream, fwd=0, depth=sample_depth,
-                        nu_levels=(0,), rho_levels=(0,))
-    z = ens.sample_z(0)
+    ens = OrbitEnsemble(lab, size, seed, stream, fwd=0, depth=sample_depth)
+    z = ens.sample_z()
     jitter_keys = rng.derive_keys(rng.derive_key(seed, 0x7177, stream), 1, size)
     d, eps = lab.spec.map_coefficients
     S = np.zeros(size)
@@ -220,8 +218,8 @@ def encoding_check(lab: Lab, r_sequence, n_base_samples: int, seed: int,
         raise LimitsError("|r_j| must stay within epsilon0")
     n = len(r_sequence)
     ens = OrbitEnsemble(lab, n_base_samples, seed, stream=11, fwd=n, depth=sample_depth,
-                        nu_levels=(0, n), rho_levels=(0,))
-    z = ens.sample_z(0)
+                        nu_levels=(0, n))
+    z = ens.sample_z()
     phase = np.zeros(n_base_samples)
     for j in range(n):
         phase = phase + r_sequence[j] * g.values_for_symbol(ens.symbol(j), z)
@@ -302,32 +300,37 @@ def condition_h_check(lab: Lab, config: BlockConfig, k_list, n_base_samples: int
     block functionals over the base.  The gap summand keeps constant relative
     Monte Carlo precision as it decays, so the rate is fitted on it; the full
     difference and both components are reported per k with standard errors.
+
+    One ensemble serves every k: the joint chain and rho advance through the
+    gap one level at a time, and every functional is read at level b_last + max(k).
     """
     b = config.boundaries
     r = config.frequencies
     nb, mb = config.n, config.m
 
-    r_first = [0.0] * b[0]
-    for j in range(nb):
-        r_first += [r[j]] * (b[j + 1] - b[j])
-    r_second = []
-    for j in range(nb, nb + mb):
-        r_second += [r[j]] * (b[j + 1] - b[j])
+    r_first = [0.0] * b[0] + [r[j] for j in range(nb) for _ in range(b[j], b[j + 1])]
+    r_second = [r[j] for j in range(nb, nb + mb) for _ in range(b[j], b[j + 1])]
 
+    ks = sorted(int(v) for v in k_list)
+    inner = b[nb]
+    top = b[-1] + ks[-1]
+    ens = OrbitEnsemble(lab, n_base_samples, seed, stream=13, fwd=top, depth=sample_depth,
+                        nu_levels=(inner, top))
+    # head L_0^{b_1} plus first blocks; the first block functional is read where its chain ends
+    u = ens.chain_perturbed(ens.rho_snap[0], 0, r_first)
+    g_t = ens.fiber_integral(inner, u)
+    rho, split = ens.chain_perturbed(ens.rho_snap[0], 0, [0.0] * inner), inner
     rows = []
-    for k in sorted(int(v) for v in k_list):
-        total = b[-1] + k
-        inner = b[nb]
+    for k in ks:  # the joint chain u and rho go through the gap L_0^k from the last split
+        gap = [0.0] * (inner + k - split)
+        u, rho = ens.chain_perturbed(u, split, gap), ens.chain_perturbed(rho, split, gap)
         split = inner + k
-        ens = OrbitEnsemble(lab, n_base_samples, seed, stream=13, fwd=total, depth=sample_depth,
-                            nu_levels=(inner, total), rho_levels=(0,))
-        # joint: head L_0^{b_1} plus first blocks, then gap L_0^k, then second blocks
-        u = ens.chain_perturbed(ens.rho_snap[0], 0, r_first)
-        g_t = ens.fiber_integral(inner, u)  # first block functional, read where its chain ends
-        u = ens.chain_perturbed(u, inner, [0.0] * k + r_second)
-        joint_t = ens.fiber_integral(total, u)
+        # second blocks, then zero-frequency steps up to `top`: exact, since the
+        # sweep satisfies nu_{j+1}(L u) / lambda_j = nu_j(u)
+        tail = r_second + [0.0] * (top - b[-1] - k)
+        joint_t = ens.fiber_integral(top, ens.chain_perturbed(u, split, tail))
         # second block functional: the transported density restarted at the split fiber
-        f_t = ens.fiber_integral(total, ens.chain_perturbed(ens.rho_at(split), split, r_second))
+        f_t = ens.fiber_integral(top, ens.chain_perturbed(rho, split, tail))
 
         delta_t = joint_t - f_t * g_t                       # the gap summand, per sample exact
         cov_t = (f_t - f_t.mean()) * (g_t - g_t.mean())     # base-coupling summand
@@ -477,43 +480,38 @@ class CovarianceResult:
 
 def covariance_sequence(lab: Lab, g, M: int, n_base_samples: int, seed: int,
                         sample_depth: int = 24, orbit_trials: int | None = None,
-                        chunk: int = 256, threads: int = 1) -> CovarianceResult:
+                        threads: int = 1) -> CovarianceResult:
     """s_m = Cov(g, g o T^m) for m = 0..M by two independent routes.
 
     Route A (operator): per base sample, nu_{m}(g * L_0^m(g centered * rho))
     plus the empirical base covariance of G(x) = mu_x(g); the fiber part is
-    quadrature-exact per sample.  Route B (orbit): per-trial products of g
-    read at times 0 and m along stationary sampled orbits.  The two routes
-    must agree within 4 combined standard errors for each m.
+    quadrature-exact per sample; the chain and rho go up the levels together,
+    and each nu snapshot is released once read.  Route B (orbit): per-trial
+    products of g read at times 0 and m along stationary sampled orbits.  The
+    two routes must agree within 4 combined standard errors for each m.
     """
     g = g if g is not None else lab.observable
     M = int(M)
     orbit_trials = 4 * n_base_samples if orbit_trials is None else int(orbit_trials)
     nodes = np.arange(lab.n_points) / lab.n_points
 
-    fiber_terms = [[] for _ in range(M + 1)]
-    g0_all, gm_all = [], {m: [] for m in range(M + 1)}
-    done = 0
-    ci = 0
-    while done < n_base_samples:
-        size = min(chunk, n_base_samples - done)
+    g0_all, fiber_terms, gm_all = [], [[] for _ in range(M + 1)], [[] for _ in range(M + 1)]
+    for ci, done in enumerate(range(0, n_base_samples, COVARIANCE_CHUNK)):
+        size = min(COVARIANCE_CHUNK, n_base_samples - done)
         ens = OrbitEnsemble(lab, size, seed, stream=100 + ci, fwd=M, depth=sample_depth,
-                            nu_levels=tuple(range(M + 1)), rho_levels=(0,))
+                            nu_levels=tuple(range(M + 1)))
+        rho = ens.rho_snap[0]
         gvals0 = g.values_for_symbol(ens.symbol(0)[:, None], nodes[None, :])
-        mu0 = ens.mu_weights(0)
-        g_mean0 = (mu0 * gvals0).sum(axis=1)
-        u = (gvals0 - g_mean0[:, None]) * ens.rho_at(0)
+        g_mean0 = (ens.mu_weights() * gvals0).sum(axis=1)
+        u = (gvals0 - g_mean0[:, None]) * rho
         for m in range(M + 1):
+            nu = ens.nu_snap.pop(m)
             gm = g.values_for_symbol(ens.symbol(m)[:, None], nodes[None, :])
-            fiber = (ens.nu_snap[m] * gm * u).sum(axis=1)
-            fiber_terms[m].extend(fiber.tolist())
-            mum = ens.mu_weights(m)
-            gm_all[m].extend(((mum * gm).sum(axis=1)).tolist())
+            fiber_terms[m].extend((nu * gm * u).sum(axis=1).tolist())
+            gm_all[m].extend((_mu_rows(nu, rho) * gm).sum(axis=1).tolist())
             if m < M:
-                u = ens.transport(u, m)
+                u, rho = ens.transport(u, m), ens.transport(rho, m)
         g0_all.extend(g_mean0.tolist())
-        done += size
-        ci += 1
 
     g0 = np.array(g0_all)
     rows = []
@@ -654,7 +652,7 @@ class CltResult:
 
 def clt_test(lab: Lab, g=None, sigma2: float | None = None, n: int = 10_000,
              trials: int = 2000, seed: int = 42, sample_depth: int = 24,
-             n_thermo_samples: int = 400, threads: int = 1) -> CltResult:
+             threads: int = 1) -> CltResult:
     """KS test of (S_n - n mu)/sqrt(n) against N(0, sigma^2).
 
     Centering uses the pooled orbit mean (std err sigma/sqrt(n * trials)),
@@ -666,13 +664,12 @@ def clt_test(lab: Lab, g=None, sigma2: float | None = None, n: int = 10_000,
     if sigma2 is None:
         raise LimitsError("pass sigma2 (e.g. from sigma2_estimate)")
     # thermo route for the mean, for the Birkhoff-consistency cross-check
-    ens = OrbitEnsemble(lab, n_thermo_samples, seed, stream=23, fwd=0, depth=sample_depth,
-                        nu_levels=(0,), rho_levels=(0,))
+    ens = OrbitEnsemble(lab, CLT_THERMO_SAMPLES, seed, stream=23, fwd=0, depth=sample_depth)
     nodes = np.arange(lab.n_points) / lab.n_points
     gvals = g.values_for_symbol(ens.symbol(0)[:, None], nodes[None, :])
-    G = (ens.mu_weights(0) * gvals).sum(axis=1)
+    G = (ens.mu_weights() * gvals).sum(axis=1)
     mu_thermo = float(G.mean())
-    mu_thermo_se = float(G.std(ddof=1) / np.sqrt(n_thermo_samples))
+    mu_thermo_se = float(G.std(ddof=1) / np.sqrt(CLT_THERMO_SAMPLES))
 
     _, sums = orbit_birkhoff_sums(lab, g, [n], trials, seed, stream=29,
                                   sample_depth=sample_depth, threads=threads)

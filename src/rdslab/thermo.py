@@ -75,6 +75,12 @@ def pullback_sweep(table: OperatorTable, x: BasePoint, start: int, stop: int):
         yield j, lam, omega
 
 
+def _mu_rows(nu: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Rows of rho * nu clipped at 0 and renormalized to probability weights."""
+    w = np.clip(nu * rho, 0.0, None)
+    return w / w.sum(axis=1)[:, None]
+
+
 class ConformalWindow:
     """nu, lambda and rho along the orbits of a block of base points.
 
@@ -88,27 +94,25 @@ class ConformalWindow:
     scaled in place so that nu_0(rho_0) = 1.  That is the lambda-normalized
     pushforward L^rho_depth 1 / prod lambda up to rounding, since the
     discrete sweep satisfies nu_{j+1}(L u) = lambda_j nu_j(u).  rho_snap
-    always holds level 0; levels above it come from `transport`, the one
-    normalized forward step.  Steps group rows by their current symbol, so
-    the whole block advances with a handful of sparse matrix products per
-    level, and no row depends on the others.
+    holds level 0 only: callers walking up the levels carry their own rows
+    with `transport`, the one normalized forward step.  Steps group rows by
+    their current symbol, so the whole block advances with a handful of
+    sparse matrix products per level, and no row depends on the others.
     """
 
     error = ThermoError
 
     def __init__(self, table: OperatorTable, symbols: np.ndarray, lo: int, fwd: int = 0,
-                 depth: int = 24, nu_levels=(0,), rho_levels=(0,), rho_depth: int | None = None):
+                 depth: int = 24, nu_levels=(0,), rho_depth: int | None = None):
         self.table = table
-        self.fwd = int(fwd)
-        self.depth = int(depth)
-        self.rho_depth = self.depth if rho_depth is None else int(rho_depth)
+        fwd, depth = int(fwd), int(depth)
+        rho_depth = depth if rho_depth is None else int(rho_depth)
         self._symbols = symbols
         self._sym_lo = int(lo)
-        self.nu_levels = sorted(set(int(j) for j in nu_levels))
-        self.rho_levels = sorted(set(int(j) for j in rho_levels))
-        stop = min(self.nu_levels + [0])
-        top = self.fwd + self.depth
-        if (self.nu_levels and self.nu_levels[-1] > self.fwd) or min(stop, -self.rho_depth) < lo \
+        nu_levels = sorted(set(int(j) for j in nu_levels))
+        stop = min(nu_levels + [0])
+        top = fwd + depth
+        if (nu_levels and nu_levels[-1] > fwd) or min(stop, -rho_depth) < lo \
                 or symbols.shape[1] < top - lo:
             raise self.error("nu level above fwd, or a level outside the symbol block")
         n_rows, n = symbols.shape[0], table.n_points
@@ -125,20 +129,18 @@ class ConformalWindow:
                 raise self.error(f"degenerate pullback normalizer at level {j}")
             self._lam[:, j - stop] = sums
             omega /= sums[:, None]
-            if j in self.nu_levels:
+            if j in nu_levels:
                 self.nu_snap[j] = omega
             if j == 0:
                 nu0 = omega
 
         # upward pushforward of the constant density, normalized at level 0
         rho = np.ones((n_rows, n))
-        for j in range(-self.rho_depth, 0):
+        for j in range(-rho_depth, 0):
             rho = self._grouped(j, lambda e, rows: table.op(e).apply_batch(rows), rho)
             rho /= rho.sum(axis=1)[:, None]
         rho /= np.einsum("ij,ij->i", nu0, rho)[:, None]
         self.rho_snap = {0: rho}
-        for level in self.rho_levels:
-            self.rho_at(level)
 
     def symbol(self, j) -> np.ndarray:
         return self._symbols[:, int(j) - self._sym_lo]
@@ -173,22 +175,8 @@ class ConformalWindow:
             return table.op(e).apply_perturbed_batch(u, table.phase_at_branches(e, observable, r))
         return self._grouped(j, step, rows) / self.lam_at(j)[:, None]
 
-    def rho_at(self, level: int) -> np.ndarray:
-        """rho rows at a level in [0, fwd], pushing the nearest lower snapshot forward on demand."""
-        if level in self.rho_snap:
-            return self.rho_snap[level]
-        if not 0 <= level <= self.fwd:
-            raise self.error(f"rho level {level} outside [0, fwd]")
-        have = max(j for j in self.rho_snap if j <= level)
-        u = self.rho_snap[have]
-        for j in range(have, level):
-            u = self.transport(u, j)
-        self.rho_snap[level] = u
-        return u
-
-    def mu_weights(self, level: int) -> np.ndarray:
-        w = np.clip(self.nu_snap[level] * self.rho_at(level), 0.0, None)
-        return w / w.sum(axis=1)[:, None]
+    def mu_weights(self) -> np.ndarray:
+        return _mu_rows(self.nu_snap[0], self.rho_snap[0])
 
     def fiber_integral(self, level: int, values: np.ndarray) -> np.ndarray:
         """Per-row integral of the row functions against nu at the level."""
@@ -271,7 +259,7 @@ class Lab:
 
     def mu(self, x: BasePoint) -> FiberMeasure:
         """Invariant fiber measure mu_x = rho_x nu_x (renormalized)."""
-        return FiberMeasure(self.window((x,)).mu_weights(0)[0], fiber=x)
+        return FiberMeasure(self.window((x,)).mu_weights()[0], fiber=x)
 
     def duality_residual(self, x: BasePoint, u_values: np.ndarray) -> float:
         """|nu_{shift x}(L_x u) - lambda_x nu_x(u)|, the defining identity of (nu, lambda)."""
@@ -584,7 +572,7 @@ def fiberwise_invariance_residual(lab: Lab, x_samples, h_samples) -> float:
     """
     xs = list(x_samples)
     k = len(xs)
-    mu = lab.window(xs + [x.shift_by(1) for x in xs]).mu_weights(0)  # rows x, then shift x
+    mu = lab.window(xs + [x.shift_by(1) for x in xs]).mu_weights()  # rows x, then shift x
     zp = np.arange(lab.n_points) / lab.n_points
     worst = 0.0
     for i, x in enumerate(xs):

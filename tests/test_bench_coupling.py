@@ -9,6 +9,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import rdslab as rl
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -51,4 +53,7 @@ def test_attributes_read_by_the_tracer_hooks():
         for attr in ("matrix", "matrix_t", "branch_interp_t"):
             assert hasattr(op, attr), attr
     ens = rl.OrbitEnsemble(lab, 3, 1, 2, depth=3)
-    assert ens.nu_snap and ens.rho_snap
+    # the ensemble hook sums .nbytes over the values of both snapshot dicts
+    for snaps in (ens.nu_snap, ens.rho_snap):
+        assert isinstance(snaps, dict) and snaps
+        assert all(isinstance(a, np.ndarray) for a in snaps.values())

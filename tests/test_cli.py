@@ -83,12 +83,26 @@ def test_empty_gap_range_exit_1(tmp_path, capsys):
     ("experiment.condition_h.k_list", []), ("experiment.condition_h.k_list", 3),
     ("experiment.coboundary.n_list", [5]), ("experiment.coboundary.n_list", [100, 100]),
     ("experiment.coboundary.n_list", [100, 1000.5]), ("experiment.assumption6.n_list", [2]),
+    ("experiment.decay_base.n_list", []), ("experiment.decay_base.n_list", [4, 4.5]),
 ])
 def test_lists_too_short_exit_1(tmp_path, capsys, key, value):
     # one n gives a one-point slope fit: no verdict may come from it
     code = cli.run("coboundary", out_dir=str(tmp_path), sets=[f"{key}={json.dumps(value)}"])
     assert code == 1
     assert f"config error: {key} must be a list of at least" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key,value", [
+    ("experiment.decay_base.f_window", [3, 0]), ("experiment.decay_base.g_window", [2]),
+    ("experiment.decay_base.g_window", [0, 1.5]), ("experiment.decay_base.f_window", [0, True]),
+    ("experiment.decay_base.n_list", [0, 1]), ("experiment.decay_base.n_list", [3, 2, 1]),
+])
+def test_decay_base_windows_exit_1(tmp_path, capsys, key, value):
+    # with no separation at which the windows are disjoint, the verdict would check nothing
+    code = cli.run("decay-base", out_dir=str(tmp_path), sets=[f"{key}={json.dumps(value)}"])
+    assert code == 1
+    assert f"config error: {key} must " in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import rdslab as rl
-from rdslab import rng
+from rdslab import limits, rng
 from rdslab.base import sample_base
 from rdslab.fiber import CoboundaryObservable, ScaledObservable, SystemObservable
 from rdslab.limits import (
+    COVARIANCE_CHUNK,
     JITTER_SCALE,
     ORBIT_BLOCK,
     ORBIT_CHUNK,
@@ -13,6 +14,7 @@ from rdslab.limits import (
     BlockConfig,
     LimitsError,
     OrbitEnsemble,
+    _complex_se,
     clt_test,
     coboundary_check,
     condition_h_check,
@@ -106,7 +108,111 @@ def test_condition_h_decay_matches_gap_rate(stats_lab):
     assert 0.5 * rate <= res.c_fit <= 1.5 * rate
 
 
+def reference_condition_h(lab, config, k_list, n_base_samples, seed, sample_depth):
+    """The per-k loop the one-ensemble sweep replaced: one ensemble per gap length,
+    each functional read where its own chain ends, rho pushed anew to the split."""
+    b, r, nb = config.boundaries, config.frequencies, config.n
+    r_first = [0.0] * b[0] + [r[j] for j in range(nb) for _ in range(b[j], b[j + 1])]
+    r_second = [r[j] for j in range(nb, nb + config.m) for _ in range(b[j], b[j + 1])]
+    rows = []
+    for k in sorted(k_list):
+        inner, total = b[nb], b[-1] + k
+        ens = OrbitEnsemble(lab, n_base_samples, seed, 13, fwd=total, depth=sample_depth,
+                            nu_levels=(inner, total))
+        u = ens.chain_perturbed(ens.rho_snap[0], 0, r_first)
+        g_t = ens.fiber_integral(inner, u)
+        joint_t = ens.fiber_integral(total, ens.chain_perturbed(u, inner, [0.0] * k + r_second))
+        rho = ens.rho_snap[0]
+        for j in range(inner + k):
+            rho = ens.transport(rho, j)
+        f_t = ens.fiber_integral(total, ens.chain_perturbed(rho, inner + k, r_second))
+        delta_t = joint_t - f_t * g_t
+        cov_t = (f_t - f_t.mean()) * (g_t - g_t.mean())
+        op, base = complex(delta_t.mean()), complex(cov_t.mean())
+        se_op, se_base = _complex_se(delta_t), _complex_se(cov_t)
+        rows.append([k, abs(op + base), np.hypot(se_op, se_base), abs(op), se_op, abs(base),
+                     se_base])
+    usable = [(row[0], row[3]) for row in rows if row[3] > max(2.0 * row[4], 1e-12)]
+    slope, intercept = np.polyfit([p[0] for p in usable], np.log([p[1] for p in usable]), 1)
+    return np.array(rows), -slope, np.exp(intercept)
+
+
+def test_condition_h_one_ensemble_matches_per_k_reference(small_gibbs_lab, monkeypatch):
+    # a Gibbs potential: its nu is not Lebesgue, so the level a functional is read at matters
+    lab, depth = small_gibbs_lab, 8
+    cfg = BlockConfig(2, 1, 0, (0, 2, 3, 5), (0.3, -0.4, 0.25))
+    k_list = [2, 0, 1, 4]
+    built = []
+
+    class CountingEnsemble(OrbitEnsemble):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(limits, "OrbitEnsemble", CountingEnsemble)
+    res = condition_h_check(lab, cfg, k_list, 200, seed=28, sample_depth=depth)
+    assert len(built) == 1  # one sweep serves every gap length
+    ref_rows, ref_c, ref_amp = reference_condition_h(lab, cfg, k_list, 200, 28, depth)
+    got = np.array([list(vars(row).values()) for row in res.rows])
+    assert got[:, 0].tolist() == ref_rows[:, 0].tolist()
+    assert np.all(np.abs(got - ref_rows) <= 1e-9 + 1e-6 * np.abs(ref_rows))
+    assert not res.noise_dominated
+    assert abs(res.c_fit - ref_c) <= 1e-9 + 1e-6 * abs(ref_c)
+    assert abs(res.amplitude_fit - ref_amp) <= 1e-9 + 1e-6 * abs(ref_amp)
+
+
 # -- covariance and sigma^2 --------------------------------------------------
+
+
+def reference_route_a(lab, g, M, n_base_samples, seed, sample_depth):
+    """Route A as it read every level from the ensemble: rho levels cached as they
+    are reached, mu_m clipped and renormalized from them, every nu snapshot kept."""
+    nodes = np.arange(lab.n_points) / lab.n_points
+    fiber_terms, g0_all, gm_all = [[] for _ in range(M + 1)], [], [[] for _ in range(M + 1)]
+    for ci, a in enumerate(range(0, n_base_samples, COVARIANCE_CHUNK)):
+        size = min(COVARIANCE_CHUNK, n_base_samples - a)
+        ens = OrbitEnsemble(lab, size, seed, 100 + ci, fwd=M, depth=sample_depth,
+                            nu_levels=range(M + 1))
+        rho_levels = {0: ens.rho_snap[0]}
+
+        def rho_at(m):
+            if m not in rho_levels:
+                rho_levels[m] = ens.transport(rho_at(m - 1), m - 1)
+            return rho_levels[m]
+
+        def mu_weights(m):
+            w = np.clip(ens.nu_snap[m] * rho_at(m), 0.0, None)
+            return w / w.sum(axis=1)[:, None]
+
+        gvals0 = g.values_for_symbol(ens.symbol(0)[:, None], nodes[None, :])
+        g_mean0 = (mu_weights(0) * gvals0).sum(axis=1)
+        u = (gvals0 - g_mean0[:, None]) * rho_at(0)
+        for m in range(M + 1):
+            gm = g.values_for_symbol(ens.symbol(m)[:, None], nodes[None, :])
+            fiber_terms[m].extend((ens.nu_snap[m] * gm * u).sum(axis=1).tolist())
+            gm_all[m].extend((mu_weights(m) * gm).sum(axis=1).tolist())
+            if m < M:
+                u = ens.transport(u, m)
+        g0_all.extend(g_mean0.tolist())
+    g0 = np.array(g0_all)
+    rows = []
+    for m in range(M + 1):
+        fiber, gm = np.array(fiber_terms[m]), np.array(gm_all[m])
+        base_prod = (g0 - g0.mean()) * (gm - gm.mean())
+        base = float(base_prod.mean())
+        op_vals = fiber + base_prod
+        rows.append([float(fiber.mean() + base), float(op_vals.std(ddof=1) / np.sqrt(len(op_vals))),
+                     float(fiber.mean()), base])
+    return np.array(rows)
+
+
+def test_covariance_route_a_bit_equal_to_per_level_reference(small_stats_lab):
+    lab, M, n = small_stats_lab, 5, COVARIANCE_CHUNK + 40  # two chunks
+    cov = covariance_sequence(lab, None, M, n, seed=29, sample_depth=6, orbit_trials=20)
+    ref = reference_route_a(lab, lab.observable, M, n, 29, 6)
+    for row, ref_row in zip(cov.rows, ref):
+        got = [row.operator_route, row.operator_se, row.fiber_part, row.base_part]
+        assert np.array_equal(got, ref_row), (row.m, got, ref_row)
 
 
 def test_covariance_constant_observable(stats_lab):
@@ -250,17 +356,18 @@ def test_coboundary_zero_observable(stats_lab):
 
 
 def test_orbit_ensemble_levels(stats_lab):
-    ens = OrbitEnsemble(stats_lab, 50, 3, 5, fwd=4, depth=12, nu_levels=(0, 4), rho_levels=(0,))
+    ens = OrbitEnsemble(stats_lab, 50, 3, 5, fwd=4, depth=12, nu_levels=(0, 4))
     assert ens.nu_snap[0].shape == (50, stats_lab.n_points)
     assert np.allclose(ens.nu_snap[0].sum(axis=1), 1.0)
     assert np.allclose(ens.lam_at(0), 1.0, atol=1e-10)  # geometric potential
-    z = ens.sample_z(0)
+    z = ens.sample_z()
     assert np.all((0 <= z) & (z < 1))
 
 
 def test_orbit_ensemble_rho_is_the_lambda_normalized_pushforward(stats_lab):
     lab, fwd, depth = stats_lab, 3, 12
-    ens = OrbitEnsemble(lab, 50, 3, 5, fwd=fwd, depth=depth, nu_levels=(0, fwd), rho_levels=(0, 2))
+    ens = OrbitEnsemble(lab, 50, 3, 5, fwd=fwd, depth=depth, nu_levels=(0, fwd))
+    assert list(ens.rho_snap) == [0]
     rho0 = ens.rho_snap[0]
     assert np.abs((ens.nu_snap[0] * rho0).sum(axis=1) - 1.0).max() <= 1e-13
 
@@ -285,13 +392,11 @@ def test_orbit_ensemble_rho_is_the_lambda_normalized_pushforward(stats_lab):
         assert np.array_equal(ens.lam_at(j), lam[j])
     with pytest.raises(LimitsError):
         ens.lam_at(-1)
-    with pytest.raises(LimitsError):
-        OrbitEnsemble(lab, 5, 3, 5, fwd=fwd, depth=depth, rho_levels=(-1, 0))
-    # level 0 is always held, so any level in [0, fwd] can be reached later
-    late = OrbitEnsemble(lab, 50, 3, 5, fwd=fwd, depth=depth, rho_levels=(2,))
-    assert np.allclose(late.rho_at(1), ens.rho_at(1), rtol=1e-12, atol=0)
-    with pytest.raises(LimitsError):
-        late.rho_at(fwd + 1)
+    # rho at levels up to fwd: a transport chain from level 0, the pushforward continued
+    rho = rho0
+    for j in range(fwd):
+        rho, u = ens.transport(rho, j), grouped(j, "apply_batch", u) / lam[j][:, None]
+        assert np.abs(rho / u - 1.0).max() <= 1e-12
 
 
 def reference_orbit_sums(lab, g, record_at, trials, seed, stream, sample_depth, stat_calls):
@@ -303,7 +408,7 @@ def reference_orbit_sums(lab, g, record_at, trials, seed, stream, sample_depth, 
         b = min(a + ORBIT_CHUNK, trials)
         sub = (stream << 20) | ci
         ens = OrbitEnsemble(lab, b - a, seed, sub, fwd=0, depth=sample_depth)
-        z = ens.sample_z(0)
+        z = ens.sample_z()
         keys = rng.derive_keys(rng.derive_key(seed, 0x7177, sub), 1, b - a)
         S = np.zeros(b - a)
         for j in range(record_at[-1]):

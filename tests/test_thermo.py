@@ -212,4 +212,8 @@ def test_window_rows_bit_equal_to_one_point_windows(small_gibbs_lab, points, fwd
             assert np.array_equal(win.nu_snap[j][i], one.nu_snap[j][0])
         for j in range(-back, fwd + lab.pullback_depth + 1):
             assert win.lam_at(j)[i] == one.lam_at(j)[0]
-        assert np.array_equal(win.rho_at(fwd)[i], one.rho_at(fwd)[0])
+        # rho is held at level 0 only; carried up to fwd, each row stays its own
+        rho, rho_one = win.rho_snap[0], one.rho_snap[0]
+        for j in range(fwd):
+            rho, rho_one = win.transport(rho, j), one.transport(rho_one, j)
+        assert np.array_equal(rho[i], rho_one[0])
