@@ -57,6 +57,15 @@ class HolderParams:
         object.__setattr__(self, "Q_tilde", self.H_tilde * g / (1.0 - g))
 
 
+# SystemSpec fields with one entry per base symbol.
+PER_SYMBOL = ("branch_count", "nonlinearity", "potential_amp", "obs_offset", "obs_phase")
+
+
+def expansion_bound(branch_count, nonlinearity) -> float:
+    """min d - 2 pi max eps: a lower bound on T_e' over every symbol e, which must exceed 1."""
+    return min(branch_count) - TWO_PI * max(nonlinearity)
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """Full model family: base law, branch counts, nonlinearity, parameters.
@@ -77,7 +86,7 @@ class SystemSpec:
 
     def __post_init__(self):
         q = self.base.alphabet_size
-        for name in ("branch_count", "nonlinearity", "potential_amp", "obs_offset", "obs_phase"):
+        for name in PER_SYMBOL:
             if len(getattr(self, name)) != q:
                 raise FiberError(f"{name} must have one entry per symbol ({q})")
         if min(self.branch_count) < 2:
@@ -85,7 +94,7 @@ class SystemSpec:
         if min(self.nonlinearity) < 0:
             raise FiberError("nonlinearity must be nonnegative")
         # conservative uniform expansion check: min d - 2 pi max eps > 1
-        gamma = min(self.branch_count) - TWO_PI * max(self.nonlinearity)
+        gamma = expansion_bound(self.branch_count, self.nonlinearity)
         if gamma <= 1.0:
             raise FiberError(f"expansion violated: min d - 2 pi max eps = {gamma} <= 1")
 
@@ -151,7 +160,7 @@ def make_system(
     d = tuple(int(v) for v in branch_count)
     eps = tuple(0.0 for _ in range(q)) if nonlinearity is None else tuple(float(v) for v in nonlinearity)
     amp = tuple(float(v) for v in potential_amp)
-    gamma_star = min(d) - TWO_PI * max(eps)
+    gamma_star = expansion_bound(d, eps)
     if eta is None:
         eta = 1.0 / (2.0 * max(d))
     if xi is None:
@@ -354,7 +363,8 @@ def interp_stencil(points, n: int, kind: str):
 
     linear: 2-point hat; cubic: 4-point Lagrange through consecutive nodes,
     pointwise error O(h^2) resp. O(h^4) for smooth periodic functions.  Both
-    reproduce node values exactly.
+    reproduce node values exactly at nodes k / n that are exact floats (every
+    node when n is a power of two); elsewhere fl(k / n) is a point off the node.
     """
     s = np.asarray(points, dtype=np.float64) * n
     i0 = np.floor(s).astype(np.int64)
@@ -374,8 +384,12 @@ def interp_stencil(points, n: int, kind: str):
     return idx, wts
 
 
+# Interpolation kinds and their orders of accuracy.
+INTERP_ORDERS = {"linear": 2, "cubic": 4}
+
+
 def interp_order(kind: str) -> int:
-    return {"linear": 2, "cubic": 4}[kind]
+    return INTERP_ORDERS[kind]
 
 
 @dataclass

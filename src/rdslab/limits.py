@@ -108,6 +108,8 @@ def _orbit_chunk(lab: Lab, g, record_at, pos, n_steps, size, seed, stream, sampl
     d, eps = lab.spec.map_coefficients
     S = np.zeros(size)
     scratch = np.empty(size)
+    zs = np.empty((ORBIT_BLOCK + 1, size))  # row k: the state before step j0 + k
+    zs[0] = z
     out = np.zeros((len(record_at), size))
     for j0 in range(0, n_steps, ORBIT_BLOCK):
         j1 = min(j0 + ORBIT_BLOCK, n_steps)
@@ -118,14 +120,22 @@ def _orbit_chunk(lab: Lab, g, record_at, pos, n_steps, size, seed, stream, sampl
         jit -= 0.5
         jit *= JITTER_SCALE
         d_rows, eps_rows = d[syms], eps[syms]
-        for k in range(j1 - j0):
-            S += g.values_for_symbol(syms[k], z)
-            _map_step(d_rows[k], eps_rows[k], z, jit[k], out=z, scratch=scratch)
+        n = j1 - j0
+        for k in range(n):
+            _map_step(d_rows[k], eps_rows[k], zs[k], jit[k], out=zs[k + 1], scratch=scratch)
+        # row k becomes S after step j0 + k; cumsum adds in step order, so the bits
+        # are those of a running sum updated once per step
+        sums = g.values_for_symbol(syms, zs[:n])
+        sums[0] += S
+        np.cumsum(sums, axis=0, out=sums)
+        S = sums[-1]
+        zs[0] = zs[n]
+        for k in range(n):
             t = j0 + k + 1
             if running_stat is not None:
-                running_stat(t, S, sl)
+                running_stat(t, sums[k], sl)
             if t in pos:
-                out[pos[t]] = S
+                out[pos[t]] = sums[k]
     return out
 
 
@@ -135,9 +145,13 @@ def orbit_birkhoff_sums(lab: Lab, g, record_at, trials: int, seed: int, stream: 
 
     Initial fiber points are drawn from the invariant fiber measures, so the
     sampled process is stationary.  Returns (times, matrix (len(times),
-    trials)).  `running_stat(t, S, trial_slice)` is called after every step;
-    S is one buffer updated in place, so the callback must not keep it.
-    Symbols and jitter are generated in blocks of ORBIT_BLOCK steps.
+    trials)).  `running_stat(t, S, trial_slice)` is called once per step, in
+    step order; S is a row of a block buffer, so the callback must not
+    change it.  Symbols and jitter are generated in blocks of ORBIT_BLOCK
+    steps.  Within a block only the map steps run per step, saving each
+    state; the observable is then evaluated on the whole block at once and
+    summed along the steps by a cumulative sum, which adds in step order,
+    as a per-step running sum would.
 
     Every step applies a keyed jitter of size 2^-43.  Without it, float64
     iteration of d z mod 1 drains mantissa bits (multiplying by the branch

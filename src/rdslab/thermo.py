@@ -75,6 +75,11 @@ def pullback_sweep(table: OperatorTable, x: BasePoint, start: int, stop: int):
         yield j, lam, omega
 
 
+def _row_copies(states: np.ndarray, inv) -> np.ndarray:
+    """One row per window row: states[inv], or a copy of states already in row order."""
+    return states.copy() if inv is None else states[inv]
+
+
 def _mu_rows(nu: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Rows of rho * nu clipped at 0 and renormalized to probability weights."""
     w = np.clip(nu * rho, 0.0, None)
@@ -98,6 +103,12 @@ class ConformalWindow:
     with `transport`, the one normalized forward step.  Steps group rows by
     their current symbol, so the whole block advances with a handful of
     sparse matrix products per level, and no row depends on the others.
+
+    Both sweeps start every row from one state, so rows whose symbols agree
+    on all levels swept so far hold the same state: each distinct symbol
+    path is pushed once (`_sweep`), and rows get their own copies only for
+    the lambda column, a nu snapshot, nu_0 and rho_0, or once every path is
+    distinct.  Each row's values are those of a window of that row alone.
     """
 
     error = ThermoError
@@ -116,29 +127,29 @@ class ConformalWindow:
                 or symbols.shape[1] < top - lo:
             raise self.error("nu level above fwd, or a level outside the symbol block")
         n_rows, n = symbols.shape[0], table.n_points
+        bufs = (np.empty((n_rows, n)), np.empty((n_rows, n)))  # both sweeps' states
 
         # downward adjoint sweep: lambda chain and conformal snapshots
         self.nu_snap = {}
         self._lam_lo = stop
         self._lam = np.zeros((n_rows, top - stop))
-        omega = np.full((n_rows, n), 1.0 / n)
-        for j in range(top - 1, stop - 1, -1):
-            omega = self._grouped(j, lambda e, rows: table.op(e).adjoint_batch(rows), omega)
+        for j, omega, inv in self._sweep(range(top - 1, stop - 1, -1), "adjoint_batch",
+                                         np.full((1, n), 1.0 / n), bufs):
             sums = omega.sum(axis=1)
             if not np.all((sums > 0) & (sums < np.inf)):
                 raise self.error(f"degenerate pullback normalizer at level {j}")
-            self._lam[:, j - stop] = sums
+            self._lam[:, j - stop] = sums if inv is None else sums[inv]
             omega /= sums[:, None]
             if j in nu_levels:
-                self.nu_snap[j] = omega
+                self.nu_snap[j] = _row_copies(omega, inv)
             if j == 0:
-                nu0 = omega
+                nu0 = self.nu_snap[0] if 0 in nu_levels else _row_copies(omega, inv)
 
         # upward pushforward of the constant density, normalized at level 0
-        rho = np.ones((n_rows, n))
-        for j in range(-rho_depth, 0):
-            rho = self._grouped(j, lambda e, rows: table.op(e).apply_batch(rows), rho)
+        rho, inv = np.ones((1, n)), np.zeros(n_rows, dtype=np.intp)
+        for _, rho, inv in self._sweep(range(-rho_depth, 0), "apply_batch", rho, bufs):
             rho /= rho.sum(axis=1)[:, None]
+        rho = rho if inv is None else rho[inv]  # no sweep reuses its buffer now
         rho /= np.einsum("ij,ij->i", nu0, rho)[:, None]
         self.rho_snap = {0: rho}
 
@@ -151,15 +162,51 @@ class ConformalWindow:
             raise self.error(f"no lambda below level {self._lam_lo} (asked for {j})")
         return self._lam[:, int(j) - self._lam_lo]
 
-    def _grouped(self, j: int, step, rows: np.ndarray) -> np.ndarray:
-        """step(e, rows) on each group of rows whose symbol at level j is e."""
-        syms = self.symbol(j)
-        out = np.empty_like(rows)
+    def _grouped(self, syms: np.ndarray, step, rows: np.ndarray, out=None,
+                 parents=None) -> np.ndarray:
+        """step(e, rows) on each group of rows whose symbol in `syms` is e.
+
+        With `parents`, output row i is the step of rows[parents[i]].
+        """
+        out = np.empty_like(rows) if out is None else out
         for e in self.table.spec.alphabet:
             mask = syms == e
             if np.any(mask):
-                out[mask] = step(e, rows[mask])
+                out[mask] = step(e, rows[mask if parents is None else parents[mask]])
         return out
+
+    def _sweep(self, levels, method: str, first: np.ndarray, bufs: tuple):
+        """Push the one state `first` through `method` of each row's operator, level by level.
+
+        Yields (j, states, inv) after the step at level j; the caller may
+        rescale the states in place.  Rows whose symbols agree on every level
+        swept so far share one state: row t holds states[inv[t]], each distinct
+        path is pushed once, and the states are the first rows of one of the
+        two `bufs`.  Once every path is distinct, the states are put in row
+        order and inv is None.  Each state meets the same kernel on the same
+        values as in a sweep of its row alone.
+        """
+        n_rows, q = len(self._symbols), len(self.table.spec.alphabet)
+
+        def step(e, rows):
+            return getattr(self.table.op(e), method)(rows)
+
+        state, inv = first, np.zeros(n_rows, dtype=np.intp)
+        cur, nxt = bufs
+        for j in levels:
+            syms = self.symbol(j)
+            if inv is None:
+                state = self._grouped(syms, step, state, out=nxt)
+            else:
+                paths, inv = np.unique(inv * q + syms, return_inverse=True)
+                state = self._grouped(paths % q, step, state, out=nxt[:len(paths)],
+                                      parents=paths // q)
+            cur, nxt = nxt, cur
+            if inv is not None and len(state) == n_rows:
+                # mode="clip" writes straight into `out` (inv is in range anyway)
+                state = np.take(state, inv, axis=0, out=nxt, mode="clip")
+                cur, nxt, inv = nxt, cur, None
+            yield j, state, inv
 
     def transport(self, rows: np.ndarray, j: int, r: float = 0.0, observable=None) -> np.ndarray:
         """Rows pushed from level j to j + 1 by their row's normalized operator.
@@ -173,7 +220,7 @@ class ConformalWindow:
             if r == 0.0:
                 return table.op(e).apply_batch(u)
             return table.op(e).apply_perturbed_batch(u, table.phase_at_branches(e, observable, r))
-        return self._grouped(j, step, rows) / self.lam_at(j)[:, None]
+        return self._grouped(self.symbol(j), step, rows) / self.lam_at(j)[:, None]
 
     def mu_weights(self) -> np.ndarray:
         return _mu_rows(self.nu_snap[0], self.rho_snap[0])

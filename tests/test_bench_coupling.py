@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import rdslab as rl
+from rdslab.transfer import SymbolOperator
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -57,3 +58,19 @@ def test_attributes_read_by_the_tracer_hooks():
     for snaps in (ens.nu_snap, ens.rho_snap):
         assert isinstance(snaps, dict) and snaps
         assert all(isinstance(a, np.ndarray) for a in snaps.values())
+
+
+def test_window_sweeps_pass_row_major_batches(monkeypatch):
+    # the tracer's batch hooks count rows.shape[0] on the class methods it wraps
+    lab = rl.Lab(rl.make_system(), n_points=16, pullback_depth=4)
+    seen = {"adjoint_batch": [], "apply_batch": []}
+    for method, shapes in seen.items():
+        def spy(op, rows, _inner=getattr(SymbolOperator, method), _shapes=shapes):
+            _shapes.append(rows.shape if rows.flags.c_contiguous else None)
+            return _inner(op, rows)
+        monkeypatch.setattr(SymbolOperator, method, spy)
+    rl.OrbitEnsemble(lab, 40, 1, 2, fwd=2, depth=6, nu_levels=(0, 2))
+    for shapes in seen.values():
+        assert shapes
+        assert all(s is not None and len(s) == 2 and 1 <= s[0] <= 40 and s[1] == 16
+                   for s in shapes)

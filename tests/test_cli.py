@@ -106,6 +106,33 @@ def test_decay_base_windows_exit_1(tmp_path, capsys, key, value):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("key,value,named", [
+    ("numerics.interp", "foo", "numerics.interp"),
+    ("system.weights", [0.7, 0.7], "system.weights"),
+    ("system.weights", [1.0], "system.weights"),
+    ("system.branch_count", [1, 3], "system.branch_count"),
+    ("system.branch_count", [2.5, 3], "system.branch_count"),
+    ("system.nonlinearity", [0.5, 0.04], "system.branch_count and system.nonlinearity"),
+    ("system.nonlinearity", [-0.01, 0.04], "system.nonlinearity"),
+    ("system.obs_offset", [0.2], "system.obs_offset"),
+    ("system.obs_phase", [0.0, "a"], "system.obs_phase"),
+    ("system.potential_t", "a", "system.potential_t"),
+    ("system.alpha", 0, "system.alpha"),
+    ("system.eta", -0.1, "system.eta"),
+    ("system.h_tilde", 0.5, "system.h_tilde"),
+    ("numerics.duality_tol", -1, "numerics.duality_tol"),
+    ("numerics.newton_tol", 0, "numerics.newton_tol"),
+    ("statistics.tail_tol", -1e-4, "statistics.tail_tol"),
+])
+def test_bad_system_and_tolerances_exit_1(tmp_path, capsys, key, value, named):
+    # each used to die inside the model constructors without a config path, or (a
+    # non-positive tolerance) to write a report whose contract could never pass
+    code = cli.run("thermo", out_dir=str(tmp_path), sets=[f"{key}={json.dumps(value)}"])
+    assert code == 1
+    assert f"config error: {named} must " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_config_hash_sensitivity():
     base = resolve_config({})
     h0 = config_hash(base)

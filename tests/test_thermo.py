@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 import rdslab as rl
 from rdslab.base import sample_base
+from rdslab.transfer import SymbolOperator
 
 from rdslab.thermo import (
+    ConformalWindow,
     FiberMeasure,
     ThermoError,
     conformal_pullback,
@@ -217,3 +219,108 @@ def test_window_rows_bit_equal_to_one_point_windows(small_gibbs_lab, points, fwd
         for j in range(fwd):
             rho, rho_one = win.transport(rho, j), one.transport(rho_one, j)
         assert np.array_equal(rho[i], rho_one[0])
+
+
+def unshared_sweep(table, block, lo, fwd, depth, nu_levels, rho_depth):
+    """Every row pushed at every level, grouped by symbol: the sweep before rows whose
+    symbols agree shared their states.  Returns lambda and nu per level, and rho_0."""
+    def grouped(j, method, rows):
+        out = np.empty_like(rows)
+        for e in table.spec.alphabet:
+            mask = block[:, j - lo] == e
+            if np.any(mask):
+                out[mask] = getattr(table.op(e), method)(rows[mask])
+        return out
+
+    n = table.n_points
+    lam, nu = {}, {}
+    omega = np.full((len(block), n), 1.0 / n)
+    for j in range(fwd + depth - 1, min(list(nu_levels) + [0]) - 1, -1):
+        omega = grouped(j, "adjoint_batch", omega)
+        lam[j] = omega.sum(axis=1)
+        omega = omega / lam[j][:, None]
+        nu[j] = omega
+    rho = np.ones((len(block), n))
+    for j in range(-rho_depth, 0):
+        rho = grouped(j, "apply_batch", rho)
+        rho = rho / rho.sum(axis=1)[:, None]
+    return lam, nu, rho / np.einsum("ij,ij->i", nu[0], rho)[:, None]
+
+
+@pytest.fixture(scope="module")
+def three_symbol_table():
+    spec = rl.gibbs_system(weights=(0.3, 0.3, 0.4), branch_count=(2, 3, 2),
+                           nonlinearity=(0.0, 0.0, 0.0), potential_amp=(0.1, 0.15, -0.05),
+                           obs_offset=(0.2, -0.1, 0.0), obs_phase=(0.0, 0.3, 0.6))
+    return rl.OperatorTable(spec, 64)
+
+
+@st.composite
+def shared_blocks(draw):
+    """A symbol block whose rows share paths: repeated rows, rows agreeing on the top
+    k levels or on the first k levels above -rho_depth, and pinned pairs (agreeing
+    on levels [-k, k])."""
+    q = draw(st.sampled_from([2, 3]))
+    fwd, depth = draw(st.integers(0, 3)), draw(st.integers(1, 6))
+    rho_depth = draw(st.integers(0, 6))
+    nu_levels = sorted(draw(st.sets(st.integers(-3, fwd), max_size=3)))
+    lo = min(nu_levels + [0, -rho_depth])
+    width = fwd + depth - lo
+    n_rows = draw(st.integers(1, 10))
+    block = np.random.default_rng(draw(st.integers(0, 2**16))).integers(0, q, (n_rows, width))
+    row = st.integers(0, n_rows - 1)
+    for kind, a, b, k in draw(st.lists(st.tuples(
+            st.sampled_from(["repeat", "top", "bottom", "pinned"]), row, row,
+            st.integers(1, width)), max_size=6)):
+        cols = {"repeat": slice(None), "top": slice(width - k, None),
+                "bottom": slice(-rho_depth - lo, -rho_depth - lo + k),
+                "pinned": slice(max(-k - lo, 0), k - lo + 1)}[kind]
+        block[b, cols] = block[a, cols]
+    return q, block, lo, fwd, depth, nu_levels, rho_depth
+
+
+@given(shared_blocks())
+def test_shared_path_sweep_bit_equal_to_unshared_sweep(small_gibbs_lab, three_symbol_table,
+                                                        case):
+    q, block, lo, fwd, depth, nu_levels, rho_depth = case
+    table = small_gibbs_lab.table if q == 2 else three_symbol_table
+    win = ConformalWindow(table, block, lo, fwd=fwd, depth=depth, nu_levels=nu_levels,
+                          rho_depth=rho_depth)
+    lam, nu, rho0 = unshared_sweep(table, block, lo, fwd, depth, nu_levels, rho_depth)
+    for j in lam:
+        assert np.array_equal(win.lam_at(j), lam[j])
+    assert sorted(win.nu_snap) == nu_levels
+    for j in nu_levels:
+        assert np.array_equal(win.nu_snap[j], nu[j])
+    assert np.array_equal(win.rho_snap[0], rho0)
+
+
+def test_sweep_pushes_each_distinct_path_once(small_stats_lab, monkeypatch):
+    # per level, one batch per symbol holding the distinct symbol paths swept so far
+    # that end in it: at the first adjoint level that is one row per symbol
+    lab, fwd, depth = small_stats_lab, 2, 12
+    pushed = []
+    for method in ("adjoint_batch", "apply_batch"):
+        def spy(op, rows, _inner=getattr(SymbolOperator, method), _method=method):
+            e = next(e for e, o in lab.table.ops.items() if o is op)
+            pushed.append((_method, e, rows.shape[0]))
+            return _inner(op, rows)
+        monkeypatch.setattr(SymbolOperator, method, spy)
+    ens = rl.OrbitEnsemble(lab, 200, 3, 5, fwd=fwd, depth=depth)
+    block = np.stack([ens.symbol(j) for j in range(-depth, fwd + depth)], axis=1)
+
+    def expected(method, levels, first):
+        out = []
+        for j in levels:
+            cols = slice(min(first, j) + depth, max(first, j) + depth + 1)
+            paths = np.unique(block[:, cols], axis=0)
+            ends = paths[:, j - min(first, j)]
+            out += [(method, e, int(np.sum(ends == e))) for e in lab.spec.alphabet
+                    if np.any(ends == e)]
+        return out
+
+    top = fwd + depth
+    assert pushed == (expected("adjoint_batch", range(top - 1, -1, -1), top - 1)
+                      + expected("apply_batch", range(-depth, 0), -depth))
+    first = len(set(ens.symbol(top - 1).tolist()))
+    assert sum(rows for _, _, rows in pushed[:first]) == first

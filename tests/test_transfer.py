@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rdslab as rl
 from rdslab.base import sample_base
-from rdslab.fiber import GridFunction
+from rdslab.fiber import GridFunction, interp_stencil
 from rdslab.thermo import random_smooth_functions
 from rdslab.transfer import (
     TransferError,
@@ -232,3 +234,42 @@ def test_grid_vs_oracle_linear_interp_order(gibbs_lab):
         errs.append(np.max(np.abs(grid - oracle)))
     order = np.log2(errs[0] / errs[2]) / 2
     assert order >= 1.9
+
+
+@pytest.fixture(scope="module")
+def small_tables():
+    """Gibbs and nonlinear-branch systems, both interpolations, on a 64-point grid."""
+    return [rl.OperatorTable(spec, 64, interp) for spec in (rl.gibbs_system(), rl.make_system())
+            for interp in ("linear", "cubic")]
+
+
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 5))
+def test_batch_apply_and_adjoint_are_transposes(small_tables, seed, rows):
+    # <L u, w> = <u, L^T w> for every symbol operator, relative to the sum of the
+    # absolute terms (the scale of the rounding error)
+    gen = np.random.default_rng(seed)
+    for table in small_tables:
+        for op in table.ops.values():
+            us, ws = gen.uniform(-1.0, 1.0, (2, rows, table.n_points))
+            lhs = np.sum(op.apply_batch(us) * ws)
+            rhs = np.sum(us * op.adjoint_batch(ws))
+            scale = np.sum((np.abs(us) @ abs(op.matrix).T) * np.abs(ws))
+            assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@given(n=st.integers(4, 4096), kind=st.sampled_from(["linear", "cubic"]),
+       points=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=40))
+def test_stencil_weights_sum_to_one(n, kind, points):
+    _, wts = interp_stencil(points, n, kind)
+    assert np.abs(wts.sum(axis=0) - 1.0).max() <= 1e-14
+
+
+@given(log2_n=st.integers(2, 12), kind=st.sampled_from(["linear", "cubic"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_stencil_returns_node_values_exactly(log2_n, kind, seed):
+    # on a dyadic grid every node k / n is an exact float, so t = 0 at each node
+    n = 2**log2_n
+    values = np.random.default_rng(seed).normal(size=n)
+    idx, wts = interp_stencil(np.arange(n) / n, n, kind)
+    assert np.array_equal((values[idx] * wts).sum(axis=0), values)
+    assert np.array_equal(GridFunction(values, interp=kind)(np.arange(n) / n), values)
