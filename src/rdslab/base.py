@@ -15,7 +15,15 @@ import numpy as np
 from . import rng
 
 
-class BaseError(ValueError):
+class SpecError(ValueError):
+    """A rejected model parameter; `field` names the constructor argument at fault."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
+class BaseError(SpecError):
     pass
 
 
@@ -29,14 +37,14 @@ class BaseMeasureSpec:
     def __post_init__(self):
         q = self.alphabet_size
         if q < 2:
-            raise BaseError(f"alphabet_size must be >= 2, got {q}")
+            raise BaseError(f"alphabet_size must be >= 2, got {q}", "alphabet_size")
         w = tuple(float(v) for v in self.weights)
         if len(w) != q:
-            raise BaseError(f"expected {q} weights, got {len(w)}")
+            raise BaseError(f"expected {q} weights, got {len(w)}", "weights")
         if min(w) <= 0.0:
-            raise BaseError("weights must be strictly positive")
+            raise BaseError("weights must be strictly positive", "weights")
         if abs(sum(w) - 1.0) > 1e-12:
-            raise BaseError(f"weights sum to {sum(w)!r}, not 1 within 1e-12")
+            raise BaseError(f"weights sum to {sum(w)!r}, not 1 within 1e-12", "weights")
         object.__setattr__(self, "weights", w)
 
     def cumulative(self) -> np.ndarray:

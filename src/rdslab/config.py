@@ -16,7 +16,8 @@ import json
 import math
 import operator
 
-from .fiber import INTERP_ORDERS, PER_SYMBOL, SystemSpec, expansion_bound, make_system
+from .base import SpecError
+from .fiber import INTERP_ORDERS, PER_SYMBOL, SystemSpec, make_system
 
 
 class ConfigError(ValueError):
@@ -103,6 +104,10 @@ LIST_SIZES = {
     "experiment.decay_base.n_list": 1,  # the separations to sample
 }
 
+# Model fields whose config path is not system.<field>.
+SYSTEM_PATHS = {"alphabet_size": "system.weights", "H_tilde": "system.h_tilde",
+                "gamma_star": "system.branch_count and system.nonlinearity"}
+
 # Tolerances: at or below zero their checks can never pass.
 POSITIVE = ("numerics.duality_tol", "numerics.newton_tol", "statistics.tail_tol")
 
@@ -134,36 +139,20 @@ def _real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def _check_system(s: dict):
-    """The system section builds a SystemSpec: a base law and uniformly expanding maps."""
-    w = s["weights"]
-    if not (isinstance(w, list) and len(w) >= 2 and all(_real(v) and v > 0 for v in w)
-            and abs(sum(w) - 1.0) <= 1e-12):
-        raise ConfigError(f"system.weights must be a list of at least 2 positive numbers "
-                          f"summing to 1 within 1e-12, got {w!r}")
-    for name in PER_SYMBOL:
+def _check_system_types(s: dict):
+    """The JSON types make_system takes on trust; SystemSpec and its parts check the values."""
+    for name in ("weights",) + PER_SYMBOL:
         v = s[name]
-        if not (isinstance(v, list) and len(v) == len(w) and all(_real(a) for a in v)):
-            raise ConfigError(f"system.{name} must be a list of {len(w)} numbers, one per "
-                              f"symbol of system.weights, got {v!r}")
-    if any(type(d) is not int or d < 2 for d in s["branch_count"]):
-        raise ConfigError(f"system.branch_count must hold integers >= 2, got {s['branch_count']!r}")
-    if min(s["nonlinearity"]) < 0:
-        raise ConfigError(f"system.nonlinearity must be nonnegative, got {s['nonlinearity']!r}")
-    gamma = expansion_bound(s["branch_count"], s["nonlinearity"])
-    if gamma <= 1.0:
-        raise ConfigError(f"system.branch_count and system.nonlinearity must give uniform "
-                          f"expansion, min d - 2 pi max eps > 1, got {gamma!r}")
-    for name in ("potential_t", "obs_amplitude"):
+        if not (isinstance(v, list) and v and all(_real(a) for a in v)):
+            raise ConfigError(f"system.{name} must be a nonempty list of numbers, got {v!r}")
+    if any(type(d) is not int for d in s["branch_count"]):
+        raise ConfigError(f"system.branch_count must hold integers, got {s['branch_count']!r}")
+    for name in ("potential_t", "obs_amplitude", "alpha"):
         if not _real(s[name]):
             raise ConfigError(f"system.{name} must be a number, got {s[name]!r}")
-    if not (_real(s["alpha"]) and 0 < s["alpha"] <= 1):
-        raise ConfigError(f"system.alpha must lie in (0, 1], got {s['alpha']!r}")
-    for name in ("eta", "xi"):
-        if s[name] is not None and not (_real(s[name]) and s[name] > 0):
-            raise ConfigError(f"system.{name} must be null or a positive number, got {s[name]!r}")
-    if s["h_tilde"] is not None and not (_real(s["h_tilde"]) and s["h_tilde"] >= 1):
-        raise ConfigError(f"system.h_tilde must be null or a number >= 1, got {s['h_tilde']!r}")
+    for name in ("eta", "xi", "h_tilde"):
+        if s[name] is not None and not _real(s[name]):
+            raise ConfigError(f"system.{name} must be null or a number, got {s[name]!r}")
 
 
 def disjoint_from(decay: dict) -> int:
@@ -174,7 +163,11 @@ def disjoint_from(decay: dict) -> int:
 def resolve_config(user: dict | None = None) -> dict:
     """Merge a user config over the defaults; unknown keys and out-of-range values are fatal."""
     config = _merge(DEFAULTS, user or {})
-    _check_system(config["system"])
+    _check_system_types(config["system"])
+    try:
+        system_from_config(config)
+    except SpecError as e:
+        raise ConfigError(f"{SYSTEM_PATHS.get(e.field, f'system.{e.field}')}: {e}") from e
     if config["numerics"]["interp"] not in INTERP_ORDERS:
         raise ConfigError(f"numerics.interp must be one of {sorted(INTERP_ORDERS)}, "
                           f"got {config['numerics']['interp']!r}")

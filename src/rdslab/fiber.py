@@ -20,12 +20,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .base import BaseMeasureSpec, BasePoint
+from .base import BaseMeasureSpec, BasePoint, SpecError
 
 TWO_PI = 2.0 * np.pi
 
 
-class FiberError(ValueError):
+class FiberError(SpecError):
     pass
 
 
@@ -46,13 +46,14 @@ class HolderParams:
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
-            raise FiberError("alpha must lie in (0, 1]")
-        if self.eta <= 0 or self.xi <= 0:
-            raise FiberError("eta and xi must be positive")
+            raise FiberError(f"alpha must lie in (0, 1], got {self.alpha!r}", "alpha")
+        for name in ("eta", "xi"):
+            if getattr(self, name) <= 0:
+                raise FiberError(f"{name} must be positive, got {getattr(self, name)!r}", name)
         if self.H_tilde < 1.0:
-            raise FiberError("H_tilde must be >= 1")
+            raise FiberError(f"H_tilde must be >= 1, got {self.H_tilde!r}", "H_tilde")
         if self.gamma_star <= 1.0:
-            raise FiberError("gamma_star must exceed 1")
+            raise FiberError(f"gamma_star must exceed 1, got {self.gamma_star!r}", "gamma_star")
         g = self.gamma_star ** (-self.alpha)
         object.__setattr__(self, "Q_tilde", self.H_tilde * g / (1.0 - g))
 
@@ -88,15 +89,16 @@ class SystemSpec:
         q = self.base.alphabet_size
         for name in PER_SYMBOL:
             if len(getattr(self, name)) != q:
-                raise FiberError(f"{name} must have one entry per symbol ({q})")
+                raise FiberError(f"{name} must have one entry per symbol ({q})", name)
         if min(self.branch_count) < 2:
-            raise FiberError("every branch count must be >= 2")
+            raise FiberError("every branch count must be >= 2", "branch_count")
         if min(self.nonlinearity) < 0:
-            raise FiberError("nonlinearity must be nonnegative")
+            raise FiberError("nonlinearity must be nonnegative", "nonlinearity")
         # conservative uniform expansion check: min d - 2 pi max eps > 1
         gamma = expansion_bound(self.branch_count, self.nonlinearity)
         if gamma <= 1.0:
-            raise FiberError(f"expansion violated: min d - 2 pi max eps = {gamma} <= 1")
+            raise FiberError(f"expansion violated: min d - 2 pi max eps = {gamma} <= 1",
+                             "gamma_star")
 
     @property
     def alphabet(self) -> range:

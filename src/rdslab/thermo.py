@@ -75,11 +75,6 @@ def pullback_sweep(table: OperatorTable, x: BasePoint, start: int, stop: int):
         yield j, lam, omega
 
 
-def _row_copies(states: np.ndarray, inv) -> np.ndarray:
-    """One row per window row: states[inv], or a copy of states already in row order."""
-    return states.copy() if inv is None else states[inv]
-
-
 def _mu_rows(nu: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Rows of rho * nu clipped at 0 and renormalized to probability weights."""
     w = np.clip(nu * rho, 0.0, None)
@@ -107,8 +102,8 @@ class ConformalWindow:
     Both sweeps start every row from one state, so rows whose symbols agree
     on all levels swept so far hold the same state: each distinct symbol
     path is pushed once (`_sweep`), and rows get their own copies only for
-    the lambda column, a nu snapshot, nu_0 and rho_0, or once every path is
-    distinct.  Each row's values are those of a window of that row alone.
+    the lambda column, a nu snapshot, nu_0 and rho_0.  Each row's values are
+    those of a window of that row alone.
     """
 
     error = ThermoError
@@ -138,18 +133,18 @@ class ConformalWindow:
             sums = omega.sum(axis=1)
             if not np.all((sums > 0) & (sums < np.inf)):
                 raise self.error(f"degenerate pullback normalizer at level {j}")
-            self._lam[:, j - stop] = sums if inv is None else sums[inv]
+            self._lam[:, j - stop] = sums[inv]
             omega /= sums[:, None]
             if j in nu_levels:
-                self.nu_snap[j] = _row_copies(omega, inv)
+                self.nu_snap[j] = omega[inv]
             if j == 0:
-                nu0 = self.nu_snap[0] if 0 in nu_levels else _row_copies(omega, inv)
+                nu0 = self.nu_snap[0] if 0 in nu_levels else omega[inv]
 
         # upward pushforward of the constant density, normalized at level 0
         rho, inv = np.ones((1, n)), np.zeros(n_rows, dtype=np.intp)
         for _, rho, inv in self._sweep(range(-rho_depth, 0), "apply_batch", rho, bufs):
             rho /= rho.sum(axis=1)[:, None]
-        rho = rho if inv is None else rho[inv]  # no sweep reuses its buffer now
+        rho = rho[inv]
         rho /= np.einsum("ij,ij->i", nu0, rho)[:, None]
         self.rho_snap = {0: rho}
 
@@ -182,30 +177,21 @@ class ConformalWindow:
         rescale the states in place.  Rows whose symbols agree on every level
         swept so far share one state: row t holds states[inv[t]], each distinct
         path is pushed once, and the states are the first rows of one of the
-        two `bufs`.  Once every path is distinct, the states are put in row
-        order and inv is None.  Each state meets the same kernel on the same
-        values as in a sweep of its row alone.
+        two `bufs`.  Each state meets the same kernel on the same values as in
+        a sweep of its row alone.
         """
-        n_rows, q = len(self._symbols), len(self.table.spec.alphabet)
+        q = len(self.table.spec.alphabet)
 
         def step(e, rows):
             return getattr(self.table.op(e), method)(rows)
 
-        state, inv = first, np.zeros(n_rows, dtype=np.intp)
-        cur, nxt = bufs
+        state, inv = first, np.zeros(len(self._symbols), dtype=np.intp)
+        free, spare = bufs
         for j in levels:
-            syms = self.symbol(j)
-            if inv is None:
-                state = self._grouped(syms, step, state, out=nxt)
-            else:
-                paths, inv = np.unique(inv * q + syms, return_inverse=True)
-                state = self._grouped(paths % q, step, state, out=nxt[:len(paths)],
-                                      parents=paths // q)
-            cur, nxt = nxt, cur
-            if inv is not None and len(state) == n_rows:
-                # mode="clip" writes straight into `out` (inv is in range anyway)
-                state = np.take(state, inv, axis=0, out=nxt, mode="clip")
-                cur, nxt, inv = nxt, cur, None
+            paths, inv = np.unique(inv * q + self.symbol(j), return_inverse=True)
+            state = self._grouped(paths % q, step, state, out=free[:len(paths)],
+                                  parents=paths // q)
+            free, spare = spare, free
             yield j, state, inv
 
     def transport(self, rows: np.ndarray, j: int, r: float = 0.0, observable=None) -> np.ndarray:

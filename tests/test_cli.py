@@ -118,7 +118,10 @@ def test_decay_base_windows_exit_1(tmp_path, capsys, key, value):
     ("system.obs_phase", [0.0, "a"], "system.obs_phase"),
     ("system.potential_t", "a", "system.potential_t"),
     ("system.alpha", 0, "system.alpha"),
+    ("system.weights", [0.5, 0.5, 0.0], "system.weights"),
+    ("system.branch_count", [2, 3, 4], "system.branch_count"),
     ("system.eta", -0.1, "system.eta"),
+    ("system.xi", 0, "system.xi"),
     ("system.h_tilde", 0.5, "system.h_tilde"),
     ("numerics.duality_tol", -1, "numerics.duality_tol"),
     ("numerics.newton_tol", 0, "numerics.newton_tol"),
@@ -129,7 +132,7 @@ def test_bad_system_and_tolerances_exit_1(tmp_path, capsys, key, value, named):
     # non-positive tolerance) to write a report whose contract could never pass
     code = cli.run("thermo", out_dir=str(tmp_path), sets=[f"{key}={json.dumps(value)}"])
     assert code == 1
-    assert f"config error: {named} must " in capsys.readouterr().err
+    assert f"config error: {named}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
