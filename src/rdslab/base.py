@@ -8,7 +8,7 @@ their Hölder calculus, and the Monte Carlo decay-of-correlations check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -221,13 +221,7 @@ class CorrelationReport:
     fit_points: int
 
     def as_dict(self) -> dict:
-        return {
-            "rows": [vars(r) for r in self.rows],
-            "c_fit": self.c_fit,
-            "kappa_fit": self.kappa_fit,
-            "noise_dominated": self.noise_dominated,
-            "fit_points": self.fit_points,
-        }
+        return asdict(self)
 
 
 def base_correlation_check(

@@ -168,8 +168,7 @@ def _run_encoding(lab, config, seed, threads, memo):
 def _run_condition_h(lab, config, seed, threads, memo):
     exp = config["experiment"]["condition_h"]
     block = limits.BlockConfig(n=exp["block_n"], m=exp["block_m"], k=min(exp["k_list"]),
-                               boundaries=tuple(exp["boundaries"]),
-                               frequencies=tuple(exp["frequencies"]),
+                               boundaries=exp["boundaries"], frequencies=exp["frequencies"],
                                epsilon0=config["numerics"]["epsilon0"])
     res = limits.condition_h_check(lab, block, exp["k_list"],
                                    config["statistics"]["n_base_samples"], seed,

@@ -94,22 +94,24 @@ INTEGER_FLOORS = {
     "experiment.bounds.n_x": 1,
     "experiment.bounds.uniform_n_x": 1,
     "experiment.lil.n_max": 100,  # the iterated-logarithm probe's shortest horizon
+    "experiment.condition_h.block_n": 1,  # condition (H) couples two nonempty block groups
+    "experiment.condition_h.block_m": 1,
 }
 
-# Integer list settings and the number of distinct values each needs.
+# Integer list settings: values needed, all distinct (a fit counts a repeat twice), and least value.
 LIST_SIZES = {
-    "experiment.condition_h.k_list": 1,  # the block gap lengths to sample
-    "experiment.assumption6.n_list": 2,  # uniformity is a growth trend over n
-    "experiment.coboundary.n_list": 2,  # the growth slope is a fit over n
-    "experiment.decay_base.n_list": 1,  # the separations to sample
+    "experiment.condition_h.k_list": (1, 0),  # the block gap lengths to sample
+    "experiment.assumption6.n_list": (2, 1),  # uniformity is a growth trend over n
+    "experiment.coboundary.n_list": (2, 1),  # the growth slope is a fit over log n
+    "experiment.decay_base.n_list": (1, 0),  # the separations to sample
 }
 
 # Model fields whose config path is not system.<field>.
 SYSTEM_PATHS = {"alphabet_size": "system.weights", "H_tilde": "system.h_tilde",
                 "gamma_star": "system.branch_count and system.nonlinearity"}
 
-# Tolerances: at or below zero their checks can never pass.
-POSITIVE = ("numerics.duality_tol", "numerics.newton_tol", "statistics.tail_tol")
+# Tolerances and the frequency radius: at or below zero their checks can never pass.
+POSITIVE = ("numerics.duality_tol", "numerics.newton_tol", "statistics.tail_tol", "numerics.epsilon0")
 
 SUBCOMMANDS = ("thermo", "gap", "bounds", "encoding", "condition-h", "assumption6",
                "decay-base", "sigma2", "clt", "lil", "coboundary", "all")
@@ -183,13 +185,27 @@ def resolve_config(user: dict | None = None) -> dict:
     if gap["n_max"] < gap["n_min"]:
         raise ConfigError(f"experiment.gap.n_max must be an integer >= experiment.gap.n_min "
                           f"= {gap['n_min']}, got {gap['n_max']!r}")
-    for path, size in LIST_SIZES.items():
+    for path, (size, least) in LIST_SIZES.items():
         value = functools.reduce(operator.getitem, path.split("."), config)
         if (not isinstance(value, list) or len(value) < size
-                or any(isinstance(v, bool) or not isinstance(v, int) for v in value)
-                or len(set(value)) < size):
-            raise ConfigError(f"{path} must be a list of at least {size} distinct integers, "
-                              f"got {value!r}")
+                or any(isinstance(v, bool) or not isinstance(v, int) or v < least for v in value)
+                or len(set(value)) < len(value)):
+            raise ConfigError(f"{path} must be a list of at least {size} distinct integers "
+                              f">= {least}, got {value!r}")
+    eps, ch = config["numerics"]["epsilon0"], config["experiment"]["condition_h"]
+    n_blocks = ch["block_n"] + ch["block_m"]
+    for path, size in (("experiment.encoding.r_sequence", None),  # one per step
+                       ("experiment.condition_h.frequencies", n_blocks)):  # one per block
+        rs = functools.reduce(operator.getitem, path.split("."), config)
+        if not (isinstance(rs, list) and rs and len(rs) == (size or len(rs))
+                and all(_real(v) and abs(v) <= eps for v in rs)):
+            raise ConfigError(f"{path} must be a list of {size or 'one or more'} numbers "
+                              f"within numerics.epsilon0 = {eps} of 0, got {rs!r}")
+    b = ch["boundaries"]
+    if not (isinstance(b, list) and len(b) == n_blocks + 1 and all(type(v) is int for v in b)
+            and b[0] >= 0 and all(v < w for v, w in zip(b, b[1:]))):
+        raise ConfigError(f"experiment.condition_h.boundaries must be {n_blocks + 1} strictly "
+                          f"increasing nonnegative integers, got {b!r}")
     decay = config["experiment"]["decay_base"]
     for name in ("f_window", "g_window"):
         w = decay[name]

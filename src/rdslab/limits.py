@@ -78,10 +78,11 @@ class OrbitEnsemble(ConformalWindow):
         """Row-wise perturbed operator chain over levels start, start+1, ...
 
         r_per_level lists one frequency per level; zero entries fall back to
-        the plain normalized step.  The observable defaults to the lab's.
+        the plain normalized step, which keeps real rows real (no copy is made
+        up front).  The observable defaults to the lab's.
         """
         g = observable if observable is not None else self.lab.observable
-        out = rows.astype(complex)
+        out = rows
         for i, r in enumerate(r_per_level):
             out = self.transport(out, start + i, r, g)
         return out
@@ -205,14 +206,11 @@ class EncodingResult:
     orbit_bias_warning: bool = False
 
     def as_dict(self):
-        return {
-            "lhs_re": self.lhs.real, "lhs_im": self.lhs.imag,
-            "rhs_re": self.rhs.real, "rhs_im": self.rhs.imag,
-            "difference": self.difference, "std_err": self.std_err,
-            "n": self.n, "n_samples": self.n_samples,
-            "within_tolerance": self.within_tolerance,
-            "orbit_bias_warning": self.orbit_bias_warning,
-        }
+        out = asdict(self)
+        for name in ("lhs", "rhs"):
+            z = out.pop(name)
+            out[f"{name}_re"], out[f"{name}_im"] = z.real, z.imag
+        return out
 
 
 def encoding_check(lab: Lab, r_sequence, n_base_samples: int, seed: int,
@@ -273,8 +271,8 @@ class BlockConfig:
             raise LimitsError("need n + m frequencies")
         if any(b2 <= b1 for b1, b2 in zip(b, b[1:])):
             raise LimitsError("boundaries must be strictly increasing")
-        if b[0] < 0 or self.k < 0:
-            raise LimitsError("boundaries and k must be nonnegative")
+        if b[0] < 0 or self.k < 0 or self.n < 1 or self.m < 1:
+            raise LimitsError("boundaries and k must be nonnegative, n and m positive")
         if any(abs(v) > self.epsilon0 for v in r):
             raise LimitsError("|r_j| must stay within epsilon0")
         object.__setattr__(self, "boundaries", b)
@@ -316,7 +314,9 @@ def condition_h_check(lab: Lab, config: BlockConfig, k_list, n_base_samples: int
     difference and both components are reported per k with standard errors.
 
     One ensemble serves every k: the joint chain and rho advance through the
-    gap one level at a time, and every functional is read at level b_last + max(k).
+    gap one level at a time, and each functional is read with nu at the level
+    its chain ends, inner = b_n for the first blocks and b_last + k for the
+    others.  Each nu snapshot is dropped once read.
     """
     b = config.boundaries
     r = config.frequencies
@@ -326,35 +326,34 @@ def condition_h_check(lab: Lab, config: BlockConfig, k_list, n_base_samples: int
     r_second = [r[j] for j in range(nb, nb + mb) for _ in range(b[j], b[j + 1])]
 
     ks = sorted(int(v) for v in k_list)
-    inner = b[nb]
-    top = b[-1] + ks[-1]
-    ens = OrbitEnsemble(lab, n_base_samples, seed, stream=13, fwd=top, depth=sample_depth,
-                        nu_levels=(inner, top))
+    if not ks or ks[0] < 0 or len(set(ks)) < len(ks):
+        raise LimitsError(f"k_list must hold distinct nonnegative gap lengths, got {list(k_list)}")
+    inner, last = b[nb], b[-1]  # inner < last + k for every k, as m >= 1
+    ens = OrbitEnsemble(lab, n_base_samples, seed, stream=13, fwd=last + ks[-1],
+                        depth=sample_depth, nu_levels=(inner, *(last + k for k in ks)))
     # head L_0^{b_1} plus first blocks; the first block functional is read where its chain ends
-    u = ens.chain_perturbed(ens.rho_snap[0], 0, r_first)
+    rho = ens.rho_snap.pop(0)
+    u = ens.chain_perturbed(rho, 0, r_first)
+    rho, split = ens.chain_perturbed(rho, 0, [0.0] * inner), inner
     g_t = ens.fiber_integral(inner, u)
-    rho, split = ens.chain_perturbed(ens.rho_snap[0], 0, [0.0] * inner), inner
+    del ens.nu_snap[inner]
     rows = []
     for k in ks:  # the joint chain u and rho go through the gap L_0^k from the last split
         gap = [0.0] * (inner + k - split)
         u, rho = ens.chain_perturbed(u, split, gap), ens.chain_perturbed(rho, split, gap)
         split = inner + k
-        # second blocks, then zero-frequency steps up to `top`: exact, since the
-        # sweep satisfies nu_{j+1}(L u) / lambda_j = nu_j(u)
-        tail = r_second + [0.0] * (top - b[-1] - k)
-        joint_t = ens.fiber_integral(top, ens.chain_perturbed(u, split, tail))
-        # second block functional: the transported density restarted at the split fiber
-        f_t = ens.fiber_integral(top, ens.chain_perturbed(rho, split, tail))
+        # second blocks; the joint and the second block functional (the transported
+        # density restarted at the split fiber) are both read at b_last + k
+        joint_t = ens.fiber_integral(last + k, ens.chain_perturbed(u, split, r_second))
+        f_t = ens.fiber_integral(last + k, ens.chain_perturbed(rho, split, r_second))
+        del ens.nu_snap[last + k]
 
         delta_t = joint_t - f_t * g_t                       # the gap summand, per sample exact
         cov_t = (f_t - f_t.mean()) * (g_t - g_t.mean())     # base-coupling summand
-        op_term = complex(delta_t.mean())
-        base_term = complex(cov_t.mean())
+        op_term, base_term = complex(delta_t.mean()), complex(cov_t.mean())
+        se_op, se_base = _complex_se(delta_t), _complex_se(cov_t)
         # op_term + base_term == mean(joint) - mean(f) mean(g), exactly
-        d = abs(op_term + base_term)
-        se_op = _complex_se(delta_t)
-        se_base = _complex_se(cov_t)
-        rows.append(CondHRow(k, float(d), float(np.hypot(se_op, se_base)),
+        rows.append(CondHRow(k, float(abs(op_term + base_term)), float(np.hypot(se_op, se_base)),
                              float(abs(op_term)), se_op, float(abs(base_term)), se_base))
 
     usable = [(row.k, row.operator_term) for row in rows

@@ -157,13 +157,12 @@ class ConformalWindow:
             raise self.error(f"no lambda below level {self._lam_lo} (asked for {j})")
         return self._lam[:, int(j) - self._lam_lo]
 
-    def _grouped(self, syms: np.ndarray, step, rows: np.ndarray, out=None,
+    def _grouped(self, syms: np.ndarray, step, rows: np.ndarray, out: np.ndarray,
                  parents=None) -> np.ndarray:
-        """step(e, rows) on each group of rows whose symbol in `syms` is e.
+        """step(e, rows) on each group of rows whose symbol in `syms` is e, written to `out`.
 
         With `parents`, output row i is the step of rows[parents[i]].
         """
-        out = np.empty_like(rows) if out is None else out
         for e in self.table.spec.alphabet:
             mask = syms == e
             if np.any(mask):
@@ -198,7 +197,8 @@ class ConformalWindow:
         """Rows pushed from level j to j + 1 by their row's normalized operator.
 
         r != 0 applies the perturbed operator u -> L(e^{i r g} u) of the
-        observable g before dividing by lambda at j.
+        observable g before dividing by lambda at j.  The output is complex at
+        r != 0 and keeps the dtype of `rows` otherwise.
         """
         table = self.table
 
@@ -206,7 +206,10 @@ class ConformalWindow:
             if r == 0.0:
                 return table.op(e).apply_batch(u)
             return table.op(e).apply_perturbed_batch(u, table.phase_at_branches(e, observable, r))
-        return self._grouped(self.symbol(j), step, rows) / self.lam_at(j)[:, None]
+        out = np.empty(rows.shape, rows.dtype if r == 0.0 else np.result_type(rows, complex))
+        self._grouped(self.symbol(j), step, rows, out)
+        out /= self.lam_at(j)[:, None]
+        return out
 
     def mu_weights(self) -> np.ndarray:
         return _mu_rows(self.nu_snap[0], self.rho_snap[0])

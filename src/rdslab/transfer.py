@@ -29,6 +29,17 @@ class TransferError(RuntimeError):
     pass
 
 
+def _branch_sum(weights, matrices, product):
+    """sum_b weights[b] * product(matrices[b]) in branch order, holding at most two terms."""
+    out = None
+    for w, m in zip(weights, matrices):
+        p = product(m)
+        p = np.multiply(w, p, out=p if p.dtype == np.result_type(w, p) else None)  # in place if it fits
+        out = p if out is None else np.add(out, p, out=out)
+        del p  # released before the next product is formed
+    return out
+
+
 class SymbolOperator:
     """Discretized transfer operator for one base symbol."""
 
@@ -59,19 +70,11 @@ class SymbolOperator:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """L u at the target nodes, branch-resolved summation."""
-        out = None
-        for b, s in enumerate(self.branch_interp):
-            term = self.phi_weights[b] * (s @ u)
-            out = term if out is None else out + term
-        return out
+        return _branch_sum(self.phi_weights, self.branch_interp, lambda s: s @ u)
 
     def apply_perturbed(self, u: np.ndarray, phase: np.ndarray) -> np.ndarray:
         """L(e^{i r g} u) with phase = exp(i r g(branch_points)), shape (d, n)."""
-        out = None
-        for b, s in enumerate(self.branch_interp):
-            term = (self.phi_weights[b] * phase[b]) * (s @ u)
-            out = term if out is None else out + term
-        return out
+        return _branch_sum(self.phi_weights * phase, self.branch_interp, lambda s: s @ u)
 
     def adjoint(self, omega: np.ndarray) -> np.ndarray:
         """L^T acting on quadrature weights (the measure pullback step)."""
@@ -85,11 +88,7 @@ class SymbolOperator:
 
     def apply_perturbed_batch(self, us: np.ndarray, phase: np.ndarray) -> np.ndarray:
         """Rows of L(e^{i r g} u); phase has shape (d, n) as in apply_perturbed."""
-        out = None
-        for b, st in enumerate(self.branch_interp_t):
-            term = (self.phi_weights[b] * phase[b])[None, :] * (us @ st)
-            out = term if out is None else out + term
-        return out
+        return _branch_sum(self.phi_weights * phase, self.branch_interp_t, lambda st: us @ st)
 
 
 class OperatorTable:

@@ -61,7 +61,8 @@ def test_cli_run_unknown_key_exit_1(tmp_path, capsys):
     ("statistics.n_base_samples", 1), ("statistics.trials", 1), ("statistics.trials", 0),
     ("statistics.m", -1), ("statistics.m", 0), ("experiment.gap.n_min", 0),
     ("experiment.gap.n_max", 0), ("experiment.lil.n_max", 50), ("experiment.gap.n_x", 0),
-    ("experiment.bounds.uniform_n_x", 0),
+    ("experiment.bounds.uniform_n_x", 0), ("experiment.condition_h.block_n", 0),
+    ("experiment.condition_h.block_m", 0),
 ])
 def test_integer_settings_below_floor_exit_1(tmp_path, capsys, key, value):
     code = cli.run("thermo", out_dir=str(tmp_path), sets=[f"{key}={json.dumps(value)}"])
@@ -84,6 +85,8 @@ def test_empty_gap_range_exit_1(tmp_path, capsys):
     ("experiment.coboundary.n_list", [5]), ("experiment.coboundary.n_list", [100, 100]),
     ("experiment.coboundary.n_list", [100, 1000.5]), ("experiment.assumption6.n_list", [2]),
     ("experiment.decay_base.n_list", []), ("experiment.decay_base.n_list", [4, 4.5]),
+    ("experiment.condition_h.k_list", [-1, 2]), ("experiment.condition_h.k_list", [1, 1, 2]),
+    ("experiment.assumption6.n_list", [0, 2]), ("experiment.coboundary.n_list", [0, 100]),
 ])
 def test_lists_too_short_exit_1(tmp_path, capsys, key, value):
     # one n gives a one-point slope fit: no verdict may come from it
@@ -126,10 +129,19 @@ def test_decay_base_windows_exit_1(tmp_path, capsys, key, value):
     ("numerics.duality_tol", -1, "numerics.duality_tol"),
     ("numerics.newton_tol", 0, "numerics.newton_tol"),
     ("statistics.tail_tol", -1e-4, "statistics.tail_tol"),
+    ("numerics.epsilon0", -1, "numerics.epsilon0"),
+    ("experiment.encoding.r_sequence", [2.0], "experiment.encoding.r_sequence"),
+    ("experiment.encoding.r_sequence", [], "experiment.encoding.r_sequence"),
+    ("experiment.condition_h.frequencies", [0.4], "experiment.condition_h.frequencies"),
+    ("experiment.condition_h.frequencies", [0.4, -1.5], "experiment.condition_h.frequencies"),
+    ("experiment.condition_h.boundaries", [0, 1], "experiment.condition_h.boundaries"),
+    ("experiment.condition_h.boundaries", [0, 2, 2], "experiment.condition_h.boundaries"),
+    ("experiment.condition_h.boundaries", [-1, 0, 1], "experiment.condition_h.boundaries"),
 ])
 def test_bad_system_and_tolerances_exit_1(tmp_path, capsys, key, value, named):
-    # each used to die inside the model constructors without a config path, or (a
-    # non-positive tolerance) to write a report whose contract could never pass
+    # each used to die inside the model constructors or the experiments without a
+    # config path, or (a non-positive tolerance, an empty frequency list) to write a
+    # report whose contract could never pass or meant nothing
     code = cli.run("thermo", out_dir=str(tmp_path), sets=[f"{key}={json.dumps(value)}"])
     assert code == 1
     assert f"config error: {named}" in capsys.readouterr().err

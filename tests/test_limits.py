@@ -79,6 +79,8 @@ def test_block_config_validation():
         BlockConfig(1, 1, 0, (0, 1, 2), (1.4, 0.4))  # beyond epsilon0
     with pytest.raises(LimitsError):
         BlockConfig(1, 1, -1, (0, 1, 2), (0.4, 0.4))
+    with pytest.raises(LimitsError):
+        BlockConfig(1, 0, 0, (0, 1), (0.4,))  # no second block group
 
 
 def test_condition_h_zero_frequencies(stats_lab):
@@ -86,6 +88,25 @@ def test_condition_h_zero_frequencies(stats_lab):
     res = condition_h_check(stats_lab, cfg, [0, 2], 120, seed=4)
     for row in res.rows:
         assert row.difference <= 1e-8  # both sides are exactly 1
+
+
+def test_condition_h_steps_end_at_reading_levels(small_stats_lab, monkeypatch):
+    # every chain stops where its functional is read: the heads of u and rho (1 + 1),
+    # both through the gap (2 * 6) and both through the second block for each k (2 * 7)
+    calls = []
+    transport = rl.thermo.ConformalWindow.transport
+
+    def counting(self, rows, j, *args, **kwargs):
+        calls.append(j)
+        return transport(self, rows, j, *args, **kwargs)
+
+    monkeypatch.setattr(rl.thermo.ConformalWindow, "transport", counting)
+    cfg = BlockConfig(1, 1, 0, (0, 1, 2), (0.4, 0.4))
+    condition_h_check(small_stats_lab, cfg, range(7), 40, seed=5, sample_depth=8)
+    assert len(calls) == 28
+    for k_list in ([1, 1, 2], [-1, 2], []):
+        with pytest.raises(LimitsError, match="k_list"):
+            condition_h_check(small_stats_lab, cfg, k_list, 40, seed=5, sample_depth=8)
 
 
 def test_condition_h_bounded_at_k0(stats_lab):

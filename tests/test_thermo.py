@@ -324,3 +324,14 @@ def test_sweep_pushes_each_distinct_path_once(small_stats_lab, monkeypatch):
                       + expected("apply_batch", range(-depth, 0), -depth))
     first = len(set(ens.symbol(top - 1).tolist()))
     assert sum(rows for _, _, rows in pushed[:first]) == first
+
+
+def test_transport_output_dtype_follows_the_frequency(small_stats_lab):
+    # a perturbed step written into a real buffer would drop its imaginary part
+    lab = small_stats_lab
+    win = lab.window([sample_base(lab.spec.base, 42, i) for i in range(6)], fwd=2)
+    real_rows = win.rho_snap[0]
+    out = win.transport(real_rows, 1, 0.4, lab.observable)
+    assert np.iscomplexobj(out)
+    assert np.array_equal(out, win.transport(real_rows.astype(complex), 1, 0.4, lab.observable))
+    assert win.transport(real_rows, 1, 0.0).dtype == np.float64

@@ -257,6 +257,25 @@ def test_batch_apply_and_adjoint_are_transposes(small_tables, seed, rows):
             assert abs(lhs - rhs) <= 1e-12 * scale
 
 
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 5), complex_rows=st.booleans())
+def test_perturbed_batch_is_the_branch_sum_and_leaves_rows_alone(small_tables, seed, rows,
+                                                                 complex_rows):
+    # the branch products are scaled and summed in place: same bits as the plain
+    # branch-order sum, and the caller's rows stay untouched
+    gen = np.random.default_rng(seed)
+    for table in small_tables:
+        for e, op in table.ops.items():
+            us = gen.uniform(-1.0, 1.0, (rows, table.n_points))
+            if complex_rows:
+                us = us + 1j * gen.uniform(-1.0, 1.0, us.shape)
+            before = us.copy()
+            phase = table.phase_at_branches(e, rl.default_observable(table.spec), 0.7)
+            ref = sum((op.phi_weights[b] * phase[b])[None, :] * (us @ s_t)
+                      for b, s_t in enumerate(op.branch_interp_t))
+            assert np.array_equal(op.apply_perturbed_batch(us, phase), ref)
+            assert np.array_equal(us, before)
+
+
 @given(n=st.integers(4, 4096), kind=st.sampled_from(["linear", "cubic"]),
        points=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=40))
 def test_stencil_weights_sum_to_one(n, kind, points):
