@@ -27,7 +27,7 @@ print(f"characteristic-function encoding: orbit route {enc.lhs:.4f}, "
       f"operator route {enc.rhs:.4f}, |diff| = {enc.difference:.1e} "
       f"(per-sample std err {enc.std_err:.1e})")
 
-ch = condition_h_check(lab, BlockConfig(1, 1, 0, (0, 1, 2), (0.4, 0.4)),
+ch = condition_h_check(lab, BlockConfig(1, 1, (0, 1, 2), (0.4, 0.4)),
                        range(0, 7), 400, seed=42)
 print(f"\nblock near-independence: gap summand decays at rate c = {ch.c_fit:.2f}")
 for row in ch.rows[:5]:

@@ -21,7 +21,6 @@ import numpy as np
 from . import limits, thermo, transfer
 from .base import sample_base, base_correlation_check, window_mean
 from .config import (
-    SUBCOMMANDS,
     ConfigError,
     apply_overrides,
     config_hash,
@@ -83,11 +82,7 @@ def _build_lab(config) -> Lab:
 
 
 def _observable_for(lab, name: str, const: float = 0.25):
-    if name == "default":
-        return lab.observable
-    if name == "coboundary":
-        return CoboundaryObservable(lab.spec, const=const)
-    raise ConfigError(f"unknown observable {name!r}")
+    return lab.observable if name == "default" else CoboundaryObservable(lab.spec, const=const)
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +124,8 @@ def _run_thermo(lab, config, seed, threads, memo):
 def _gap_inputs(lab, config, seed):
     exp = config["experiment"]["gap"]
     xs = [sample_base(lab.spec.base, seed, i) for i in range(exp["n_x"])]
-    if exp["battery"] == "lipschitz":
-        us = random_lipschitz_functions(lab.n_points, exp["n_u"], seed, interp=lab.interp)
-    elif exp["battery"] == "smooth":
-        us = random_smooth_functions(lab.n_points, exp["n_u"], seed, interp=lab.interp)
-    else:
-        raise ConfigError(f"unknown gap battery {exp['battery']!r}")
+    battery = random_smooth_functions if exp["battery"] == "smooth" else random_lipschitz_functions
+    us = battery(lab.n_points, exp["n_u"], seed, interp=lab.interp)
     return xs, us, range(exp["n_min"], exp["n_max"] + 1)
 
 
@@ -167,8 +158,8 @@ def _run_encoding(lab, config, seed, threads, memo):
 
 def _run_condition_h(lab, config, seed, threads, memo):
     exp = config["experiment"]["condition_h"]
-    block = limits.BlockConfig(n=exp["block_n"], m=exp["block_m"], k=min(exp["k_list"]),
-                               boundaries=exp["boundaries"], frequencies=exp["frequencies"],
+    block = limits.BlockConfig(n=exp["block_n"], m=exp["block_m"], boundaries=exp["boundaries"],
+                               frequencies=exp["frequencies"],
                                epsilon0=config["numerics"]["epsilon0"])
     res = limits.condition_h_check(lab, block, exp["k_list"],
                                    config["statistics"]["n_base_samples"], seed,
@@ -295,6 +286,7 @@ _RUNNERS = {
     "lil": _run_lil,
     "coboundary": _run_coboundary,
 }
+SUBCOMMANDS = (*_RUNNERS, "all")
 
 UNTESTED = list(limits.UNTESTED_CLAIMS)
 
@@ -308,10 +300,8 @@ def build_report(subcommand: str, config: dict, threads: int = 1) -> dict:
     memo = {}
     if subcommand == "all":
         sub_results, ok_all, artifacts = {}, True, {}
-        for name in SUBCOMMANDS:
-            if name == "all":
-                continue
-            res, ok, art = _RUNNERS[name](lab, config, seed, threads, memo)
+        for name, runner in _RUNNERS.items():
+            res, ok, art = runner(lab, config, seed, threads, memo)
             sub_results[name] = {"results": res, "contract_ok": ok}
             ok_all = ok_all and ok
             for fname, text in art.items():
@@ -398,11 +388,10 @@ def replay(report_path: str, threads: int | None = None) -> int:
 
 def run(subcommand: str, config_path: str | None = None, out_dir: str | None = None,
         seed: int | None = None, threads: int = 1, sets=None) -> int:
+    if seed is not None:  # the last override, checked like every other
+        sets = [*(sets or []), f"statistics.seed={json.dumps(seed)}"]
     try:
-        config = load_config(config_path)
-        config = apply_overrides(config, sets)
-        if seed is not None:
-            config["statistics"]["seed"] = int(seed)
+        config = apply_overrides(load_config(config_path), sets)
         report, artifacts = build_report(subcommand, config, threads=threads)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -420,7 +409,7 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run an experiment and write its report")
-    p_run.add_argument("subcommand", choices=[s for s in SUBCOMMANDS])
+    p_run.add_argument("subcommand", choices=SUBCOMMANDS)
     p_run.add_argument("--config", default=None, help="JSON config path")
     p_run.add_argument("--out", default=None, help="output root directory")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")

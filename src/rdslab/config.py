@@ -1,10 +1,11 @@
-"""Experiment configuration: defaults, strict validation, hashing.
+"""Experiment configuration: one table of defaults and rules, validation, hashing.
 
-The config file is JSON with sections mirroring the module split.  Every
-field has a default; unknown keys are a hard error naming the dotted path, so
-typos cannot silently fall back to defaults.  The fully resolved config is
-echoed into every report and hashed (sha256 of its canonical JSON), so the
-hash covers every semantically significant field.
+JSON sections mirror the module split.  DEFAULTS is the schema: each leaf holds
+its default and its rule (type; range or least value; for a list its length,
+distinctness and order).  resolve_config checks every leaf, lets the model
+constructors judge the system, then checks the rules tying keys together, all
+before any computation: a broken rule or unknown key is a ConfigError naming the
+dotted path.  The resolved config, a plain dict, is echoed and hashed in reports.
 """
 
 from __future__ import annotations
@@ -15,146 +16,207 @@ import hashlib
 import json
 import math
 import operator
+import sys
+from typing import NamedTuple
 
 from .base import SpecError
-from .fiber import INTERP_ORDERS, PER_SYMBOL, SystemSpec, make_system
+from .fiber import INTERP_ORDERS, SystemSpec, make_system
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A finite number; an integer too large for a float is not one."""
+    return isinstance(v, float) and math.isfinite(v) or _is_int(v) and abs(v) <= sys.float_info.max
+
+
+class Int(NamedTuple):
+    """An integer in [least, below)."""
+    default: int
+    least: int
+    below: int | None = None
+
+    def fits(self, v) -> bool:
+        return _is_int(v) and self.least <= v < (self.below or math.inf)
+
+    def describe(self) -> str:
+        return (f"an integer >= {self.least}" if self.below is None
+                else f"an integer in [{self.least}, {self.below})")
+
+
+class Real(NamedTuple):
+    """A finite number, positive if asked; also null when null is the default."""
+    default: float | None
+    positive: bool = False
+
+    def fits(self, v) -> bool:
+        return self.default is None if v is None else _is_real(v) and (v > 0 or not self.positive)
+
+    def describe(self) -> str:
+        kind = f"a {'positive ' if self.positive else ''}number"
+        return kind if self.default is not None else f"null or {kind}"
+
+
+class Choice(NamedTuple):
+    """A string from a fixed set."""
+    default: str
+    options: tuple
+
+    def fits(self, v) -> bool:
+        return isinstance(v, str) and v in self.options
+
+    def describe(self) -> str:
+        return f"one of {list(self.options)}"
+
+
+class List(NamedTuple):
+    """At least (if exact, exactly) `size` values: integers >= least, or finite numbers."""
+    default: list
+    item: type  # int, or float for any finite number
+    size: int = 1
+    least: int | None = None
+    exact: bool = False
+    distinct: bool = False
+    order: str = ""  # "increasing" (strictly) or "nondecreasing"
+
+    def fits(self, v) -> bool:
+        item_ok = _is_int if self.item is int else _is_real
+        cmp = {"increasing": operator.lt, "nondecreasing": operator.le}.get(self.order)
+        return (isinstance(v, list) and (len(v) == self.size if self.exact else len(v) >= self.size)
+                and all(item_ok(a) and (self.least is None or a >= self.least) for a in v)
+                and (not self.distinct or len(set(v)) == len(v))
+                and (cmp is None or all(map(cmp, v, v[1:]))))
+
+    def describe(self) -> str:
+        return (f"a list of {'exactly' if self.exact else 'at least'} {self.size} "
+                f"{'distinct ' if self.distinct else ''}"
+                f"{'integers' if self.item is int else 'numbers'}"
+                f"{'' if self.least is None else f' >= {self.least}'}"
+                f"{f' in {self.order} order' if self.order else ''}")
+
+
+# Below a floor a run dies inside numpy or returns a verdict that rests on no evidence.
 DEFAULTS = {
-    "system": {
-        "weights": [0.5, 0.5],
-        "branch_count": [2, 3],
-        "nonlinearity": [0.05, 0.04],
-        "potential_t": 1.0,
-        "potential_amp": [0.0, 0.0],
-        "obs_offset": [0.2, -0.1],
-        "obs_amplitude": 1.0,
-        "obs_phase": [0.0, 0.3],
-        "alpha": 1.0,
-        "eta": None,
-        "xi": None,
-        "h_tilde": None,
-    },
+    "system": {  # the JSON types; the model constructors check the values
+        "weights": List([0.5, 0.5], float), "branch_count": List([2, 3], int),
+        "nonlinearity": List([0.05, 0.04], float), "potential_amp": List([0.0, 0.0], float),
+        "obs_offset": List([0.2, -0.1], float), "obs_phase": List([0.0, 0.3], float),
+        "potential_t": Real(1.0), "obs_amplitude": Real(1.0), "alpha": Real(1.0),
+        "eta": Real(None), "xi": Real(None), "h_tilde": Real(None)},
     "numerics": {
-        "n_points": 1024,
-        "interp": "cubic",
-        "pullback_depth": 40,
-        "depth_max": 160,
-        "duality_tol": 1e-6,
-        "sample_depth": 24,
-        "epsilon0": 1.0,
-        "newton_tol": 1e-13,
-    },
+        "n_points": Int(1024, 4),  # the widest interpolation stencil (cubic)
+        "interp": Choice("cubic", tuple(INTERP_ORDERS)),
+        "pullback_depth": Int(40, 2),  # conformal_pullback compares depths K and K - 2
+        "depth_max": Int(160, 2),  # and at least pullback_depth
+        "sample_depth": Int(24, 1),  # ensembles need at least one level behind x
+        "epsilon0": Real(1.0, positive=True),  # the radius of the frequencies r of L_r
+        # at or below 0 no tolerance check can ever pass
+        "duality_tol": Real(1e-6, positive=True), "newton_tol": Real(1e-13, positive=True)},
     "statistics": {
-        "seed": 42,
-        "trials": 2000,
-        "n": 10000,
-        "m": 12,
-        "n_base_samples": 600,
-        "tail_tol": 1e-4,
-        "m_max": 48,
-    },
+        "seed": Int(42, 0, 2**64),  # random keys are unsigned 64-bit integers
+        "trials": Int(2000, 2),  # orbit-sum variances use ddof = 1
+        "n": Int(10000, 2),  # Var(S_1) = s_0 holds no lag of the covariance series
+        "m": Int(12, 1),  # the covariance series needs s_0 and one lag
+        "n_base_samples": Int(600, 2),  # base-sample standard errors use ddof = 1
+        "tail_tol": Real(1e-4, positive=True),
+        "m_max": Int(48, 1)},  # and at least m
     "experiment": {
-        "thermo": {"stream": 0, "chain_length": 8, "n_probe": 50},
-        "gap": {"n_x": 8, "n_u": 4, "n_min": 1, "n_max": 20, "battery": "lipschitz"},
-        "bounds": {"n_x": 4, "r_grid": [0.0, 0.5, 1.0], "n_max": 12,
-                   "uniform_n_x": 100, "uniform_n_max": 30},
-        "encoding": {"r_sequence": [0.4, -0.3, 0.2]},
-        "condition_h": {"block_n": 1, "block_m": 1, "boundaries": [0, 1, 2],
-                        "frequencies": [0.4, 0.4], "k_list": [0, 1, 2, 3, 4, 5, 6]},
-        "assumption6": {"n_list": [2, 4, 8], "r_draws": 5,
-                        "pair_depths": [2, 4, 6, 8, 12], "pair_reps": 1},
-        "decay_base": {"n_list": [0, 1, 2, 3, 4, 5, 6, 7, 8], "n_samples": 100000,
-                       "f_window": [0, 2], "g_window": [0, 3]},
-        "sigma2": {},
-        "clt": {"observable": "default"},
-        "lil": {"n_max": 100000, "trials": 200},
-        "coboundary": {"n_list": [100, 1000, 10000], "trials": 1000,
-                       "observable": "coboundary", "coboundary_const": 0.25},
-        "all": {},
-    },
-}
-
-# Integer settings and their floors: below a floor a run dies inside numpy or
-# returns a verdict that means nothing.
-INTEGER_FLOORS = {
-    "numerics.n_points": 4,  # the widest interpolation stencil (cubic)
-    "numerics.pullback_depth": 2,  # conformal_pullback compares depths K and K - 2
-    "numerics.sample_depth": 1,  # ensembles need at least one level behind x
-    "statistics.n_base_samples": 2,  # base-sample standard errors use ddof = 1
-    "statistics.trials": 2,  # orbit-sum variances use ddof = 1
-    "statistics.m": 1,  # the covariance series needs s_0 and one lag
-    "experiment.gap.n_x": 1,  # a conformal window needs at least one base point
-    "experiment.gap.n_min": 1,  # residuals start after one transfer step
-    "experiment.gap.n_max": 1,
-    "experiment.bounds.n_x": 1,
-    "experiment.bounds.uniform_n_x": 1,
-    "experiment.lil.n_max": 100,  # the iterated-logarithm probe's shortest horizon
-    "experiment.condition_h.block_n": 1,  # condition (H) couples two nonempty block groups
-    "experiment.condition_h.block_m": 1,
-}
-
-# Integer list settings: values needed, all distinct (a fit counts a repeat twice), and least value.
-LIST_SIZES = {
-    "experiment.condition_h.k_list": (1, 0),  # the block gap lengths to sample
-    "experiment.assumption6.n_list": (2, 1),  # uniformity is a growth trend over n
-    "experiment.coboundary.n_list": (2, 1),  # the growth slope is a fit over log n
-    "experiment.decay_base.n_list": (1, 0),  # the separations to sample
+        "thermo": {"stream": Int(0, 0),  # base-point streams are numbered from 0
+                   "chain_length": Int(8, 1),  # the reported lambda chain
+                   "n_probe": Int(50, 1)},  # the duality residual is a max over the probes
+        "gap": {"n_x": Int(8, 1),  # a conformal window needs at least one base point
+                "n_u": Int(4, 1),  # the residuals are means over the test functions
+                "n_min": Int(1, 1),  # residuals start after one transfer step
+                "n_max": Int(20, 1),  # and at least n_min
+                "battery": Choice("lipschitz", ("lipschitz", "smooth"))},
+        "bounds": {"n_x": Int(4, 1), "uniform_n_x": Int(100, 1),
+                   "r_grid": List([0.0, 0.5, 1.0], float),  # within epsilon0
+                   "n_max": Int(12, 1),  # the norm bounds start after one transfer step
+                   "uniform_n_max": Int(30, 1)},  # the envelope of L_0^n 1 needs one step
+        "encoding": {"r_sequence": List([0.4, -0.3, 0.2], float)},  # one per step, within epsilon0
+        "condition_h": {
+            "block_n": Int(1, 1), "block_m": Int(1, 1),  # (H) couples two nonempty block groups
+            "boundaries": List([0, 1, 2], int, 3, least=0, order="increasing"),  # the block edges
+            "frequencies": List([0.4, 0.4], float, 2),  # one per block, within epsilon0
+            "k_list": List([0, 1, 2, 3, 4, 5, 6], int, least=0, distinct=True)},  # gap lengths
+        "assumption6": {
+            "n_list": List([2, 4, 8], int, 2, least=1, distinct=True),  # uniformity is a trend in n
+            "r_draws": Int(5, 1),  # the norm at each n is a max over the draws
+            "pair_depths": List([2, 4, 6, 8, 12], int, least=0),  # the pinned margins D
+            "pair_reps": Int(1, 1)},  # pairs per margin
+        "decay_base": {
+            "n_list": List([0, 1, 2, 3, 4, 5, 6, 7, 8], int, least=0, distinct=True),  # separations
+            "n_samples": Int(100000, 2),  # standard errors use ddof = 1
+            "f_window": List([0, 2], int, 2, exact=True, order="nondecreasing"),  # [lo, hi]
+            "g_window": List([0, 3], int, 2, exact=True, order="nondecreasing")},
+        "sigma2": {}, "clt": {"observable": Choice("default", ("default", "coboundary"))},
+        "lil": {"n_max": Int(100000, 100),  # the iterated-logarithm probe's shortest horizon
+                "trials": Int(200, 2)},  # sigma is estimated with ddof = 1
+        "coboundary": {
+            "n_list": List([100, 1000, 10000], int, 2, least=1, distinct=True),  # a slope in log n
+            "trials": Int(1000, 2),  # one trial centres on itself: every norm reads 0
+            "observable": Choice("coboundary", ("default", "coboundary")),
+            "coboundary_const": Real(0.25)},
+        "all": {}},
 }
 
 # Model fields whose config path is not system.<field>.
 SYSTEM_PATHS = {"alphabet_size": "system.weights", "H_tilde": "system.h_tilde",
                 "gamma_star": "system.branch_count and system.nonlinearity"}
 
-# Tolerances and the frequency radius: at or below zero their checks can never pass.
-POSITIVE = ("numerics.duality_tol", "numerics.newton_tol", "statistics.tail_tol", "numerics.epsilon0")
 
-SUBCOMMANDS = ("thermo", "gap", "bounds", "encoding", "condition-h", "assumption6",
-               "decay-base", "sigma2", "clt", "lil", "coboundary", "all")
-
-
-def _merge(defaults, user, path=""):
+def _resolve(table: dict, user, path: str) -> dict:
+    """The user's values over the table's defaults, each checked against its rule."""
     if not isinstance(user, dict):
         raise ConfigError(f"section {path or '<root>'} must be an object")
-    out = {}
-    for key, dval in defaults.items():
-        if key in user:
-            uval = user[key]
-            if isinstance(dval, dict):
-                out[key] = _merge(dval, uval, f"{path}{key}.")
-            else:
-                out[key] = copy.deepcopy(uval)
-        else:
-            out[key] = copy.deepcopy(dval)
-    unknown = set(user) - set(defaults)
+    unknown = sorted(set(user) - set(table))
     if unknown:
-        name = sorted(unknown)[0]
-        raise ConfigError(f"unknown config key: {path}{name}")
+        raise ConfigError(f"unknown config key: {path}{unknown[0]}")
+    out = {}
+    for key, rule in table.items():
+        if isinstance(rule, dict):
+            out[key] = _resolve(rule, user.get(key, {}), f"{path}{key}.")
+            continue
+        value = user.get(key, rule.default)
+        if not rule.fits(value):
+            raise ConfigError(f"{path}{key} must be {rule.describe()}, got {value!r}")
+        out[key] = list(value) if isinstance(value, list) else value
     return out
 
 
-def _real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _check_system_types(s: dict):
-    """The JSON types make_system takes on trust; SystemSpec and its parts check the values."""
-    for name in ("weights",) + PER_SYMBOL:
-        v = s[name]
-        if not (isinstance(v, list) and v and all(_real(a) for a in v)):
-            raise ConfigError(f"system.{name} must be a nonempty list of numbers, got {v!r}")
-    if any(type(d) is not int for d in s["branch_count"]):
-        raise ConfigError(f"system.branch_count must hold integers, got {s['branch_count']!r}")
-    for name in ("potential_t", "obs_amplitude", "alpha"):
-        if not _real(s[name]):
-            raise ConfigError(f"system.{name} must be a number, got {s[name]!r}")
-    for name in ("eta", "xi", "h_tilde"):
-        if s[name] is not None and not _real(s[name]):
-            raise ConfigError(f"system.{name} must be null or a number, got {s[name]!r}")
+def _check_cross(config: dict):
+    """The rules that tie one key to others; each leaf already keeps its own."""
+    def at(path):
+        return functools.reduce(operator.getitem, path.split("."), config)
+    for path, floor_path in (("numerics.depth_max", "numerics.pullback_depth"),
+                             ("statistics.m_max", "statistics.m"),
+                             ("experiment.gap.n_max", "experiment.gap.n_min")):
+        value, floor = at(path), at(floor_path)
+        if value < floor:
+            raise ConfigError(f"{path} must be an integer >= {floor_path} = {floor}, got {value!r}")
+    ch = config["experiment"]["condition_h"]
+    n_blocks = ch["block_n"] + ch["block_m"]
+    for name, size in (("frequencies", n_blocks), ("boundaries", n_blocks + 1)):
+        if len(ch[name]) != size:
+            raise ConfigError(f"experiment.condition_h.{name} must hold {size} values "
+                              f"(block_n + block_m = {n_blocks} blocks), got {ch[name]!r}")
+    eps = config["numerics"]["epsilon0"]  # the perturbed operators L_r need |r| <= epsilon0
+    for path in ("experiment.encoding.r_sequence", "experiment.condition_h.frequencies",
+                 "experiment.bounds.r_grid"):
+        rs = at(path)
+        if any(abs(r) > eps for r in rs):
+            raise ConfigError(f"{path} must hold numbers within numerics.epsilon0 = {eps} "
+                              f"of 0, got {rs!r}")
+    decay = config["experiment"]["decay_base"]
+    if max(decay["n_list"]) < disjoint_from(decay):  # else the verdict checks no row
+        raise ConfigError(f"experiment.decay_base.n_list must hold an n >= {disjoint_from(decay)}"
+                          f" (disjoint windows), got {decay['n_list']!r}")
 
 
 def disjoint_from(decay: dict) -> int:
@@ -163,59 +225,13 @@ def disjoint_from(decay: dict) -> int:
 
 
 def resolve_config(user: dict | None = None) -> dict:
-    """Merge a user config over the defaults; unknown keys and out-of-range values are fatal."""
-    config = _merge(DEFAULTS, user or {})
-    _check_system_types(config["system"])
+    """Merge a user config over the defaults; an unknown key or a broken rule is fatal."""
+    config = _resolve(DEFAULTS, {} if user is None else user, "")
     try:
         system_from_config(config)
     except SpecError as e:
         raise ConfigError(f"{SYSTEM_PATHS.get(e.field, f'system.{e.field}')}: {e}") from e
-    if config["numerics"]["interp"] not in INTERP_ORDERS:
-        raise ConfigError(f"numerics.interp must be one of {sorted(INTERP_ORDERS)}, "
-                          f"got {config['numerics']['interp']!r}")
-    for path in POSITIVE:
-        value = functools.reduce(operator.getitem, path.split("."), config)
-        if not (_real(value) and value > 0):
-            raise ConfigError(f"{path} must be a positive number, got {value!r}")
-    for path, floor in INTEGER_FLOORS.items():
-        value = functools.reduce(operator.getitem, path.split("."), config)
-        if isinstance(value, bool) or not isinstance(value, int) or value < floor:
-            raise ConfigError(f"{path} must be an integer >= {floor}, got {value!r}")
-    gap = config["experiment"]["gap"]
-    if gap["n_max"] < gap["n_min"]:
-        raise ConfigError(f"experiment.gap.n_max must be an integer >= experiment.gap.n_min "
-                          f"= {gap['n_min']}, got {gap['n_max']!r}")
-    for path, (size, least) in LIST_SIZES.items():
-        value = functools.reduce(operator.getitem, path.split("."), config)
-        if (not isinstance(value, list) or len(value) < size
-                or any(isinstance(v, bool) or not isinstance(v, int) or v < least for v in value)
-                or len(set(value)) < len(value)):
-            raise ConfigError(f"{path} must be a list of at least {size} distinct integers "
-                              f">= {least}, got {value!r}")
-    eps, ch = config["numerics"]["epsilon0"], config["experiment"]["condition_h"]
-    n_blocks = ch["block_n"] + ch["block_m"]
-    for path, size in (("experiment.encoding.r_sequence", None),  # one per step
-                       ("experiment.condition_h.frequencies", n_blocks)):  # one per block
-        rs = functools.reduce(operator.getitem, path.split("."), config)
-        if not (isinstance(rs, list) and rs and len(rs) == (size or len(rs))
-                and all(_real(v) and abs(v) <= eps for v in rs)):
-            raise ConfigError(f"{path} must be a list of {size or 'one or more'} numbers "
-                              f"within numerics.epsilon0 = {eps} of 0, got {rs!r}")
-    b = ch["boundaries"]
-    if not (isinstance(b, list) and len(b) == n_blocks + 1 and all(type(v) is int for v in b)
-            and b[0] >= 0 and all(v < w for v, w in zip(b, b[1:]))):
-        raise ConfigError(f"experiment.condition_h.boundaries must be {n_blocks + 1} strictly "
-                          f"increasing nonnegative integers, got {b!r}")
-    decay = config["experiment"]["decay_base"]
-    for name in ("f_window", "g_window"):
-        w = decay[name]
-        if not (isinstance(w, list) and len(w) == 2 and all(type(v) is int for v in w)
-                and w[0] <= w[1]):
-            raise ConfigError(f"experiment.decay_base.{name} must be a window [lo, hi] of "
-                              f"integers with lo <= hi, got {w!r}")
-    if max(decay["n_list"]) < disjoint_from(decay):  # else the verdict checks no row
-        raise ConfigError(f"experiment.decay_base.n_list must hold an n >= {disjoint_from(decay)}"
-                          f" (disjoint windows), got {decay['n_list']!r}")
+    _check_cross(config)
     return config
 
 
@@ -224,32 +240,27 @@ def load_config(path: str | None) -> dict:
         return resolve_config({})
     with open(path) as fh:
         try:
-            user = json.load(fh)
+            return resolve_config(json.load(fh))
         except json.JSONDecodeError as e:
             raise ConfigError(f"malformed config {path}: line {e.lineno}: {e.msg}") from e
-    return resolve_config(user)
 
 
 def apply_overrides(config: dict, sets) -> dict:
     """Apply KEY=VALUE overrides with dotted paths; values parsed as JSON."""
     out = copy.deepcopy(config)
     for item in sets or []:
-        if "=" not in item:
+        key, eq, raw = item.partition("=")
+        if not eq:
             raise ConfigError(f"override {item!r} is not KEY=VALUE")
-        key, raw = item.split("=", 1)
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        node = out
-        parts = key.split(".")
-        for p in parts[:-1]:
-            if p not in node or not isinstance(node[p], dict):
-                raise ConfigError(f"unknown config key: {key}")
-            node = node[p]
-        if parts[-1] not in node:
+        *sections, leaf = key.split(".")
+        node = functools.reduce(lambda n, p: n.get(p) if isinstance(n, dict) else None,
+                                sections, out)
+        if not isinstance(node, dict) or leaf not in node:
             raise ConfigError(f"unknown config key: {key}")
-        node[parts[-1]] = value
+        try:
+            node[leaf] = json.loads(raw)
+        except json.JSONDecodeError:
+            node[leaf] = raw
     return resolve_config(out)
 
 
@@ -259,18 +270,6 @@ def config_hash(config: dict) -> str:
 
 
 def system_from_config(config: dict) -> SystemSpec:
-    s = config["system"]
-    return make_system(
-        weights=tuple(s["weights"]),
-        branch_count=tuple(s["branch_count"]),
-        nonlinearity=tuple(s["nonlinearity"]),
-        potential_t=s["potential_t"],
-        potential_amp=tuple(s["potential_amp"]),
-        obs_offset=tuple(s["obs_offset"]),
-        obs_amplitude=s["obs_amplitude"],
-        obs_phase=tuple(s["obs_phase"]),
-        alpha=s["alpha"],
-        eta=s["eta"],
-        xi=s["xi"],
-        H_tilde=s["h_tilde"],
-    )
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in config["system"].items()}
+    kwargs["H_tilde"] = kwargs.pop("h_tilde")
+    return make_system(**kwargs)

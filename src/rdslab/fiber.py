@@ -55,6 +55,9 @@ class HolderParams:
         if self.gamma_star <= 1.0:
             raise FiberError(f"gamma_star must exceed 1, got {self.gamma_star!r}", "gamma_star")
         g = self.gamma_star ** (-self.alpha)
+        if g >= 1.0:  # gamma_star^alpha rounds to 1: the variation sum has no finite bound
+            raise FiberError(f"alpha = {self.alpha!r} is too small: gamma_star^-alpha rounds to 1",
+                             "alpha")
         object.__setattr__(self, "Q_tilde", self.H_tilde * g / (1.0 - g))
 
 
@@ -62,9 +65,19 @@ class HolderParams:
 PER_SYMBOL = ("branch_count", "nonlinearity", "potential_amp", "obs_offset", "obs_phase")
 
 
-def expansion_bound(branch_count, nonlinearity) -> float:
-    """min d - 2 pi max eps: a lower bound on T_e' over every symbol e, which must exceed 1."""
-    return min(branch_count) - TWO_PI * max(nonlinearity)
+def check_maps(branch_count, nonlinearity) -> float:
+    """The circle-map rules; returns gamma_star = min d - 2 pi max eps, which they make exceed 1.
+
+    gamma_star is a lower bound on T_e' over every symbol e (uniform expansion).
+    """
+    if min(branch_count) < 2:
+        raise FiberError("every branch count must be >= 2", "branch_count")
+    if min(nonlinearity) < 0:
+        raise FiberError("nonlinearity must be nonnegative", "nonlinearity")
+    gamma = min(branch_count) - TWO_PI * max(nonlinearity)
+    if gamma <= 1.0:
+        raise FiberError(f"expansion violated: min d - 2 pi max eps = {gamma} <= 1", "gamma_star")
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -90,15 +103,7 @@ class SystemSpec:
         for name in PER_SYMBOL:
             if len(getattr(self, name)) != q:
                 raise FiberError(f"{name} must have one entry per symbol ({q})", name)
-        if min(self.branch_count) < 2:
-            raise FiberError("every branch count must be >= 2", "branch_count")
-        if min(self.nonlinearity) < 0:
-            raise FiberError("nonlinearity must be nonnegative", "nonlinearity")
-        # conservative uniform expansion check: min d - 2 pi max eps > 1
-        gamma = expansion_bound(self.branch_count, self.nonlinearity)
-        if gamma <= 1.0:
-            raise FiberError(f"expansion violated: min d - 2 pi max eps = {gamma} <= 1",
-                             "gamma_star")
+        check_maps(self.branch_count, self.nonlinearity)
 
     @property
     def alphabet(self) -> range:
@@ -162,7 +167,7 @@ def make_system(
     d = tuple(int(v) for v in branch_count)
     eps = tuple(0.0 for _ in range(q)) if nonlinearity is None else tuple(float(v) for v in nonlinearity)
     amp = tuple(float(v) for v in potential_amp)
-    gamma_star = expansion_bound(d, eps)
+    gamma_star = check_maps(d, eps)  # before the defaults below divide by max d and min d - eps
     if eta is None:
         eta = 1.0 / (2.0 * max(d))
     if xi is None:

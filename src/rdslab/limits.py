@@ -253,11 +253,10 @@ def encoding_check(lab: Lab, r_sequence, n_base_samples: int, seed: int,
 
 @dataclass(frozen=True)
 class BlockConfig:
-    """Two groups of frequency blocks separated by a k-step normalized gap."""
+    """Two groups of frequency blocks; condition_h_check puts gaps of k steps between them."""
 
     n: int
     m: int
-    k: int
     boundaries: tuple
     frequencies: tuple
     epsilon0: float = 1.0
@@ -271,8 +270,8 @@ class BlockConfig:
             raise LimitsError("need n + m frequencies")
         if any(b2 <= b1 for b1, b2 in zip(b, b[1:])):
             raise LimitsError("boundaries must be strictly increasing")
-        if b[0] < 0 or self.k < 0 or self.n < 1 or self.m < 1:
-            raise LimitsError("boundaries and k must be nonnegative, n and m positive")
+        if b[0] < 0 or self.n < 1 or self.m < 1:
+            raise LimitsError("boundaries must be nonnegative, n and m positive")
         if any(abs(v) > self.epsilon0 for v in r):
             raise LimitsError("|r_j| must stay within epsilon0")
         object.__setattr__(self, "boundaries", b)

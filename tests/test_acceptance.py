@@ -200,10 +200,10 @@ def test_criterion_09_assumption6_uniformity(stats_lab):
 
 
 def test_criterion_10_condition_h(stats_lab):
-    cfg0 = BlockConfig(1, 1, 0, (0, 1, 2), (0.0, 0.0))
+    cfg0 = BlockConfig(1, 1, (0, 1, 2), (0.0, 0.0))
     zero = condition_h_check(stats_lab, cfg0, [0, 2, 4], 150, seed=SEED)
     assert all(r.difference <= 1e-8 for r in zero.rows)
-    cfg = BlockConfig(1, 1, 0, (0, 1, 2), (0.4, 0.4))
+    cfg = BlockConfig(1, 1, (0, 1, 2), (0.4, 0.4))
     res = condition_h_check(stats_lab, cfg, list(range(0, 7)), 400, seed=SEED)
     assert not res.noise_dominated
     assert res.c_fit > 0

@@ -1,15 +1,23 @@
 import inspect
 import json
+import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rdslab.cli as cli
 from rdslab import limits
 from rdslab.config import (
+    DEFAULTS,
+    Choice,
     ConfigError,
+    Int,
+    Real,
     apply_overrides,
     config_hash,
+    load_config,
     resolve_config,
     system_from_config,
 )
@@ -63,6 +71,13 @@ def test_cli_run_unknown_key_exit_1(tmp_path, capsys):
     ("experiment.gap.n_max", 0), ("experiment.lil.n_max", 50), ("experiment.gap.n_x", 0),
     ("experiment.bounds.uniform_n_x", 0), ("experiment.condition_h.block_n", 0),
     ("experiment.condition_h.block_m", 0),
+    ("experiment.thermo.n_probe", 0), ("experiment.assumption6.r_draws", 0),
+    ("experiment.assumption6.pair_reps", 0), ("experiment.bounds.n_max", 0),
+    ("numerics.depth_max", 1e400), ("experiment.thermo.chain_length", 0),
+    ("experiment.bounds.uniform_n_max", 0), ("experiment.coboundary.trials", 1),
+    ("statistics.m_max", 2), ("statistics.n", 1), ("experiment.decay_base.n_samples", 1),
+    ("experiment.lil.trials", 1), ("experiment.gap.n_u", 0), ("experiment.thermo.stream", -1),
+    ("statistics.seed", 1.5), ("statistics.seed", -1), ("statistics.seed", 2**64),
 ])
 def test_integer_settings_below_floor_exit_1(tmp_path, capsys, key, value):
     code = cli.run("thermo", out_dir=str(tmp_path), sets=[f"{key}={json.dumps(value)}"])
@@ -87,6 +102,7 @@ def test_empty_gap_range_exit_1(tmp_path, capsys):
     ("experiment.decay_base.n_list", []), ("experiment.decay_base.n_list", [4, 4.5]),
     ("experiment.condition_h.k_list", [-1, 2]), ("experiment.condition_h.k_list", [1, 1, 2]),
     ("experiment.assumption6.n_list", [0, 2]), ("experiment.coboundary.n_list", [0, 100]),
+    ("experiment.assumption6.pair_depths", []), ("experiment.bounds.r_grid", []),
 ])
 def test_lists_too_short_exit_1(tmp_path, capsys, key, value):
     # one n gives a one-point slope fit: no verdict may come from it
@@ -137,6 +153,13 @@ def test_decay_base_windows_exit_1(tmp_path, capsys, key, value):
     ("experiment.condition_h.boundaries", [0, 1], "experiment.condition_h.boundaries"),
     ("experiment.condition_h.boundaries", [0, 2, 2], "experiment.condition_h.boundaries"),
     ("experiment.condition_h.boundaries", [-1, 0, 1], "experiment.condition_h.boundaries"),
+    ("system.nonlinearity", [2.0, 0.04], "system.branch_count and system.nonlinearity"),
+    ("system.branch_count", [0, 0], "system.branch_count"), ("system.alpha", 1e-30, "system.alpha"),
+    ("experiment.bounds.r_grid", [5.0], "experiment.bounds.r_grid"),
+    ("experiment.gap.battery", "foo", "experiment.gap.battery"),
+    ("experiment.clt.observable", "foo", "experiment.clt.observable"),
+    ("experiment.coboundary.observable", "foo", "experiment.coboundary.observable"),
+    ("experiment.coboundary.coboundary_const", "a", "experiment.coboundary.coboundary_const"),
 ])
 def test_bad_system_and_tolerances_exit_1(tmp_path, capsys, key, value, named):
     # each used to die inside the model constructors or the experiments without a
@@ -146,6 +169,161 @@ def test_bad_system_and_tolerances_exit_1(tmp_path, capsys, key, value, named):
     assert code == 1
     assert f"config error: {named}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key", ["experiment.gap.battery", "experiment.clt.observable",
+                                 "experiment.coboundary.observable"])
+def test_bad_choice_runs_no_subcommand(tmp_path, capsys, monkeypatch, key):
+    calls = []
+    for name in cli._RUNNERS:
+        monkeypatch.setitem(cli._RUNNERS, name,
+                            lambda *args, name=name: calls.append(name) or ({}, True, {}))
+    code = cli.run("all", out_dir=str(tmp_path), sets=[f'{key}="foo"'])
+    assert code == 1 and calls == []
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+def test_seed_flag_is_checked_like_the_config(tmp_path, capsys, seed):
+    # -1 used to run as 2**64 - 1 (key derivation masks the seed to 64 bits), 1.5 as seed 1
+    if isinstance(seed, int):
+        code = cli.main(["run", "thermo", "--out", str(tmp_path), "--seed", str(seed)])
+    else:  # the --seed flag parses integers only; run() takes the value as given
+        code = cli.run("thermo", out_dir=str(tmp_path), seed=seed)
+    assert code == 1
+    assert "config error: statistics.seed must be an integer" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def leaves(table, path=""):
+    for key, rule in table.items():
+        if isinstance(rule, dict):
+            yield from leaves(rule, f"{path}{key}.")
+        else:
+            yield f"{path}{key}", rule
+
+
+def nested(flat):
+    user = {}
+    for path, value in flat.items():
+        *sections, key = path.split(".")
+        node = user
+        for name in sections:
+            node = node.setdefault(name, {})
+        node[key] = value
+    return user
+
+
+LEAVES = dict(leaves(DEFAULTS))
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just({}),
+                 st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+def inside(rule):
+    """Values that keep the rule."""
+    if isinstance(rule, Int):
+        return st.integers(rule.least, rule.least + 1000 if rule.below is None else rule.below - 1)
+    if isinstance(rule, Real):
+        num = st.floats(0.0, 1e6, exclude_min=True) if rule.positive else st.floats(-1e6, 1e6)
+        return num if rule.default is not None else st.none() | num
+    if isinstance(rule, Choice):
+        return st.sampled_from(rule.options)
+    item = (st.integers(-50 if rule.least is None else rule.least, 60) if rule.item is int
+            else st.floats(-1e6, 1e6))
+    values = st.lists(item, min_size=rule.size, max_size=rule.size + (0 if rule.exact else 4),
+                      unique=rule.distinct or rule.order == "increasing")
+    return values.map(sorted) if rule.order else values
+
+
+def outside(rule):
+    """Values that break the rule."""
+    if isinstance(rule, Int):
+        bad = st.integers(max_value=rule.least - 1) | st.floats() | JUNK
+        return bad if rule.below is None else bad | st.integers(min_value=rule.below)
+    if isinstance(rule, Real):
+        bad = st.booleans() | st.text(max_size=3) | st.just([1.0]) | st.just(10**400)
+        bad = bad | st.sampled_from([math.nan, math.inf, -math.inf])
+        bad = bad if rule.default is None else bad | st.none()
+        return bad | st.floats(max_value=0.0) | st.integers(max_value=0) if rule.positive else bad
+    if isinstance(rule, Choice):
+        return st.text().filter(lambda v: v not in rule.options) | st.integers() | JUNK
+    bad_item = JUNK | st.floats() if rule.item is int else JUNK
+    if rule.least is not None:
+        bad_item = bad_item | st.integers(max_value=rule.least - 1)
+    spliced = st.tuples(inside(rule), bad_item, st.integers(0, 9)).map(
+        lambda t: t[0][:t[2] % len(t[0])] + [t[1]] + t[0][t[2] % len(t[0]) + 1:])
+    bad = JUNK | st.integers() | spliced | st.lists(st.integers(0, 9), max_size=rule.size - 1)
+    if rule.exact:
+        bad = bad | st.lists(st.integers(0, 9), min_size=rule.size + 1, max_size=rule.size + 3)
+    if rule.distinct:
+        bad = bad | inside(rule).map(lambda v: v + v[:1])
+    if rule.order:
+        bad = bad | inside(rule).filter(lambda v: len(set(v)) > 1).map(lambda v: v[::-1])
+    return bad
+
+
+def block_count(n, m=1):
+    ch = "experiment.condition_h."
+    return {ch + "block_n": n, ch + "block_m": m, ch + "frequencies": [0.0] * (n + m),
+            ch + "boundaries": list(range(n + m + 1))}
+
+
+def within_epsilon0(rs):
+    return {"numerics.epsilon0": max([1.0] + [abs(r) for r in rs])}
+
+
+# Keys set alongside a drawn value so that it keeps the rules tying its key to others.
+PARTNERS = {
+    "numerics.pullback_depth": lambda v: {"numerics.depth_max": v},
+    "numerics.depth_max": lambda v: {"numerics.pullback_depth": 2},
+    "statistics.m": lambda v: {"statistics.m_max": v},
+    "statistics.m_max": lambda v: {"statistics.m": 1},
+    "experiment.gap.n_min": lambda v: {"experiment.gap.n_max": v},
+    "numerics.epsilon0": lambda v: {"experiment.encoding.r_sequence": [0.0],
+                                    "experiment.bounds.r_grid": [0.0],
+                                    **block_count(1)},
+    "experiment.encoding.r_sequence": within_epsilon0,
+    "experiment.bounds.r_grid": within_epsilon0,
+    "experiment.condition_h.frequencies": lambda v: {**within_epsilon0(v),
+                                                     **block_count(len(v) - 1)},
+    "experiment.condition_h.boundaries": lambda v: block_count(len(v) - 2),
+    "experiment.condition_h.block_n": lambda v: block_count(v),
+    "experiment.condition_h.block_m": lambda v: block_count(1, v),
+    "experiment.decay_base.n_list": lambda v: {"experiment.decay_base.f_window": [1, 1],
+                                               "experiment.decay_base.g_window": [0, 0]},
+    "experiment.decay_base.f_window": lambda v: {"experiment.decay_base.n_list": [max(0, 4 - v[0])]},
+    "experiment.decay_base.g_window": lambda v: {"experiment.decay_base.n_list": [max(0, v[1] + 1)]},
+}
+
+
+@pytest.mark.parametrize("path", sorted(LEAVES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_every_leaf_keeps_its_rule(path, data):
+    rule = LEAVES[path]
+    bad = data.draw(outside(rule), label="outside")
+    with pytest.raises(ConfigError) as err:
+        resolve_config(nested({path: bad}))
+    assert str(err.value).startswith(f"{path} must be")
+    good = data.draw(inside(rule), label="inside")
+    user = {**PARTNERS.get(path, lambda v: {})(good), path: good}
+    try:
+        config = resolve_config(nested(user))
+    except ConfigError as e:  # the model constructors hold the system's value rules
+        assert path.startswith("system.") and str(e).startswith("system."), e
+    else:
+        section, key = path.rsplit(".", 1)
+        node = config
+        for name in section.split("."):
+            node = node[name]
+        assert node[key] == good
+
+
+def test_default_config_hash_is_pinned():
+    # every report written so far echoes this config: a change to a default breaks its replay
+    assert config_hash(load_config(None)) == (
+        "83f717f0dfcef0a5490403fc0dceca03f6df1b0b1213ed88eb28c580d1ebd6cb")
 
 
 def test_config_hash_sensitivity():

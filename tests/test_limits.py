@@ -72,19 +72,17 @@ def test_encoding_identity_random_draws(stats_lab, draw):
 
 def test_block_config_validation():
     with pytest.raises(LimitsError):
-        BlockConfig(1, 1, 0, (0, 1), (0.4, 0.4))  # boundary count
+        BlockConfig(1, 1, (0, 1), (0.4, 0.4))  # boundary count
     with pytest.raises(LimitsError):
-        BlockConfig(1, 1, 0, (0, 2, 1), (0.4, 0.4))  # not increasing
+        BlockConfig(1, 1, (0, 2, 1), (0.4, 0.4))  # not increasing
     with pytest.raises(LimitsError):
-        BlockConfig(1, 1, 0, (0, 1, 2), (1.4, 0.4))  # beyond epsilon0
+        BlockConfig(1, 1, (0, 1, 2), (1.4, 0.4))  # beyond epsilon0
     with pytest.raises(LimitsError):
-        BlockConfig(1, 1, -1, (0, 1, 2), (0.4, 0.4))
-    with pytest.raises(LimitsError):
-        BlockConfig(1, 0, 0, (0, 1), (0.4,))  # no second block group
+        BlockConfig(1, 0, (0, 1), (0.4,))  # no second block group
 
 
 def test_condition_h_zero_frequencies(stats_lab):
-    cfg = BlockConfig(1, 1, 0, (0, 1, 2), (0.0, 0.0))
+    cfg = BlockConfig(1, 1, (0, 1, 2), (0.0, 0.0))
     res = condition_h_check(stats_lab, cfg, [0, 2], 120, seed=4)
     for row in res.rows:
         assert row.difference <= 1e-8  # both sides are exactly 1
@@ -101,7 +99,7 @@ def test_condition_h_steps_end_at_reading_levels(small_stats_lab, monkeypatch):
         return transport(self, rows, j, *args, **kwargs)
 
     monkeypatch.setattr(rl.thermo.ConformalWindow, "transport", counting)
-    cfg = BlockConfig(1, 1, 0, (0, 1, 2), (0.4, 0.4))
+    cfg = BlockConfig(1, 1, (0, 1, 2), (0.4, 0.4))
     condition_h_check(small_stats_lab, cfg, range(7), 40, seed=5, sample_depth=8)
     assert len(calls) == 28
     for k_list in ([1, 1, 2], [-1, 2], []):
@@ -110,13 +108,13 @@ def test_condition_h_steps_end_at_reading_levels(small_stats_lab, monkeypatch):
 
 
 def test_condition_h_bounded_at_k0(stats_lab):
-    cfg = BlockConfig(1, 1, 0, (0, 1, 2), (0.4, 0.4))
+    cfg = BlockConfig(1, 1, (0, 1, 2), (0.4, 0.4))
     res = condition_h_check(stats_lab, cfg, [0], 120, seed=5)
     assert res.rows[0].difference <= 2.0  # triangle inequality on unit-modulus means
 
 
 def test_condition_h_decay_matches_gap_rate(stats_lab):
-    cfg = BlockConfig(1, 1, 0, (0, 1, 2), (0.4, 0.4))
+    cfg = BlockConfig(1, 1, (0, 1, 2), (0.4, 0.4))
     res = condition_h_check(stats_lab, cfg, list(range(0, 7)), 300, seed=6)
     assert not res.noise_dominated
     assert res.c_fit > 0
@@ -161,7 +159,7 @@ def reference_condition_h(lab, config, k_list, n_base_samples, seed, sample_dept
 def test_condition_h_one_ensemble_matches_per_k_reference(small_gibbs_lab, monkeypatch):
     # a Gibbs potential: its nu is not Lebesgue, so the level a functional is read at matters
     lab, depth = small_gibbs_lab, 8
-    cfg = BlockConfig(2, 1, 0, (0, 2, 3, 5), (0.3, -0.4, 0.25))
+    cfg = BlockConfig(2, 1, (0, 2, 3, 5), (0.3, -0.4, 0.25))
     k_list = [2, 0, 1, 4]
     built = []
 
@@ -511,11 +509,11 @@ def test_covariance_decay_dominance(stats_lab):
 
 
 def test_condition_h_multi_block(stats_lab):
-    cfg = BlockConfig(2, 1, 0, (0, 2, 3, 5), (0.3, -0.4, 0.25))
+    cfg = BlockConfig(2, 1, (0, 2, 3, 5), (0.3, -0.4, 0.25))
     res = condition_h_check(stats_lab, cfg, [0, 1, 2, 3], 150, seed=27)
     assert len(res.rows) == 4
     ops = [r.operator_term for r in res.rows]
     assert ops[0] > 0 and ops[-1] < ops[0]  # the gap summand decays
-    zero = BlockConfig(2, 1, 0, (0, 2, 3, 5), (0.0, 0.0, 0.0))
+    zero = BlockConfig(2, 1, (0, 2, 3, 5), (0.0, 0.0, 0.0))
     rz = condition_h_check(stats_lab, zero, [0, 2], 60, seed=27)
     assert all(r.difference <= 1e-8 for r in rz.rows)
