@@ -40,7 +40,7 @@ print(f"\nsigma^2: covariance series {var.sigma2_series:.4f} +- {var.sigma2_seri
 print(f"         direct Var(S_n)/n  {var.sigma2_mc:.4f} +- {var.sigma2_mc_se:.4f}")
 print(f"         agreement: {var.agreement} (M = {var.m_used}, tail {var.tail_bound:.1e})")
 
-res = clt_test(lab, None, sigma2=var.sigma2_series, n=10_000, trials=2000, seed=42)
+res = clt_test(var)
 print(f"\nCLT: KS statistic {res.ks_stat:.4f}, p = {res.p_value:.3f}; "
       f"sample skewness {res.sample_skew:+.3f}")
 

@@ -222,13 +222,9 @@ def _run_sigma2(lab, config, seed, threads, memo):
 
 
 def _run_clt(lab, config, seed, threads, memo):
-    st = config["statistics"]
-    exp = config["experiment"]["clt"]
-    g = _observable_for(lab, exp["observable"])
+    g = _observable_for(lab, config["experiment"]["clt"]["observable"])
     var = _sigma2(lab, g, config, seed, threads, memo)
-    res = limits.clt_test(lab, g, sigma2=var.sigma2_series, n=st["n"], trials=st["trials"],
-                          seed=seed, sample_depth=config["numerics"]["sample_depth"],
-                          threads=threads)
+    res = limits.clt_test(var)
     results = res.as_dict()
     results["sigma2"] = var.sigma2_series
     results["sigma2_mc"] = var.sigma2_mc

@@ -27,8 +27,15 @@ class ConfigError(ValueError):
     pass
 
 
+INT_LIMIT = 2**63  # numpy's int64 holds [-INT_LIMIT, INT_LIMIT); the models compute in it
+
+
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_int64(v) -> bool:
+    return _is_int(v) and -INT_LIMIT <= v < INT_LIMIT
 
 
 def _is_real(v) -> bool:
@@ -37,17 +44,16 @@ def _is_real(v) -> bool:
 
 
 class Int(NamedTuple):
-    """An integer in [least, below)."""
+    """An integer in [least, below); below defaults to INT_LIMIT."""
     default: int
     least: int
     below: int | None = None
 
     def fits(self, v) -> bool:
-        return _is_int(v) and self.least <= v < (self.below or math.inf)
+        return _is_int(v) and self.least <= v < (self.below or INT_LIMIT)
 
     def describe(self) -> str:
-        return (f"an integer >= {self.least}" if self.below is None
-                else f"an integer in [{self.least}, {self.below})")
+        return f"an integer in [{self.least}, {self.below or INT_LIMIT})"
 
 
 class Real(NamedTuple):
@@ -76,7 +82,7 @@ class Choice(NamedTuple):
 
 
 class List(NamedTuple):
-    """At least (if exact, exactly) `size` values: integers >= least, or finite numbers."""
+    """At least (if exact, exactly) `size` values: 64-bit integers >= least, or finite numbers."""
     default: list
     item: type  # int, or float for any finite number
     size: int = 1
@@ -86,7 +92,7 @@ class List(NamedTuple):
     order: str = ""  # "increasing" (strictly) or "nondecreasing"
 
     def fits(self, v) -> bool:
-        item_ok = _is_int if self.item is int else _is_real
+        item_ok = _is_int64 if self.item is int else _is_real
         cmp = {"increasing": operator.lt, "nondecreasing": operator.le}.get(self.order)
         return (isinstance(v, list) and (len(v) == self.size if self.exact else len(v) >= self.size)
                 and all(item_ok(a) and (self.least is None or a >= self.least) for a in v)
@@ -96,7 +102,7 @@ class List(NamedTuple):
     def describe(self) -> str:
         return (f"a list of {'exactly' if self.exact else 'at least'} {self.size} "
                 f"{'distinct ' if self.distinct else ''}"
-                f"{'integers' if self.item is int else 'numbers'}"
+                f"{'64-bit integers' if self.item is int else 'numbers'}"
                 f"{'' if self.least is None else f' >= {self.least}'}"
                 f"{f' in {self.order} order' if self.order else ''}")
 

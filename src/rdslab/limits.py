@@ -22,7 +22,6 @@ from .thermo import ConformalWindow, Lab, _mu_rows
 from .transfer import transfer_iterate
 
 SIGMA2_FLOOR = 1e-3
-CLT_THERMO_SAMPLES = 400
 
 UNTESTED_CLAIMS = (
     "almost-sure Brownian coupling (only its corollaries are tested)",
@@ -483,11 +482,7 @@ class CovarianceRow:
 @dataclass
 class CovarianceResult:
     rows: list
-    n_samples: int
-    n_orbit_trials: int
-
-    def s_values(self):
-        return np.array([r.operator_route for r in self.rows])
+    g_means: np.ndarray  # route A's mu_x(g) at level 0, one per base sample
 
 
 def covariance_sequence(lab: Lab, g, M: int, n_base_samples: int, seed: int,
@@ -547,7 +542,7 @@ def covariance_sequence(lab: Lab, g, M: int, n_base_samples: int, seed: int,
         se_b = float(prod.std(ddof=1) / np.sqrt(len(prod)))
         agree = abs(s_a - s_b) <= 4.0 * np.sqrt(se_a**2 + se_b**2) + 1e-12
         rows.append(CovarianceRow(m, s_a, se_a, s_b, se_b, float(fiber.mean()), base, bool(agree)))
-    return CovarianceResult(rows, n_base_samples, orbit_trials)
+    return CovarianceResult(rows, g0)
 
 
 @dataclass
@@ -565,10 +560,14 @@ class VarianceReport:
     n_var: int
     trials: int
     mu_estimate: float
+    # per-trial S_n of the direct pass and route A's per-sample mu_x(g), which
+    # clt_test reads; neither is part of the report results
+    sums: np.ndarray
+    g_means: np.ndarray
     orbit_bias_warning: bool = False
 
     def as_dict(self):
-        return asdict(self)
+        return {k: v for k, v in asdict(self).items() if k not in ("sums", "g_means")}
 
 
 def sigma2_estimate(lab: Lab, g=None, M: int = 16, n_base_samples: int = 800,
@@ -615,12 +614,12 @@ def sigma2_estimate(lab: Lab, g=None, M: int = 16, n_base_samples: int = 800,
         if tail < tail_tol or M_cur >= m_max:
             break
         M_cur = min(m_max, int(np.ceil(M_cur * 1.5)))
-    s = cov.s_values()
+    s = np.array([r.operator_route for r in cov.rows])
     ses = np.array([r.operator_se for r in cov.rows])
     sigma2_series = float(s[0] + 2.0 * s[1:].sum())
     series_se = float(np.sqrt(ses[0] ** 2 + 4.0 * (ses[1:] ** 2).sum()))
 
-    _, sums = orbit_birkhoff_sums(lab, g, [n_var], trials, seed, stream=17,
+    _, sums = orbit_birkhoff_sums(lab, g, [n_var], trials, seed, stream=29,
                                   sample_depth=sample_depth, threads=threads)
     sn = sums[0]
     sigma2_mc = float(sn.var(ddof=1) / n_var)
@@ -630,7 +629,7 @@ def sigma2_estimate(lab: Lab, g=None, M: int = 16, n_base_samples: int = 800,
     return VarianceReport(
         s.tolist(), ses.tolist(), sigma2_series, series_se, sigma2_mc, mc_se,
         M_cur, float(tail), bool(tail < tail_tol), bool(diff <= tol),
-        int(n_var), int(trials), float(sn.mean() / n_var),
+        int(n_var), int(trials), float(sn.mean() / n_var), sn, cov.g_means,
         orbit_bias_warning=not lab.spec.has_geometric_potential,
     )
 
@@ -662,30 +661,23 @@ class CltResult:
         return {k: v for k, v in asdict(self).items() if k != "samples"}
 
 
-def clt_test(lab: Lab, g=None, sigma2: float | None = None, n: int = 10_000,
-             trials: int = 2000, seed: int = 42, sample_depth: int = 24,
-             threads: int = 1) -> CltResult:
-    """KS test of (S_n - n mu)/sqrt(n) against N(0, sigma^2).
+def clt_test(var: VarianceReport) -> CltResult:
+    """KS test of (S_n - n mu)/sqrt(n) against N(0, sigma^2), read from a sigma2 report.
 
-    Centering uses the pooled orbit mean (std err sigma/sqrt(n * trials)),
-    cross-checked against the thermo route (MC over base samples of mu_x(g))
-    within 4 combined standard errors.  sigma2 must exceed the declared floor;
-    below it the caller is directed to the coboundary check.
+    The sums S_n are the report's own direct Var(S_n)/n pass and sigma^2 is
+    its covariance series.  Centering uses the pooled orbit mean (std err
+    sigma/sqrt(n * trials)), cross-checked against the thermo route, the mean
+    of route A's per-sample mu_x(g), within 4 combined standard errors.  At or
+    below the declared sigma^2 floor the caller is directed to the coboundary
+    check.
+
+    sigma2's agreement check and this KS test read the same sums; each keeps
+    its sample size and its null hypothesis.  The series comes from route A's
+    ensembles (streams 100+), independent of the orbit pass (stream 29).
     """
-    g = g if g is not None else lab.observable
-    if sigma2 is None:
-        raise LimitsError("pass sigma2 (e.g. from sigma2_estimate)")
-    # thermo route for the mean, for the Birkhoff-consistency cross-check
-    ens = OrbitEnsemble(lab, CLT_THERMO_SAMPLES, seed, stream=23, fwd=0, depth=sample_depth)
-    nodes = np.arange(lab.n_points) / lab.n_points
-    gvals = g.values_for_symbol(ens.symbol(0)[:, None], nodes[None, :])
-    G = (ens.mu_weights() * gvals).sum(axis=1)
-    mu_thermo = float(G.mean())
-    mu_thermo_se = float(G.std(ddof=1) / np.sqrt(CLT_THERMO_SAMPLES))
-
-    _, sums = orbit_birkhoff_sums(lab, g, [n], trials, seed, stream=29,
-                                  sample_depth=sample_depth, threads=threads)
-    sn = sums[0]
+    sn, n, trials, sigma2 = var.sums, var.n_var, var.trials, var.sigma2_series
+    mu_thermo = float(var.g_means.mean())
+    mu_thermo_se = float(var.g_means.std(ddof=1) / np.sqrt(len(var.g_means)))
     mu_orbit = float(sn.mean() / n)
     mu_orbit_se = float(sn.std(ddof=1) / (n * np.sqrt(trials)))
     consistent = abs(mu_orbit - mu_thermo) <= 4.0 * np.sqrt(mu_orbit_se**2 + mu_thermo_se**2) + 1e-12
@@ -700,7 +692,7 @@ def clt_test(lab: Lab, g=None, sigma2: float | None = None, n: int = 10_000,
                      float(samples.mean()), float(samples.var(ddof=1)),
                      float(scipy.stats.skew(samples)), mu_orbit, mu_orbit_se,
                      mu_thermo, mu_thermo_se, bool(consistent),
-                     orbit_bias_warning=not lab.spec.has_geometric_potential, samples=samples)
+                     orbit_bias_warning=var.orbit_bias_warning, samples=samples)
 
 
 @dataclass

@@ -220,8 +220,7 @@ def test_criterion_11_sigma2_cross_validation(sigma2_default):
 
 
 def test_criterion_12_clt(stats_lab, sigma2_default):
-    res = clt_test(stats_lab, None, sigma2=sigma2_default.sigma2_series,
-                   n=10_000, trials=2000, seed=SEED)
+    res = clt_test(sigma2_default)
     assert res.status == "ok"
     assert res.p_value > 0.01
     assert res.centering_consistent

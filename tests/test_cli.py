@@ -78,6 +78,7 @@ def test_cli_run_unknown_key_exit_1(tmp_path, capsys):
     ("statistics.m_max", 2), ("statistics.n", 1), ("experiment.decay_base.n_samples", 1),
     ("experiment.lil.trials", 1), ("experiment.gap.n_u", 0), ("experiment.thermo.stream", -1),
     ("statistics.seed", 1.5), ("statistics.seed", -1), ("statistics.seed", 2**64),
+    ("numerics.n_points", 10**30),
 ])
 def test_integer_settings_below_floor_exit_1(tmp_path, capsys, key, value):
     code = cli.run("thermo", out_dir=str(tmp_path), sets=[f"{key}={json.dumps(value)}"])
@@ -160,6 +161,7 @@ def test_decay_base_windows_exit_1(tmp_path, capsys, key, value):
     ("experiment.clt.observable", "foo", "experiment.clt.observable"),
     ("experiment.coboundary.observable", "foo", "experiment.coboundary.observable"),
     ("experiment.coboundary.coboundary_const", "a", "experiment.coboundary.coboundary_const"),
+    ("system.branch_count", [10**400, 3], "system.branch_count"),
 ])
 def test_bad_system_and_tolerances_exit_1(tmp_path, capsys, key, value, named):
     # each used to die inside the model constructors or the experiments without a
@@ -379,9 +381,35 @@ def test_clt_computes_no_orbit_sums_twice(monkeypatch):
                            for k, v in bound.arguments.items()))
         return real(*args, **kwargs)
 
+    reports = []
+    real_sigma2 = limits.sigma2_estimate
     monkeypatch.setattr(limits, "orbit_birkhoff_sums", recording)
-    cli.build_report("clt", small_config())
+    monkeypatch.setattr(limits, "sigma2_estimate",
+                        lambda *args, **kwargs: reports.append(real_sigma2(*args, **kwargs))
+                        or reports[-1])
+    report, _ = cli.build_report("clt", small_config())
     assert calls and len(set(calls)) == len(calls)
+    assert len(calls) == 2  # sigma2's route B and its Var(S_n)/n pass, which clt reads
+    (var,) = reports
+    expected = {**limits.clt_test(var).as_dict(), "sigma2": var.sigma2_series,
+                "sigma2_mc": var.sigma2_mc}
+    assert report["results"] == cli._sanitize(expected)
+
+
+def test_sigma2_and_clt_results_keep_their_keys(monkeypatch):
+    # the sums and base samples clt reads from the sigma2 report stay out of both reports
+    for name in cli._RUNNERS:
+        if name not in ("sigma2", "clt"):
+            monkeypatch.setitem(cli._RUNNERS, name, lambda *args: ({}, True, {}))
+    results = cli.build_report("all", small_config())[0]["results"]
+    assert set(results["sigma2"]["results"]) == {
+        "agreement", "m_used", "mu_estimate", "n_var", "orbit_bias_warning", "s_std_errs",
+        "s_values", "sigma2_mc", "sigma2_mc_se", "sigma2_series", "sigma2_series_se",
+        "tail_bound", "tail_ok", "trials"}
+    assert set(results["clt"]["results"]) == {
+        "centering_consistent", "ks_stat", "mu_orbit", "mu_orbit_se", "mu_thermo",
+        "mu_thermo_se", "n", "orbit_bias_warning", "p_value", "sample_mean", "sample_skew",
+        "sample_var", "sigma2", "sigma2_mc", "sigma2_used", "status", "trials"}
 
 
 def test_all_computes_sigma2_once_per_observable(monkeypatch):

@@ -302,20 +302,16 @@ def test_sigma2_scale_equivariance(stats_lab):
 
 def test_clt_zero_observable(stats_lab):
     g = constant_observable(stats_lab.spec, 0.0)
-    res = clt_test(stats_lab, g, sigma2=0.0, n=200, trials=100, seed=16)
+    var = sigma2_estimate(stats_lab, g, M=4, n_base_samples=100, n_var=200, trials=100, seed=16)
+    res = clt_test(var)
     assert res.status.startswith("degenerate")
     assert res.sample_var == pytest.approx(0.0, abs=1e-20)
-
-
-def test_clt_requires_sigma2(stats_lab):
-    with pytest.raises(LimitsError):
-        clt_test(stats_lab, None, sigma2=None, n=100, trials=50, seed=17)
 
 
 def test_clt_small_run_consistency(stats_lab):
     rep = sigma2_estimate(stats_lab, None, M=8, n_base_samples=300, n_var=2000,
                           trials=500, seed=18)
-    res = clt_test(stats_lab, None, sigma2=rep.sigma2_series, n=2000, trials=500, seed=18)
+    res = clt_test(rep)
     assert res.status == "ok"
     assert res.p_value > 0.01
     assert res.centering_consistent  # Birkhoff consistency of the sampler
