@@ -2,9 +2,9 @@
 
 Every subcommand writes report.json (plus CSVs) into a directory named by
 (subcommand, seed, config hash).  Reports echo the fully resolved config; a
-single volatile section holds the timestamp and thread cap so replays can
-compare everything else byte for byte.  Exit codes: 0 success, 2 contract
-violation or replay divergence, 1 operational error.
+single volatile section holds the timestamp, thread cap, wall time and peak
+RSS so replays can compare everything else byte for byte.  Exit codes: 0
+success, 2 contract violation or replay divergence, 1 operational error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ import datetime
 import hashlib
 import json
 import os
+import resource
 import sys
+import time
 
 import numpy as np
 
@@ -289,6 +291,7 @@ UNTESTED = list(limits.UNTESTED_CLAIMS)
 
 def build_report(subcommand: str, config: dict, threads: int = 1) -> dict:
     """Execute a subcommand and assemble the full report (no files written)."""
+    start = time.perf_counter()
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     seed = int(config["statistics"]["seed"])
@@ -318,6 +321,8 @@ def build_report(subcommand: str, config: dict, threads: int = 1) -> dict:
         "volatile": {
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "threads": int(threads),
+            "elapsed_s": time.perf_counter() - start,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         },
     }
     return report, artifacts

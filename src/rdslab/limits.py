@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.stats
 
 from . import rng
 from .base import sample_seeds, symbols_for_seeds
@@ -675,6 +674,7 @@ def clt_test(var: VarianceReport) -> CltResult:
     its sample size and its null hypothesis.  The series comes from route A's
     ensembles (streams 100+), independent of the orbit pass (stream 29).
     """
+    import scipy.stats  # loaded here: at module level it slows every subcommand's start-up
     sn, n, trials, sigma2 = var.sums, var.n_var, var.trials, var.sigma2_series
     mu_thermo = float(var.g_means.mean())
     mu_thermo_se = float(var.g_means.std(ddof=1) / np.sqrt(len(var.g_means)))

@@ -2,6 +2,8 @@ import inspect
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -444,12 +446,16 @@ def test_decay_base_csv_columns(tmp_path):
     assert header == "n,estimate,std_err,n_samples"
 
 
-def test_replay_roundtrip_and_tamper(tmp_path):
+def test_replay_roundtrip_and_tamper(tmp_path, capsys):
     cfg = small_config()
     report, artifacts = cli.build_report("sigma2", cfg, threads=1)
+    # the report states its cost where replay does not compare it
+    assert report["volatile"]["elapsed_s"] > 0 and report["volatile"]["peak_rss_mb"] > 0
+    assert not {"elapsed_s", "peak_rss_mb"} & set(report["results"])
     d = cli.write_report(report, artifacts, str(tmp_path))
     path = os.path.join(d, "report.json")
     assert cli.replay(path) == 0
+    assert "replay identical" in capsys.readouterr().out
     # tampering with the seed must be detected
     tampered = json.loads(open(path).read())
     tampered["seed"] = tampered["seed"] + 1
@@ -502,3 +508,26 @@ def test_all_subcommand_aggregates(tmp_path):
     assert {"thermo", "encoding", "sigma2", "clt", "coboundary"} <= subs
     assert all("contract_ok" in v for v in report["results"].values())
     assert any(name.startswith("clt-") for name in artifacts)
+
+
+FRESH_START = """
+import json, sys
+import rdslab.cli as cli
+from rdslab.config import apply_overrides, resolve_config
+cfg = apply_overrides(resolve_config({}), json.loads(sys.argv[1]))
+for sub in ("thermo", "gap", "encoding"):
+    cli.build_report(sub, cfg, threads=1)
+assert "scipy.stats" not in sys.modules, "scipy.stats was loaded before clt ran"
+cli.build_report("clt", cfg, threads=1)
+assert "scipy.stats" in sys.modules, "clt ran without scipy.stats"
+"""
+
+
+def test_only_clt_loads_scipy_stats():
+    # a fresh interpreter: this process already holds scipy.stats
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", FRESH_START, json.dumps(SMALL_SETS)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

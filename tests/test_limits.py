@@ -306,6 +306,7 @@ def test_clt_zero_observable(stats_lab):
     res = clt_test(var)
     assert res.status.startswith("degenerate")
     assert res.sample_var == pytest.approx(0.0, abs=1e-20)
+    assert not hasattr(limits, "scipy")  # clt_test imports scipy.stats for both branches
 
 
 def test_clt_small_run_consistency(stats_lab):
