@@ -289,8 +289,9 @@ SUBCOMMANDS = (*_RUNNERS, "all")
 UNTESTED = list(limits.UNTESTED_CLAIMS)
 
 
-def build_report(subcommand: str, config: dict, threads: int = 1) -> dict:
-    """Execute a subcommand and assemble the full report (no files written)."""
+def build_report(subcommand: str, config: dict, threads: int = 1) -> tuple[dict, dict]:
+    """Execute a subcommand; return its full report and its CSV artifacts
+    (file name -> text), writing no files."""
     start = time.perf_counter()
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")

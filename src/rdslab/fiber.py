@@ -434,10 +434,6 @@ class GridFunction:
         z = np.arange(n_points) / n_points
         return cls(np.asarray(f(z)), interp=interp, fiber=fiber)
 
-    @classmethod
-    def constant(cls, c, n_points: int, interp: str = "cubic", fiber=None) -> "GridFunction":
-        return cls(np.full(n_points, c), interp=interp, fiber=fiber)
-
 
 def _shift_windows(vals: np.ndarray, reach: float):
     """Every grid pair within `reach` as one (kmax, n) view: row k - 1 holds

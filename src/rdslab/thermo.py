@@ -442,12 +442,11 @@ class GapFit:
     r_squared: float
     n_values: list
     mean_log_residuals: list
-    per_instance_slopes: list
     measurable: bool
     note: str = ""
 
     def as_dict(self):
-        return {k: v for k, v in asdict(self).items() if k != "per_instance_slopes"}
+        return asdict(self)
 
 
 def gap_estimate(lab: Lab, x_samples, u_samples, n_range, noise_floor: float | None = None) -> GapFit:
@@ -475,19 +474,14 @@ def gap_estimate(lab: Lab, x_samples, u_samples, n_range, noise_floor: float | N
             w = win.transport(w, n - 1)
             residuals[:, k, n - 1] = np.max(np.abs(w), axis=1) / norm_u
     logs = {n: [] for n in n_list}
-    slopes = []
     for inst in residuals.reshape(-1, n_max):  # x-major, u-minor instances
-        above = [(n, float(np.log(v))) for n, v in enumerate(inst, 1) if v > floor]
-        for n, lv in above:
-            if n in logs:
-                logs[n].append(lv)
-        if len(above) >= 3:
-            arr = np.array(above)
-            slopes.append(float(np.polyfit(arr[:, 0], arr[:, 1], 1)[0]))
+        for n, v in enumerate(inst, 1):
+            if n in logs and v > floor:
+                logs[n].append(float(np.log(v)))
     usable = [(n, float(np.mean(v))) for n, v in logs.items() if v]
     if len(usable) < 3:
-        return GapFit(float("nan"), float("nan"), float("nan"), n_list, [], slopes,
-                      False, "gap too strong to measure at this N")
+        return GapFit(float("nan"), float("nan"), float("nan"), n_list, [], False,
+                      "gap too strong to measure at this N")
     ns = np.array([p[0] for p in usable], dtype=float)
     ys = np.array([p[1] for p in usable])
     slope, intercept = np.polyfit(ns, ys, 1)
@@ -496,7 +490,7 @@ def gap_estimate(lab: Lab, x_samples, u_samples, n_range, noise_floor: float | N
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return GapFit(float(np.exp(slope)), float(np.exp(intercept)), r2,
-                  [int(n) for n in ns], [float(y) for y in ys], slopes, True)
+                  [int(n) for n in ns], [float(y) for y in ys], True)
 
 
 @dataclass

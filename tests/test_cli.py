@@ -371,7 +371,8 @@ def test_clt_report_keys(tmp_path):
     assert report["untested_theoretical_claims"]
 
 
-def test_clt_computes_no_orbit_sums_twice(monkeypatch):
+def record_orbit_calls(monkeypatch):
+    """Record the bound arguments of every limits.orbit_birkhoff_sums call."""
     real = limits.orbit_birkhoff_sums
     sig = inspect.signature(real)
     calls = []
@@ -383,19 +384,36 @@ def test_clt_computes_no_orbit_sums_twice(monkeypatch):
                            for k, v in bound.arguments.items()))
         return real(*args, **kwargs)
 
+    monkeypatch.setattr(limits, "orbit_birkhoff_sums", recording)
+    return calls
+
+
+def test_clt_computes_no_orbit_sums_twice(monkeypatch):
+    calls = record_orbit_calls(monkeypatch)
     reports = []
     real_sigma2 = limits.sigma2_estimate
-    monkeypatch.setattr(limits, "orbit_birkhoff_sums", recording)
     monkeypatch.setattr(limits, "sigma2_estimate",
                         lambda *args, **kwargs: reports.append(real_sigma2(*args, **kwargs))
                         or reports[-1])
     report, _ = cli.build_report("clt", small_config())
-    assert calls and len(set(calls)) == len(calls)
-    assert len(calls) == 2  # sigma2's route B and its Var(S_n)/n pass, which clt reads
+    assert len(calls) == 1  # sigma2's Var(S_n)/n pass, which clt reads
     (var,) = reports
     expected = {**limits.clt_test(var).as_dict(), "sigma2": var.sigma2_series,
                 "sigma2_mc": var.sigma2_mc}
     assert report["results"] == cli._sanitize(expected)
+
+
+def test_sigma2_growing_truncation_runs_one_orbit_pass(monkeypatch):
+    # M grows 4 -> 6 -> 9 here, and the covariance series is recomputed at
+    # each M without any orbit pass of its own
+    calls = record_orbit_calls(monkeypatch)
+    config = apply_overrides(resolve_config({}), [
+        "numerics.n_points=128", "numerics.pullback_depth=16", "statistics.m=4",
+        "statistics.m_max=9", "statistics.tail_tol=1e-12", "statistics.trials=200",
+        "statistics.n=1000", "statistics.n_base_samples=200"])
+    results = cli.build_report("sigma2", config)[0]["results"]
+    assert results["m_used"] > 4
+    assert len(calls) == 1
 
 
 def test_sigma2_and_clt_results_keep_their_keys(monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -227,7 +229,7 @@ def reference_route_a(lab, g, M, n_base_samples, seed, sample_depth):
 
 def test_covariance_route_a_bit_equal_to_per_level_reference(small_stats_lab):
     lab, M, n = small_stats_lab, 5, COVARIANCE_CHUNK + 40  # two chunks
-    cov = covariance_sequence(lab, None, M, n, seed=29, sample_depth=6, orbit_trials=20)
+    cov = covariance_sequence(lab, None, M, n, seed=29, sample_depth=6)
     ref = reference_route_a(lab, lab.observable, M, n, 29, 6)
     for row, ref_row in zip(cov.rows, ref):
         got = [row.operator_route, row.operator_se, row.fiber_part, row.base_part]
@@ -236,17 +238,37 @@ def test_covariance_route_a_bit_equal_to_per_level_reference(small_stats_lab):
 
 def test_covariance_constant_observable(stats_lab):
     g = constant_observable(stats_lab.spec, 0.8)
-    cov = covariance_sequence(stats_lab, g, 4, 150, seed=8, orbit_trials=300)
+    cov = covariance_sequence(stats_lab, g, 4, 150, seed=8)
     for row in cov.rows:
         assert abs(row.operator_route) <= 1e-10
-        assert abs(row.orbit_route) <= 1e-10
+
+
+def orbit_route(lab, g, M, trials, seed):
+    """Per-lag reference for the operator route: s_m and its standard error
+    as the mean product of centred g read at times 0 and m along stationary
+    sampled orbits, m = 0..M."""
+    _, sums = orbit_birkhoff_sums(lab, g, range(1, M + 2), trials, seed=seed, stream=300)
+    inc = np.vstack([sums[0], np.diff(sums, axis=0)])  # inc[m] = g at time m
+    h0 = inc[0] - inc[0].mean()
+    prods = [h0 * (inc[m] - inc[m].mean()) for m in range(M + 1)]
+    return [(float(p.mean()), float(p.std(ddof=1) / np.sqrt(len(p)))) for p in prods]
+
+
+def routes_agree(rows, orbit):
+    return [abs(row.operator_route - s_b) <= 4.0 * np.hypot(row.operator_se, se_b) + 1e-12
+            for row, (s_b, se_b) in zip(rows, orbit)]
 
 
 def test_covariance_routes_agree(stats_lab):
-    cov = covariance_sequence(stats_lab, None, 8, 400, seed=9, orbit_trials=2000)
+    g = stats_lab.observable
+    cov = covariance_sequence(stats_lab, g, 8, 400, seed=9)
+    orbit = orbit_route(stats_lab, g, 8, 2000, seed=9)
     assert cov.rows[0].operator_route > 0  # s_0 = Var(g) >= 0
-    for row in cov.rows:
-        assert row.agree, vars(row)
+    assert all(routes_agree(cov.rows, orbit)), (cov.rows, orbit)
+    # the check has teeth: a bias of a fifth of s_0 planted in route A fails every lag
+    bias = 0.2 * cov.rows[0].operator_route
+    planted = [replace(r, operator_route=r.operator_route + bias) for r in cov.rows]
+    assert not any(routes_agree(planted, orbit))
 
 
 def test_covariance_stationarity(stats_lab):
@@ -498,7 +520,7 @@ def test_assumption6_modulus_bound(stats_lab):
 
 def test_covariance_decay_dominance(stats_lab):
     # |s_m| decays at least geometrically down to the Monte Carlo floor
-    cov = covariance_sequence(stats_lab, None, 10, 400, seed=26, orbit_trials=1200)
+    cov = covariance_sequence(stats_lab, None, 10, 400, seed=26)
     s = [abs(r.operator_route) for r in cov.rows]
     se = [r.operator_se for r in cov.rows]
     for m in range(1, len(s)):
