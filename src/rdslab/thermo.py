@@ -378,7 +378,8 @@ def conformal_pullback(lab: Lab, x: BasePoint, depth: int | None = None,
     """
     K = lab.pullback_depth if depth is None else int(depth)
     tol = lab.duality_tol if tol is None else float(tol)
-    probes = random_smooth_functions(lab.n_points, n_probe, seed, interp=lab.interp)
+    probes = np.stack([p.values for p in random_smooth_functions(lab.n_points, n_probe, seed)])
+    pushed = lab.table.op(x.symbol(0)).apply_batch(probes)
     while True:
         omega, lam = _pullback_at_depth(lab, x, K)
         _, lam_prev = _pullback_at_depth(lab, x, K - 2)
@@ -387,11 +388,8 @@ def conformal_pullback(lab: Lab, x: BasePoint, depth: int | None = None,
         # duality against a fresh pullback at the image fiber
         omega_next, _ = _pullback_at_depth(lab, x.shift_by(1), K)
         nu_next = FiberMeasure(omega_next, fiber=x.shift_by(1))
-        op = lab.table.op(x.symbol(0))
-        duality = max(
-            abs(nu_next.integrate(op.apply(p.values)) - lam * nu_x.integrate(p.values))
-            for p in probes
-        )
+        duality = max(abs(nu_next.integrate(lp) - lam * nu_x.integrate(p))
+                      for lp, p in zip(pushed, probes))
         if (delta < tol and duality < tol) or 2 * K > lab.depth_max:
             return PullbackReport(nu_x, lam, K, delta, duality, bool(delta < tol and duality < tol))
         K = 2 * K
@@ -419,12 +417,10 @@ def invariant_density(lab: Lab, x: BasePoint, depth: int | None = None) -> Densi
     K = lab.pullback_depth if depth is None else int(depth)
     rho = lab.rho(x, K)
     win = lab.ensure_chain(x, -(K - 1), 0)
-    acc = GridFunction(np.ones(lab.n_points), interp=lab.interp, fiber=x.shift_by(-(K - 1)))
+    acc = np.ones((1, lab.n_points))
     for j in range(-(K - 1), 0):
-        stepped = transfer_apply(lab.table, x.shift_by(j), acc, kind="normalized",
-                                 lam=win.lam_at(j)[0])
-        acc = stepped.with_values(stepped.values + 1.0)
-    cesaro = acc.values / K
+        acc = win.transport(acc, j) + 1.0
+    cesaro = acc[0] / K
     cesaro_gap = float(np.max(np.abs(rho.values - cesaro)))
 
     rho_next = lab.rho(x.shift_by(1), K)

@@ -4,8 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rdslab as rl
+from rdslab import rng
 from rdslab.base import sample_base
-from rdslab.fiber import GridFunction, interp_stencil
+from rdslab.fiber import GridFunction, alpha_norm, interp_stencil
 from rdslab.thermo import random_smooth_functions
 from rdslab.transfer import (
     TransferError,
@@ -176,6 +177,35 @@ def test_gap_inequality_fit(gibbs_lab):
     assert fit.measurable and fit.kappa < 1.0 and fit.r_squared >= 0.98
 
 
+def single_step_envelopes(lab, xs, r_grid, n_max, seed, functions_per_sample=2):
+    """Sup and alpha envelopes of operator_norm_bounds_check, one transfer_apply at a time."""
+    hp = lab.spec.holder
+    nodes = lab.table.nodes()
+    gen = rng.generator(seed, 0x0B0D)
+    sup_env, alpha_env = np.zeros(n_max), np.zeros(n_max)
+    for x in xs:
+        fs = [np.ones_like(nodes)]
+        for _ in range(functions_per_sample):
+            a = gen.normal(size=3) * [0.5, 0.3, 0.2]
+            b = gen.normal(size=3) * [0.5, 0.3, 0.2]
+            vals = np.ones_like(nodes)
+            for k in range(3):
+                arg = TWO_PI * (k + 1) * nodes
+                vals = vals + a[k] * np.cos(arg) + b[k] * np.sin(arg)
+            fs.append(vals)
+        chain = lab.lambda_chain(x, n_max)
+        for r in r_grid:
+            for f in fs:
+                cur = GridFunction(f.astype(complex))
+                for n in range(1, n_max + 1):
+                    cur = transfer_apply(lab.table, x.shift_by(n - 1), cur, kind="perturbed",
+                                         lam=chain[n - 1], r=r, observable=lab.observable)
+                    sup_env[n - 1] = max(sup_env[n - 1], cur.sup_norm() / np.max(np.abs(f)))
+                    alpha_env[n - 1] = max(alpha_env[n - 1], alpha_norm(cur, hp.alpha, hp.eta)
+                                           / alpha_norm(f, hp.alpha, hp.eta))
+    return sup_env.tolist(), alpha_env.tolist()
+
+
 def test_operator_norm_bounds(gibbs_lab):
     lab = gibbs_lab
     xs = [sample_base(lab.spec.base, 23, i) for i in range(3)]
@@ -184,6 +214,10 @@ def test_operator_norm_bounds(gibbs_lab):
     assert rep["sup_envelope"][-1] <= rep["c_fitted"] + 1e-12
     # sup ratios bounded by the measured envelope of L_0^n 1
     assert max(rep["sup_envelope"]) <= rep["c_inf_on_one"] * (1 + 1e-10)
+    # off r = 0 every batched transport step is the single perturbed step, bit for bit
+    rep = rl.operator_norm_bounds_check(lab, xs, (0.5, -1.0), 10, seed=3)
+    ref = single_step_envelopes(lab, xs, (0.5, -1.0), 10, seed=3)
+    assert (rep["sup_envelope"], rep["alpha_envelope"]) == ref
 
 
 def test_operator_norm_alpha_bound_at_half(gibbs_lab):
@@ -243,25 +277,31 @@ def small_tables():
             for interp in ("linear", "cubic")]
 
 
-@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 5))
-def test_batch_apply_and_adjoint_are_transposes(small_tables, seed, rows):
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 5), complex_rows=st.booleans())
+def test_batch_apply_and_adjoint_are_transposes(small_tables, seed, rows, complex_rows):
     # <L u, w> = <u, L^T w> for every symbol operator, relative to the sum of the
-    # absolute terms (the scale of the rounding error)
+    # absolute terms (the scale of the rounding error); a single call is a batch row
     gen = np.random.default_rng(seed)
     for table in small_tables:
         for op in table.ops.values():
             us, ws = gen.uniform(-1.0, 1.0, (2, rows, table.n_points))
-            lhs = np.sum(op.apply_batch(us) * ws)
-            rhs = np.sum(us * op.adjoint_batch(ws))
+            if complex_rows:
+                us = us + 1j * gen.uniform(-1.0, 1.0, us.shape)
+            lus, lws = op.apply_batch(us), op.adjoint_batch(ws)
+            lhs = np.sum(lus * ws)
+            rhs = np.sum(us * lws)
             scale = np.sum((np.abs(us) @ abs(op.matrix).T) * np.abs(ws))
             assert abs(lhs - rhs) <= 1e-12 * scale
+            for i in range(rows):
+                assert np.array_equal(op.apply(us[i]), lus[i])
+                assert np.array_equal(op.adjoint(ws[i]), lws[i])
 
 
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 5), complex_rows=st.booleans())
 def test_perturbed_batch_is_the_branch_sum_and_leaves_rows_alone(small_tables, seed, rows,
                                                                  complex_rows):
     # the branch products are scaled and summed in place: same bits as the plain
-    # branch-order sum, and the caller's rows stay untouched
+    # branch-order sum and as single calls, and the caller's rows stay untouched
     gen = np.random.default_rng(seed)
     for table in small_tables:
         for e, op in table.ops.items():
@@ -272,8 +312,11 @@ def test_perturbed_batch_is_the_branch_sum_and_leaves_rows_alone(small_tables, s
             phase = table.phase_at_branches(e, rl.default_observable(table.spec), 0.7)
             ref = sum((op.phi_weights[b] * phase[b])[None, :] * (us @ s_t)
                       for b, s_t in enumerate(op.branch_interp_t))
-            assert np.array_equal(op.apply_perturbed_batch(us, phase), ref)
+            out = op.apply_perturbed_batch(us, phase)
+            assert np.array_equal(out, ref)
             assert np.array_equal(us, before)
+            for i in range(rows):
+                assert np.array_equal(op.apply_perturbed(us[i], phase), out[i])
 
 
 @given(n=st.integers(4, 4096), kind=st.sampled_from(["linear", "cubic"]),
