@@ -28,7 +28,7 @@ path = os.path.join(out, report_dir, "report.json")
 report = json.load(open(path))
 print(f"report: {path}")
 print(f"  config hash: {report['config_hash'][:16]}...")
-print(f"  sigma^2 = {report['results']['sigma2']:.4f}, "
+print(f"  sigma^2 = {report['results']['sigma2_used']:.4f}, "
       f"KS p = {report['results']['p_value']:.3f}")
 print(f"  untested claims recorded: {report['untested_theoretical_claims']}")
 

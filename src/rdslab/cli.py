@@ -228,7 +228,6 @@ def _run_clt(lab, config, seed, threads, memo):
     var = _sigma2(lab, g, config, seed, threads, memo)
     res = limits.clt_test(var)
     results = res.as_dict()
-    results["sigma2"] = var.sigma2_series
     results["sigma2_mc"] = var.sigma2_mc
     # raw samples and histogram-vs-density plot data
     hist, edges = np.histogram(res.samples, bins=40, density=True)

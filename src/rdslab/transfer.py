@@ -285,26 +285,26 @@ def operator_norm_bounds_check(lab, x_samples, r_grid, n_max: int, seed: int = 0
     xs = list(x_samples)
     per_x = 1 + functions_per_sample
     # rows x-major: per x the constant function, then its random smooth functions
-    tests = []
+    fs = []
     for _ in xs:
-        tests.append(np.ones_like(nodes))
+        fs.append(np.ones_like(nodes))
         for _ in range(functions_per_sample):
             a = gen.normal(size=3) * [0.5, 0.3, 0.2]
             b = gen.normal(size=3) * [0.5, 0.3, 0.2]
             vals = np.ones_like(nodes)
             for k in range(3):
                 vals = vals + a[k] * np.cos(2 * np.pi * (k + 1) * nodes) + b[k] * np.sin(2 * np.pi * (k + 1) * nodes)
-            tests.append(vals)
-    tests = np.array(tests)
+            fs.append(vals)
+    fs = np.array(fs)
     # rows of one x share its symbol path, so the window sweeps each x once
     win = lab.window([x for x in xs for _ in range(per_x)], fwd=n_max - 1)
-    f_inf = np.max(np.abs(tests), axis=1)
-    f_alpha = np.array([alpha_norm(f, hp.alpha, hp.eta) for f in tests])
+    f_inf = np.max(np.abs(fs), axis=1)
+    f_alpha = np.array([alpha_norm(f, hp.alpha, hp.eta) for f in fs])
     sup_env = np.zeros(n_max)
     alpha_env = np.zeros(n_max)
     c_inf = 0.0
     for r in r_grid:
-        rows = tests.astype(complex)
+        rows = fs.astype(complex)
         for n in range(1, n_max + 1):
             rows = win.transport(rows, n - 1, r, lab.observable)
             sup_n = np.max(np.abs(rows), axis=1)

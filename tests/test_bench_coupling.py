@@ -7,6 +7,10 @@ it in the test suite, without installing the tracer.
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -74,3 +78,36 @@ def test_window_sweeps_pass_row_major_batches(monkeypatch):
         assert shapes
         assert all(s is not None and len(s) == 2 and 1 <= s[0] <= 40 and s[1] == 16
                    for s in shapes)
+
+
+TRACED_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import rdslab.cli as cli
+from tracer import Tracer
+from workload import WORKLOADS, resolve
+config = resolve(cli, 3, shrink=True)
+tracer = Tracer()
+tracer.install()
+gaps = {}
+for name, subcommands in WORKLOADS.items():
+    tracer.reset()
+    for sub in subcommands:
+        report, artifacts = cli.build_report(sub, config, threads=1)
+        cli.write_report(report, artifacts, sys.argv[2])
+    gaps[name] = tracer.coverage_gaps(name)
+print(json.dumps(gaps))
+"""
+
+
+def test_traced_workloads_reach_every_wrapper(tmp_path):
+    # each workload, at the benchmark self-test's shrunken config, calls every
+    # wrapper the tracer expects of it; a fresh interpreter, so the patches stay there
+    src = Path(rl.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUN, str(TRACER_PATH.parent),
+                           str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    gaps = json.loads(proc.stdout.splitlines()[-1])
+    assert gaps == {name: [] for name in ("lab", "ensemble", "clt")}
