@@ -4,9 +4,11 @@ The discretized operator for one base symbol is a sparse N x N matrix built
 from the inverse branches of the target nodes, the potential weights at the
 branch points, and the periodic interpolation stencil.  A SymbolOperator
 holds it as three sparse structures, one per method family (see its
-docstring); the benchmark tracer's hooks read them.  Orbit iterates are
-step-wise compositions (cost n * N * deg); the depth-n preimage tree (cost
-N * deg^n) is kept only as the ground-truth oracle.
+docstring); the benchmark tracer's hooks read them.  The batch methods
+multiply by transposes of the structures built once with the operator:
+views that share the structures' arrays, so they hold no new data.  Orbit
+iterates are step-wise compositions (cost n * N * deg); the depth-n preimage
+tree (cost N * deg^n) is kept only as the ground-truth oracle.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ class SymbolOperator:
     (per branch, the transposed unweighted stencils) by `apply_perturbed*`.
     A single-vector call is row 0 of its batch method on a one-row batch, so
     both give the same bits.  The benchmark tracer's hooks read the structures.
+
+    A batch method returns `(A.T @ rows.T).T` for its structure A, the
+    expression scipy evaluates for `rows @ A`, with each A.T (a CSC view of
+    A's arrays, no new data) built once here instead of once per product.
     """
 
     def __init__(self, spec: SystemSpec, e: int, n_points: int, interp: str,
@@ -61,6 +67,9 @@ class SymbolOperator:
             sp.csr_matrix((wts[:, b * n:(b + 1) * n].ravel(),
                            (idx[:, b * n:(b + 1) * n].ravel(), targets.ravel())), shape=(n, n))
             for b in range(d)]
+        self._matrix_T = self.matrix.T
+        self._matrix_t_T = self.matrix_t.T
+        self._branch_interp_t_T = [st.T for st in self.branch_interp_t]
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """L u at the target nodes."""
@@ -75,16 +84,18 @@ class SymbolOperator:
         return self.adjoint_batch(omega[None, :])[0]
 
     def adjoint_batch(self, omegas: np.ndarray) -> np.ndarray:
-        return omegas @ self.matrix
+        """Rows of omega @ matrix."""
+        return (self._matrix_T @ omegas.T).T
 
     def apply_batch(self, us: np.ndarray) -> np.ndarray:
-        return us @ self.matrix_t
+        """Rows of u @ matrix_t."""
+        return (self._matrix_t_T @ us.T).T
 
     def apply_perturbed_batch(self, us: np.ndarray, phase: np.ndarray) -> np.ndarray:
         """Rows of L(e^{i r g} u); phase has shape (d, n) as in apply_perturbed."""
         out = None  # weighted branch products, summed in branch order in place
-        for w, st in zip(self.phi_weights * phase, self.branch_interp_t):
-            p = us @ st
+        for w, st_T in zip(self.phi_weights * phase, self._branch_interp_t_T):
+            p = (st_T @ us.T).T
             p = np.multiply(w, p, out=p if p.dtype == np.result_type(w, p) else None)
             out = p if out is None else np.add(out, p, out=out)
             del p  # released before the next product is formed

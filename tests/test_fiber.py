@@ -19,7 +19,7 @@ from rdslab.fiber import (
     map_derivative_symbol,
     variation_alpha,
 )
-from rdslab.thermo import random_smooth_functions
+from rdslab.thermo import random_lipschitz_functions, random_smooth_functions
 
 TWO_PI = 2 * np.pi
 
@@ -168,6 +168,52 @@ def test_variation_matches_bruteforce_scan(re, im, complex_values, alpha, eta, s
     hp = rl.HolderParams(alpha=alpha, eta=0.5, xi=max(eta, 1e-3), H_tilde=1.0, gamma_star=2.0)
     cert = cone_check(GridFunction(h), s, np.full(len(h), 1.0 / len(h)), hp)
     assert (cert.ok, cert.reason, cert.worst_pair, cert.worst_margin) == bruteforce_cone(h, s, hp)
+
+
+def full_scan_variation(shift_diffs, n, alpha, eta):
+    """The unpruned scan: every shift's ratio, from max |u_i - u_{i+k}| per k."""
+    kmax = min(int(np.floor(eta * n)), n // 2)
+    dists = [min(k, n - k) / n for k in range(1, kmax + 1)]
+    return float(max([0.0, *(diff / dist**alpha for diff, dist in zip(shift_diffs, dists))]))
+
+
+def lab_scale_rows(n, lab):
+    """Rows of n points that stress the dyadic bound: smooth, kinked, transported,
+    tied, spiked, subnormal and non-finite."""
+    gen = np.random.default_rng(n)
+    rows = [f.values for f in random_smooth_functions(n, 3, 7)]
+    rows += [f.values for f in random_lipschitz_functions(n, 3, 7)]
+    x = sample_base(lab.spec.base, 11, 0)
+    win = lab.window([x] * 2, fwd=1)
+    rows += list(win.transport(np.array(rows[:2]), 0, 0.7, lab.observable))
+    i = np.arange(n)
+    rows += [i * 1.0, np.minimum(i, n - i) * 2.0**-10]  # the tent ties every shift at alpha = 1
+    spike = np.zeros(n)
+    spike[n // 3] = 1.0
+    rows.append(spike)
+    tiny = gen.integers(-8, 9, n) * 5e-324
+    rows += [tiny, tiny + 1j * gen.integers(-8, 9, n) * 5e-324]
+    for bad in (np.inf, -np.inf, np.nan):
+        row = rows[3].copy()
+        row[n // 5] = bad
+        rows.append(row)
+    even_inf = rows[3].copy()
+    even_inf[::2] = np.inf  # odd shifts reach inf, even shifts only nan
+    rows.append(even_inf)
+    return rows
+
+
+@pytest.mark.parametrize("n", [1024, 333])
+def test_pruned_variation_is_the_full_scan_at_lab_scale(n):
+    lab = rl.Lab(rl.gibbs_system(), n_points=n, pullback_depth=8)
+    for vals in lab_scale_rows(n, lab):
+        with np.errstate(invalid="ignore"):  # inf - inf in the non-finite rows
+            shift_diffs = [float(np.abs(vals - np.roll(vals, -k)).max())
+                           for k in range(1, n // 2 + 1)]
+            for alpha in (0.05, 0.5, 1.0):
+                for eta in (0.004, 0.1, 1.0 / 6.0, 0.3, 0.5):
+                    got = variation_alpha(vals, alpha, eta)
+                    assert got == full_scan_variation(shift_diffs, n, alpha, eta), (alpha, eta)
 
 
 def test_apply_map_symbol_on_symbol_array_matches_scalar_symbols():

@@ -319,6 +319,32 @@ def test_perturbed_batch_is_the_branch_sum_and_leaves_rows_alone(small_tables, s
                 assert np.array_equal(op.apply_perturbed(us[i], phase), out[i])
 
 
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), complex_rows=st.booleans())
+def test_batch_products_are_scipy_row_products(small_tables, seed, rows, complex_rows):
+    # the batch methods multiply by transposes held since construction: the bits
+    # of `rows @ structure`, from views that share the structures' arrays
+    gen = np.random.default_rng(seed)
+    for table in small_tables:
+        for e, op in table.ops.items():
+            us = gen.uniform(-1.0, 1.0, (rows, table.n_points))
+            if complex_rows:
+                us = us + 1j * gen.uniform(-1.0, 1.0, us.shape)
+            phase = table.phase_at_branches(e, rl.default_observable(table.spec), 0.7)
+            ref = None
+            for w, s_t in zip(op.phi_weights * phase, op.branch_interp_t):
+                p = w * (us @ s_t)
+                ref = p if ref is None else ref + p
+            assert np.array_equal(op.adjoint_batch(us), us @ op.matrix)
+            assert np.array_equal(op.apply_batch(us), us @ op.matrix_t)
+            assert np.array_equal(op.apply_perturbed_batch(us, phase), ref)
+            held = [(op._matrix_T, op.matrix), (op._matrix_t_T, op.matrix_t),
+                    *zip(op._branch_interp_t_T, op.branch_interp_t)]
+            for a_t, a in held:
+                assert a_t.shape == a.shape[::-1]
+                for name in ("data", "indices", "indptr"):
+                    assert np.shares_memory(getattr(a_t, name), getattr(a, name))
+
+
 @given(n=st.integers(4, 4096), kind=st.sampled_from(["linear", "cubic"]),
        points=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=40))
 def test_stencil_weights_sum_to_one(n, kind, points):
