@@ -6,9 +6,14 @@ branch points, and the periodic interpolation stencil.  A SymbolOperator
 holds it as three sparse structures, one per method family (see its
 docstring); the benchmark tracer's hooks read them.  The batch methods
 multiply by transposes of the structures built once with the operator:
-views that share the structures' arrays, so they hold no new data.  Orbit
-iterates are step-wise compositions (cost n * N * deg); the depth-n preimage
-tree (cost N * deg^n) is kept only as the ground-truth oracle.
+views that share the structures' arrays, so they hold no new data.  A large
+batch is multiplied in row tiles of about TILE_BYTES of output, each written
+into a C-ordered result while it is still in cache; a batch of one tile is
+multiplied whole.  Every row gets the same bits either way, but the memory
+layout of a batch result differs between the two, so callers must not rely
+on it.  Orbit iterates are step-wise compositions (cost n * N * deg); the
+depth-n preimage tree (cost N * deg^n) is kept only as the ground-truth
+oracle.
 """
 
 from __future__ import annotations
@@ -29,6 +34,14 @@ from .fiber import (
 )
 
 
+# Output bytes per row tile of a batch product.  scipy multiplies a batch via
+# a transposed copy of its rows and returns a transposed view; per tile, both
+# stay in a 2 MiB L2.  `ensemble` `wall_s`, 3 alternating runs each, reference
+# s: whole batches 1.41-1.65, 256 KiB 1.06-1.16, 512 KiB 1.07-1.10 (kept),
+# 1 MiB 1.21-1.25.
+TILE_BYTES = 512 * 1024
+
+
 class TransferError(RuntimeError):
     pass
 
@@ -46,6 +59,11 @@ class SymbolOperator:
     A batch method returns `(A.T @ rows.T).T` for its structure A, the
     expression scipy evaluates for `rows @ A`, with each A.T (a CSC view of
     A's arrays, no new data) built once here instead of once per product.
+    A batch of more than one tile (`_tiled`) is multiplied tile by tile into
+    a C-ordered (rows x N) result; a batch of one tile returns scipy's
+    transposed view as it is.  Each row meets the same kernel on the same
+    values in both cases, so it has the same bits, but the result's memory
+    layout depends on the batch size: callers must not rely on it.
     """
 
     def __init__(self, spec: SystemSpec, e: int, n_points: int, interp: str,
@@ -85,21 +103,42 @@ class SymbolOperator:
 
     def adjoint_batch(self, omegas: np.ndarray) -> np.ndarray:
         """Rows of omega @ matrix."""
-        return (self._matrix_T @ omegas.T).T
+        a_t = self._matrix_T
+        return _tiled(omegas, np.result_type(a_t.dtype, omegas), lambda rows: (a_t @ rows.T).T)
 
     def apply_batch(self, us: np.ndarray) -> np.ndarray:
         """Rows of u @ matrix_t."""
-        return (self._matrix_t_T @ us.T).T
+        a_t = self._matrix_t_T
+        return _tiled(us, np.result_type(a_t.dtype, us), lambda rows: (a_t @ rows.T).T)
 
     def apply_perturbed_batch(self, us: np.ndarray, phase: np.ndarray) -> np.ndarray:
         """Rows of L(e^{i r g} u); phase has shape (d, n) as in apply_perturbed."""
-        out = None  # weighted branch products, summed in branch order in place
-        for w, st_T in zip(self.phi_weights * phase, self._branch_interp_t_T):
-            p = (st_T @ us.T).T
-            p = np.multiply(w, p, out=p if p.dtype == np.result_type(w, p) else None)
-            out = p if out is None else np.add(out, p, out=out)
-            del p  # released before the next product is formed
-        return out
+        weights = self.phi_weights * phase
+
+        def product(rows):
+            out = None  # weighted branch products, summed in branch order in place
+            for w, st_T in zip(weights, self._branch_interp_t_T):
+                p = (st_T @ rows.T).T
+                p = np.multiply(w, p, out=p if p.dtype == np.result_type(w, p) else None)
+                out = p if out is None else np.add(out, p, out=out)
+                del p  # released before the next product is formed
+            return out
+        return _tiled(us, np.result_type(weights, us), product)
+
+
+def _tiled(rows: np.ndarray, dtype, product) -> np.ndarray:
+    """product(rows), a (rows x N) batch of `dtype`, computed per row tile of TILE_BYTES.
+
+    A batch of one tile returns product(rows) itself; a larger one is
+    written tile by tile into one C-ordered result.
+    """
+    tile = max(1, TILE_BYTES // (rows.shape[1] * np.dtype(dtype).itemsize))
+    if rows.shape[0] <= tile:
+        return product(rows)
+    out = np.empty(rows.shape, dtype)
+    for i in range(0, rows.shape[0], tile):
+        out[i:i + tile] = product(rows[i:i + tile])
+    return out
 
 
 class OperatorTable:

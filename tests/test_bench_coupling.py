@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 import rdslab as rl
+from rdslab import transfer
 from rdslab.transfer import SymbolOperator
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -78,6 +79,37 @@ def test_window_sweeps_pass_row_major_batches(monkeypatch):
         assert shapes
         assert all(s is not None and len(s) == 2 and 1 <= s[0] <= 40 and s[1] == 16
                    for s in shapes)
+
+
+def test_row_tiles_keep_one_batch_call_per_symbol_group(monkeypatch):
+    # the tracer counts rows, flop and bytes per call of the methods it wraps; a
+    # group that spans several row tiles must still be one C-ordered call with
+    # the group's full row count, as with whole-batch products
+    lab = rl.Lab(rl.make_system(), n_points=16, pullback_depth=4)
+    calls = []
+    for method in ("adjoint_batch", "apply_batch", "apply_perturbed_batch"):
+        def spy(op, rows, *args, _inner=getattr(SymbolOperator, method), _method=method):
+            e = next(e for e, o in lab.table.ops.items() if o is op)
+            calls.append((_method, e, rows.shape if rows.flags.c_contiguous else None))
+            return _inner(op, rows, *args)
+        monkeypatch.setattr(SymbolOperator, method, spy)
+
+    def run():
+        calls.clear()
+        ens = rl.OrbitEnsemble(lab, 40, 1, 2, fwd=2, depth=6, nu_levels=(0, 2))
+        ens.chain_perturbed(ens.nu_snap[0], 0, (0.7, 0.0))
+        groups = [[(method, e, (int(np.sum(ens.symbol(j) == e)), 16))
+                   for e in lab.spec.alphabet if np.any(ens.symbol(j) == e)]
+                  for j, method in enumerate(("apply_perturbed_batch", "apply_batch"))]
+        return list(calls), groups[0] + groups[1]
+
+    whole, _ = run()
+    monkeypatch.setattr(transfer, "TILE_BYTES", 2 * 16 * 8)  # 2 real or 1 complex row
+    tiled, transport_groups = run()
+    assert all(shape is not None and shape[1] == 16 for *_, shape in tiled)
+    assert tiled == whole
+    assert tiled[-len(transport_groups):] == transport_groups
+    assert max(shape[0] for *_, shape in tiled) > 2
 
 
 TRACED_RUN = """

@@ -155,11 +155,24 @@ grid_values = st.lists(st.one_of(st.integers(-3, 3).map(float),
                                  st.floats(-10, 10, allow_nan=False)), min_size=4, max_size=48)
 
 
-@given(grid_values, grid_values, st.booleans(), st.floats(0.05, 1.0), st.floats(0.0, 0.7),
-       st.floats(0.01, 3.0))
-def test_variation_matches_bruteforce_scan(re, im, complex_values, alpha, eta, s):
-    n = min(len(re), len(im))
-    vals = np.array(re[:n]) + 1j * np.array(im[:n]) if complex_values else np.array(re)
+@st.composite
+def grid_rows(draw):
+    """Short rows of tied and arbitrary values, or smooth and Lipschitz rows of up
+    to 300 points: their largest ratio sits at long shifts, most of them not
+    powers of two, which only the pruned part of the dyadic scan reaches."""
+    complex_values = draw(st.booleans())
+    if draw(st.booleans()):
+        re, im = draw(grid_values), draw(grid_values)
+        n = min(len(re), len(im))
+        return np.array(re[:n]) + 1j * np.array(im[:n]) if complex_values else np.array(re)
+    n = draw(st.integers(32, 300))
+    family = draw(st.sampled_from([random_smooth_functions, random_lipschitz_functions]))
+    re, im = (f.values for f in family(n, 2, draw(st.integers(0, 2**16))))
+    return re + 1j * im if complex_values else re
+
+
+@given(grid_rows(), st.floats(0.05, 1.0), st.floats(0.0, 0.7), st.floats(0.01, 3.0))
+def test_variation_matches_bruteforce_scan(vals, alpha, eta, s):
     assert variation_alpha(GridFunction(vals), alpha, eta) == bruteforce_variation(vals, alpha, eta)
     assert cone_oscillation(vals, eta) == bruteforce_oscillation(vals, eta)
     # a positive, Lebesgue-normalized function reaches the oscillation scan

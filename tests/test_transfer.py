@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rdslab as rl
-from rdslab import rng
+from rdslab import rng, transfer
 from rdslab.base import sample_base
 from rdslab.fiber import GridFunction, alpha_norm, interp_stencil
 from rdslab.thermo import random_smooth_functions
@@ -343,6 +343,56 @@ def test_batch_products_are_scipy_row_products(small_tables, seed, rows, complex
                 assert a_t.shape == a.shape[::-1]
                 for name in ("data", "indices", "indptr"):
                     assert np.shares_memory(getattr(a_t, name), getattr(a, name))
+
+
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), tile=st.integers(1, 7),
+       complex_rows=st.booleans())
+def test_row_tiles_give_the_untiled_bits(small_tables, seed, rows, tile, complex_rows):
+    # with TILE_BYTES set to `tile` output rows, a larger batch is multiplied tile by
+    # tile (a C-ordered result shows it), and every row keeps the bits of the
+    # untiled expression, whatever the last partial tile holds
+    gen = np.random.default_rng(seed)
+    for table in small_tables:
+        n = table.n_points
+        for e, op in table.ops.items():
+            us = gen.uniform(-1.0, 1.0, (rows, n))
+            if complex_rows:
+                us = us + 1j * gen.uniform(-1.0, 1.0, us.shape)
+            phase = table.phase_at_branches(e, rl.default_observable(table.spec), 0.7)
+            perturbed = None
+            for w, st_T in zip(op.phi_weights * phase, op._branch_interp_t_T):
+                p = w * (st_T @ us.T).T
+                perturbed = p if perturbed is None else perturbed + p
+            cases = [(op.adjoint_batch, (us,), (op._matrix_T @ us.T).T),
+                     (op.apply_batch, (us,), (op._matrix_t_T @ us.T).T),
+                     (op.apply_perturbed_batch, (us, phase), perturbed)]
+            for method, args, want in cases:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(transfer, "TILE_BYTES", tile * n * want.itemsize)
+                    got = method(*args)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.array_equal(got, want)
+                assert got.flags.c_contiguous or rows <= tile
+
+
+def test_row_tiles_leave_ensemble_windows_bit_identical(small_stats_lab, monkeypatch):
+    # groups of up to 90 rows in tiles of 3 real or 1 complex row, against whole batches
+    lab = small_stats_lab
+
+    def build():
+        ens = rl.OrbitEnsemble(lab, 90, 5, 2, fwd=3, depth=8, nu_levels=(0, 3))
+        chain = ens.chain_perturbed(ens.nu_snap[0] * (1.0 + 0.5j), 0, (0.6, 0.0, -1.1))
+        return ens._lam, ens.nu_snap, ens.rho_snap, ens.sample_z(), chain
+
+    whole = build()
+    monkeypatch.setattr(transfer, "TILE_BYTES", 3 * lab.n_points * 8)
+    tiled = build()
+    for a, b in zip(whole, tiled):
+        if isinstance(a, dict):
+            assert sorted(a) == sorted(b)
+            a, b = [a[k] for k in sorted(a)], [b[k] for k in sorted(b)]
+        assert np.array_equal(a, b)
+    assert tiled[-1].dtype == complex
 
 
 @given(n=st.integers(4, 4096), kind=st.sampled_from(["linear", "cubic"]),
