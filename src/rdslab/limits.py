@@ -94,26 +94,41 @@ def _complex_se(values: np.ndarray) -> float:
 JITTER_SCALE = 2.0**-43
 ORBIT_CHUNK = 500
 COVARIANCE_CHUNK = 256
-# Steps per block of symbols and jitter.  A block's step-major rows stay in
-# cache at chunk width; 2048 steps spilled it (64-256 measured, 128 kept).
-ORBIT_BLOCK = 128
+# Cells (steps x trials) per block of symbols, jitter and saved states: a block
+# runs max(1, ORBIT_BLOCK // width) steps, so its buffers keep one size at every
+# width (a fixed 128 steps left cache above width ~1000).  On the clt pass
+# (width 2000), 16k, 32k and 64k cells took 3.18, 3.11 and 3.34 s (best of 5);
+# the benchmark's clt wall_s medians of 3 rounds, 2.80, 2.93 and 2.87 s, sat
+# within the runs' spread.  32k also takes the fewest page faults: 9.5k minor
+# faults a pass against 92k at 16k (a float block is then 128 KiB, glibc's
+# default mmap threshold) and 98k for the old 128-step chunks of 500.
+ORBIT_BLOCK = 32_000
 
 
-def _orbit_chunk(lab: Lab, g, record_at, pos, n_steps, size, seed, stream, sample_depth,
-                 running_stat, sl):
-    ens = OrbitEnsemble(lab, size, seed, stream, fwd=0, depth=sample_depth)
-    z = ens.sample_z()
-    jitter_keys = rng.derive_keys(rng.derive_key(seed, 0x7177, stream), 1, size)
+def _orbit_group(lab: Lab, g, record_at, n_steps, seed, stream, sample_depth, running_stat,
+                 chunks):
+    """One wide orbit state over the trial chunks [(ci, a, b), ...], which are contiguous."""
+    seeds, keys, z = [], [], []
+    for ci, a, b in chunks:
+        sub = (int(stream) << 20) | ci
+        ens = OrbitEnsemble(lab, b - a, seed, sub, fwd=0, depth=sample_depth)
+        seeds.append(ens.seeds)
+        keys.append(rng.derive_keys(rng.derive_key(seed, 0x7177, sub), 1, b - a))
+        z.append(ens.sample_z())
+    seeds, jitter_keys = np.concatenate(seeds), np.concatenate(keys)
+    width, sl = len(seeds), slice(chunks[0][1], chunks[-1][2])
+    block = max(1, ORBIT_BLOCK // width)
     d, eps = lab.spec.map_coefficients
-    S = np.zeros(size)
-    scratch = np.empty(size)
-    zs = np.empty((ORBIT_BLOCK + 1, size))  # row k: the state before step j0 + k
-    zs[0] = z
-    out = np.zeros((len(record_at), size))
-    for j0 in range(0, n_steps, ORBIT_BLOCK):
-        j1 = min(j0 + ORBIT_BLOCK, n_steps)
+    S = np.zeros(width)
+    scratch = np.empty(width)
+    zs = np.empty((block + 1, width))  # row k: the state before step j0 + k
+    zs[0] = np.concatenate(z)
+    out = np.zeros((len(record_at), width))
+    ri = sum(t <= 0 for t in record_at)  # the next record time; S_0 = 0
+    for j0 in range(0, n_steps, block):
+        j1 = min(j0 + block, n_steps)
         # step-major: row k of each block belongs to step j0 + k
-        syms = np.ascontiguousarray(symbols_for_seeds(lab.spec.base, ens.seeds, j0, j1).T)
+        syms = np.ascontiguousarray(symbols_for_seeds(lab.spec.base, seeds, j0, j1).T)
         hashes = rng.keyed_hash_grid(jitter_keys, np.arange(j0, j1))
         jit = np.ascontiguousarray(rng.to_unit(hashes).T)
         jit -= 0.5
@@ -122,19 +137,20 @@ def _orbit_chunk(lab: Lab, g, record_at, pos, n_steps, size, seed, stream, sampl
         n = j1 - j0
         for k in range(n):
             _map_step(d_rows[k], eps_rows[k], zs[k], jit[k], out=zs[k + 1], scratch=scratch)
-        # row k becomes S after step j0 + k; cumsum adds in step order, so the bits
-        # are those of a running sum updated once per step
+        # row k becomes S after step j0 + k + 1; cumsum adds in step order, so the
+        # bits are those of a running sum updated once per step
         sums = g.values_for_symbol(syms, zs[:n])
         sums[0] += S
         np.cumsum(sums, axis=0, out=sums)
         S = sums[-1]
         zs[0] = zs[n]
-        for k in range(n):
-            t = j0 + k + 1
-            if running_stat is not None:
-                running_stat(t, sums[k], sl)
-            if t in pos:
-                out[pos[t]] = sums[k]
+        if running_stat is not None:
+            rows = sums.view()
+            rows.flags.writeable = False
+            running_stat(j0, rows, sl)
+        while ri < len(record_at) and record_at[ri] <= j1:
+            out[ri] = sums[record_at[ri] - j0 - 1]
+            ri += 1
     return out
 
 
@@ -144,13 +160,7 @@ def orbit_birkhoff_sums(lab: Lab, g, record_at, trials: int, seed: int, stream: 
 
     Initial fiber points are drawn from the invariant fiber measures, so the
     sampled process is stationary.  Returns (times, matrix (len(times),
-    trials)).  `running_stat(t, S, trial_slice)` is called once per step, in
-    step order; S is a row of a block buffer, so the callback must not
-    change it.  Symbols and jitter are generated in blocks of ORBIT_BLOCK
-    steps.  Within a block only the map steps run per step, saving each
-    state; the observable is then evaluated on the whole block at once and
-    summed along the steps by a cumulative sum, which adds in step order,
-    as a per-step running sum would.
+    trials)).
 
     Every step applies a keyed jitter of size 2^-43.  Without it, float64
     iteration of d z mod 1 drains mantissa bits (multiplying by the branch
@@ -159,32 +169,45 @@ def orbit_birkhoff_sums(lab: Lab, g, record_at, trials: int, seed: int, stream: 
     to the symbol-only process.  The jitter replenishes one-bit-per-step
     entropy while staying ten orders of magnitude below the quadrature bias.
 
-    Trials are split into fixed-size chunks with derived substreams; chunks
-    may execute on a thread pool, and results are identical for every thread
-    count because chunking and reduction order are fixed.
+    Randomness comes in trial chunks of ORBIT_CHUNK: chunk ci is substream
+    (stream << 20) | ci, with its own seeds, start states and jitter keys.
+    The chunks are split into min(threads, chunks) contiguous groups, and
+    each group runs on the thread pool as one wide state: the chunks' seeds,
+    jitter keys and start states are concatenated and stepped together.
+    Every operation is elementwise per trial, so each S_n has the same bits
+    at every thread count.
+
+    Symbols and jitter are generated in blocks of max(1, ORBIT_BLOCK // width)
+    steps, width being the group's trial count.  Within a block only the map
+    steps run per step, saving each state; the observable is then evaluated
+    on the whole block at once and summed along the steps by a cumulative
+    sum, which adds in step order, as a per-step running sum would.
+
+    `running_stat(t0, rows, sl)` is called once per block, in step order
+    within a group: `rows` is a read-only (steps x width) view whose row k
+    holds S after step t0 + k + 1 for the trials in slice `sl`.  With
+    threads > 1, groups call it concurrently on disjoint slices.
     """
     record_at = sorted(set(int(t) for t in record_at))
     n_steps = record_at[-1]
-    pos = {t: i for i, t in enumerate(record_at)}
     bounds = list(range(0, trials, ORBIT_CHUNK)) + [trials]
-    jobs = list(enumerate(zip(bounds[:-1], bounds[1:])))
+    chunks = [(ci, a, b) for ci, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
+    n, k = len(chunks), min(max(1, int(threads)), len(chunks))
+    groups = [chunks[i * n // k:(i + 1) * n // k] for i in range(k)]
     out = np.zeros((len(record_at), trials))
 
-    def run(job):
-        ci, (a, b) = job
-        sub = (int(stream) << 20) | ci
-        return a, b, _orbit_chunk(lab, g, record_at, pos, n_steps, b - a, seed, sub,
-                                  sample_depth, running_stat, slice(a, b))
+    def run(group):
+        out[:, group[0][1]:group[-1][2]] = _orbit_group(
+            lab, g, record_at, n_steps, seed, stream, sample_depth, running_stat, group)
 
-    if threads > 1 and len(jobs) > 1:
+    if len(groups) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=int(threads)) as ex:
-            results = list(ex.map(run, jobs))
+        with ThreadPoolExecutor(max_workers=len(groups)) as ex:
+            list(ex.map(run, groups))  # re-raises a group's exception
     else:
-        results = [run(j) for j in jobs]
-    for a, b, chunk_out in results:
-        out[:, a:b] = chunk_out
+        for group in groups:
+            run(group)
     return record_at, out
 
 
@@ -701,7 +724,8 @@ def lil_probe(lab: Lab, g=None, n_max: int = 100_000, trials: int = 200, seed: i
     logarithmically, so the qualitative contract is a median terminal value
     in [0.5, 1.5], not a tolerance claim.  Two passes over identical streams:
     the first estimates mu (and sigma if not given), the second accumulates
-    the running maxima and records them at geometric checkpoints.
+    the running maxima, one orbit block at a time, and records them at
+    geometric checkpoints.
     """
     if n_max < 100:
         raise LimitsError("n_max must be at least 100")
@@ -717,15 +741,23 @@ def lil_probe(lab: Lab, g=None, n_max: int = 100_000, trials: int = 200, seed: i
     checkpoints = sorted(set(np.unique(np.geomspace(10, n_max, 25).astype(int)).tolist()))
     running = np.zeros(trials)
     trajectories = np.zeros((len(checkpoints), trials))
-    index = {t: i for i, t in enumerate(checkpoints)}
+    # denom[t - 10] for t >= 10, by the scalar expression of each t
+    denom = np.array([sigma * np.sqrt(2.0 * t * np.log(np.log(t))) for t in range(10, n_max + 1)])
 
-    def stat(t, S, sl):
-        if t >= 10:
-            denom = sigma * np.sqrt(2.0 * t * np.log(np.log(t)))
-            np.maximum(running[sl], np.abs(S - t * mu) / denom, out=running[sl])
-        i = index.get(t)
-        if i is not None:
-            trajectories[i, sl] = running[sl]
+    def stat(t0, rows, sl):
+        # row k is S_t at t = t0 + k + 1; rows at t < 10 leave the running max as it is
+        k0 = max(0, 9 - t0)
+        t = np.arange(t0 + k0 + 1, t0 + len(rows) + 1)
+        acc = np.empty((len(t) + 1, rows.shape[1]))
+        acc[0] = running[sl]
+        np.abs(rows[k0:] - (t * mu)[:, None], out=acc[1:])
+        acc[1:] /= denom[t - 10, None]
+        # a max is exact, so accumulating it down the block gives the per-step bits
+        np.maximum.accumulate(acc, axis=0, out=acc)
+        for i, ti in enumerate(checkpoints):
+            if t0 < ti <= t0 + len(rows):
+                trajectories[i, sl] = acc[ti - t0 - k0]
+        running[sl] = acc[-1]
 
     orbit_birkhoff_sums(lab, g, [n_max], trials, seed, stream=31, sample_depth=sample_depth,
                         running_stat=stat, threads=threads)

@@ -14,15 +14,16 @@ _MASK = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
 def mix64(h):
     """splitmix64 finalizer, elementwise on uint64 scalars/arrays (wraparound intended)."""
     h = np.asarray(h, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        h = (h ^ (h >> np.uint64(30))) * _MIX1
-        h = (h ^ (h >> np.uint64(27))) * _MIX2
-    return h ^ (h >> np.uint64(31))
+        h = (h ^ (h >> _SHIFT1)) * _MIX1
+        h = (h ^ (h >> _SHIFT2)) * _MIX2
+    return h ^ (h >> _SHIFT3)
 
 
 def keyed_hash(seed, index):
@@ -41,13 +42,20 @@ def keyed_hash(seed, index):
 def keyed_hash_grid(seeds, index) -> np.ndarray:
     """PRF on the grid seeds x index; shape (len(seeds), len(index)).
 
-    Row i equals keyed_hash(seeds[i], index).
+    Row i equals keyed_hash(seeds[i], index).  The mix64 rounds run in place
+    on the grid with one scratch array, which gives the same bits with two
+    full-size buffers instead of a temporary per operation.
     """
     s = np.asarray(seeds, dtype=np.uint64)[:, None]
     idx = np.asarray(index, dtype=np.int64).astype(np.uint64)[None, :]
     with np.errstate(over="ignore"):
         h = s + (idx + np.uint64(1)) * _GOLDEN
-    return mix64(h)
+        tmp = np.empty_like(h)
+        for shift, mult in ((_SHIFT1, _MIX1), (_SHIFT2, _MIX2)):
+            h ^= np.right_shift(h, shift, out=tmp)
+            h *= mult
+        h ^= np.right_shift(h, _SHIFT3, out=tmp)
+    return h
 
 
 def derive_key(master, *labels) -> int:

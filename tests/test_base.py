@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import rdslab as rl
+from rdslab import rng
 from rdslab.base import (
     BaseMeasureSpec,
     BaseMetricParams,
@@ -216,3 +217,29 @@ def test_symbol_lookup_matches_searchsorted(parts, draws):
     got = _symbols_of_unit(spec, u)
     assert got.dtype == np.int64
     assert np.array_equal(got, np.searchsorted(c, u, side="right"))
+
+
+def keyed_hash_grid_out_of_place(seeds, index):
+    """The grid hash as one broadcast expression, a temporary per operation."""
+    s = np.asarray(seeds, dtype=np.uint64)[:, None]
+    idx = np.asarray(index, dtype=np.int64).astype(np.uint64)[None, :]
+    with np.errstate(over="ignore"):
+        h = s + (idx + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    return rng.mix64(h)
+
+
+U64 = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
+I64 = st.one_of(st.sampled_from([0, -1, 2**63 - 1, -(2**63)]), st.integers(-(2**63), 2**63 - 1))
+
+
+@given(st.lists(U64, min_size=1, max_size=5), st.lists(I64, min_size=1, max_size=6))
+@example([0], [0])
+@example([2**64 - 1], [-1, 2**63 - 1, -(2**63), 7])
+@example([0, 2**64 - 1], [-5, 3])
+def test_keyed_hash_grid_rows_are_keyed_hashes(seeds, index):
+    grid = rng.keyed_hash_grid(np.array(seeds, dtype=np.uint64), index)
+    assert grid.shape == (len(seeds), len(index)) and grid.dtype == np.uint64
+    assert np.array_equal(grid, keyed_hash_grid_out_of_place(np.array(seeds, dtype=np.uint64),
+                                                             index))
+    for i, seed in enumerate(seeds):
+        assert np.array_equal(grid[i], rng.keyed_hash(np.uint64(seed), index))

@@ -368,6 +368,32 @@ def test_lil_coboundary_statistic_tends_to_zero(stats_lab):
     assert np.median(stat) < 0.05
 
 
+def test_lil_block_stat_matches_per_step_running_max(small_stats_lab):
+    # the running max taken once per orbit block has the bits of the per-step update
+    lab, n_max, trials, seed = small_stats_lab, 400, 2 * ORBIT_CHUNK + 7, 3
+    res = lil_probe(lab, n_max=n_max, trials=trials, seed=seed, sample_depth=6)
+    assert ORBIT_BLOCK // trials < n_max  # several blocks
+    path = np.zeros((n_max, trials))
+
+    def keep(t0, rows, sl):
+        path[t0:t0 + len(rows), sl] = rows
+
+    orbit_birkhoff_sums(lab, lab.observable, [n_max], trials, seed, stream=31, sample_depth=6,
+                        running_stat=keep)
+    mu = float(path[-1].mean() / n_max)
+    sigma = float(np.sqrt(max(float(path[-1].var(ddof=1) / n_max), 1e-30)))
+    assert sigma == res.sigma_used
+    running, traj = np.zeros(trials), []
+    for t in range(1, n_max + 1):
+        if t >= 10:
+            denom = sigma * np.sqrt(2.0 * t * np.log(np.log(t)))
+            np.maximum(running, np.abs(path[t - 1] - t * mu) / denom, out=running)
+        if t in res.checkpoints:
+            traj.append(running.copy())
+    assert np.array_equal(res.trajectories, np.array(traj))
+    assert res.terminal_values == running.tolist()
+
+
 def test_coboundary_check_verdicts(stats_lab):
     g = CoboundaryObservable(stats_lab.spec, const=0.25)
     res = coboundary_check(stats_lab, g, n_list=(100, 400, 1600), trials=400, seed=21)
@@ -437,11 +463,13 @@ def test_orbit_ensemble_rho_is_the_lambda_normalized_pushforward(stats_lab):
         assert np.abs(rho / u - 1.0).max() <= 1e-12
 
 
-def reference_orbit_sums(lab, g, record_at, trials, seed, stream, sample_depth, stat_calls):
-    """The per-step loop the blocked kernel replaced: one symbol and jitter column
-    per step, the lift written out, reduction by % 1.0, a new S every step."""
+def reference_orbit_sums(lab, g, record_at, trials, seed, stream, sample_depth):
+    """The per-step loop the blocked kernel replaced: one chunk at a time, one symbol
+    and jitter column per step, the lift written out, reduction by % 1.0, a new S
+    every step.  Returns the sums at record_at and S after every step (steps x trials)."""
     d, eps = lab.spec.map_coefficients
     out = np.zeros((len(record_at), trials))
+    path = np.zeros((record_at[-1], trials))
     for ci, a in enumerate(range(0, trials, ORBIT_CHUNK)):
         b = min(a + ORBIT_CHUNK, trials)
         sub = (stream << 20) | ci
@@ -456,38 +484,96 @@ def reference_orbit_sums(lab, g, record_at, trials, seed, stream, sample_depth, 
             S = S + g.values_for_symbol(e, z)
             w = (d[e] * z + eps[e] * np.sin(TWO_PI * z) / TWO_PI + jit) % 1.0
             z = np.where(w >= 1.0, 0.0, w)
-            stat_calls.append((j + 1, S.copy(), (a, b)))
+            path[j, a:b] = S
             if j + 1 in record_at:
                 out[record_at.index(j + 1), a:b] = S
-    return out
+    return out, path
 
 
-@pytest.mark.parametrize("observable", ["system", "coboundary", "scaled"])
-@pytest.mark.parametrize("trials,record_at", [
-    (37, [ORBIT_BLOCK - 1, ORBIT_BLOCK, ORBIT_BLOCK + 1]),
-    (ORBIT_CHUNK + 3, [1, 2 * ORBIT_BLOCK + 5]),
-])
-def test_orbit_sums_bit_identical_to_per_step_loop(small_stats_lab, observable, trials, record_at):
-    lab = small_stats_lab
+def block_edges(width):
+    """Record times at the first block boundary of a group `width` trials wide: - 1, 0, + 1."""
+    block = ORBIT_BLOCK // width
+    return [block - 1, block, block + 1]
+
+
+OBSERVABLES = ["system", "coboundary", "scaled"]
+
+
+def check_orbit_sums_against_per_step_loop(lab, observable, trials, record_at, threads=1):
     g = {"system": lab.observable,
          "coboundary": CoboundaryObservable(lab.spec, const=0.25),
          "scaled": ScaledObservable(lab.observable, -1.5)}[observable]
-    calls, ref_calls = [], []
-    _, sums = orbit_birkhoff_sums(
-        lab, g, record_at, trials, seed=31, stream=3, sample_depth=6,
-        running_stat=lambda t, S, sl: calls.append((t, S.copy(), (sl.start, sl.stop))))
-    ref = reference_orbit_sums(lab, g, record_at, trials, 31, 3, 6, ref_calls)
+    calls = []
+
+    def stat(t0, rows, sl):
+        assert not rows.flags.writeable
+        calls.append((t0, rows.copy(), sl.start, sl.stop))
+
+    _, sums = orbit_birkhoff_sums(lab, g, record_at, trials, seed=31, stream=3, sample_depth=6,
+                                  running_stat=stat, threads=threads)
+    ref, ref_path = reference_orbit_sums(lab, g, record_at, trials, 31, 3, 6)
     assert np.array_equal(sums, ref)
-    assert [(t, sl) for t, _, sl in calls] == [(t, sl) for t, _, sl in ref_calls]
-    assert all(np.array_equal(a[1], b[1]) for a, b in zip(calls, ref_calls))
+    # each slice's blocks run in step order and tile the steps; at every step the
+    # slices cover every trial exactly once, with the reference's S bit for bit
+    got, seen, next_t0 = np.zeros_like(ref_path), np.zeros(ref_path.shape, dtype=int), {}
+    for t0, rows, a, b in calls:
+        assert next_t0.get((a, b), 0) == t0 and rows.shape[1] == b - a
+        next_t0[(a, b)] = t0 + len(rows)
+        got[t0:t0 + len(rows), a:b] = rows
+        seen[t0:t0 + len(rows), a:b] += 1
+    assert set(next_t0.values()) == {record_at[-1]}
+    assert np.all(seen == 1)
+    assert np.array_equal(got, ref_path)
+
+
+@pytest.mark.parametrize("observable", OBSERVABLES)
+@pytest.mark.parametrize("trials,record_at", [
+    (37, block_edges(37)),
+    (ORBIT_CHUNK + 3, [1, 2 * (ORBIT_BLOCK // (ORBIT_CHUNK + 3)) + 5]),
+])
+def test_orbit_sums_bit_identical_to_per_step_loop(small_stats_lab, observable, trials, record_at):
+    check_orbit_sums_against_per_step_loop(small_stats_lab, observable, trials, record_at)
+
+
+@pytest.mark.parametrize("observable", OBSERVABLES)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_orbit_sums_three_chunks_bit_identical(small_stats_lab, observable, threads):
+    # three chunks, the last one partial: one wide state, or groups of one and two chunks
+    trials = 2 * ORBIT_CHUNK + 7
+    check_orbit_sums_against_per_step_loop(small_stats_lab, observable, trials,
+                                           block_edges(trials), threads)
+
+
+@pytest.mark.parametrize("threads,widths", [
+    (1, {2 * ORBIT_CHUNK + 7: 1}),
+    (2, {ORBIT_CHUNK: 1, ORBIT_CHUNK + 7: 1}),
+    (3, {ORBIT_CHUNK: 2, 7: 1}),
+])
+def test_orbit_map_steps_once_per_group(small_stats_lab, monkeypatch, threads, widths):
+    # each thread group runs its chunks as one wide state: n_steps map steps per
+    # group, whatever the number of chunks in it
+    widths_seen = []
+
+    def spy(d, eps, z, *args, **kwargs):
+        widths_seen.append(len(z))
+        return real(d, eps, z, *args, **kwargs)
+
+    real = limits._map_step
+    monkeypatch.setattr(limits, "_map_step", spy)
+    n_steps = 70
+    orbit_birkhoff_sums(small_stats_lab, small_stats_lab.observable, [n_steps],
+                        2 * ORBIT_CHUNK + 7, seed=5, stream=3, sample_depth=6, threads=threads)
+    counts = {w: widths_seen.count(w) for w in set(widths_seen)}
+    assert counts == {w: k * n_steps for w, k in widths.items()}
 
 
 def test_orbit_sums_threads_identical(stats_lab):
     t1 = orbit_birkhoff_sums(stats_lab, stats_lab.observable, [400], 1100, seed=24, stream=9,
                              threads=1)[1]
-    t8 = orbit_birkhoff_sums(stats_lab, stats_lab.observable, [400], 1100, seed=24, stream=9,
-                             threads=8)[1]
-    assert np.array_equal(t1, t8)
+    for threads in (2, 3, 8):
+        tk = orbit_birkhoff_sums(stats_lab, stats_lab.observable, [400], 1100, seed=24,
+                                 stream=9, threads=threads)[1]
+        assert np.array_equal(t1, tk), threads
 
 
 def test_orbit_bias_warning_flag(gibbs_lab):
