@@ -16,7 +16,7 @@ cone calculus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -440,10 +440,36 @@ def _shift_windows(vals: np.ndarray, reach: float):
     vals[(i + k) % n] at column i, k = 1..kmax = min(floor(reach n), n // 2).
     Also returns the pair distance of each row."""
     n = len(vals)
+    dists = _shift_dists(n, reach)
+    ext = np.concatenate([vals, vals[:len(dists)]])
+    return np.lib.stride_tricks.sliding_window_view(ext, n)[1:], dists
+
+
+def _shift_dists(n: int, reach: float) -> list:
+    """Distance k / n of each shift k = 1..min(floor(reach n), n // 2) (k <= n // 2)."""
     kmax = min(int(np.floor(reach * n)), n // 2)
-    ext = np.concatenate([vals, vals[:kmax]])
-    windows = np.lib.stride_tricks.sliding_window_view(ext, n)[1:]
-    return windows, (np.arange(1, kmax + 1) / n).tolist()  # k <= n // 2: distance k / n
+    return (np.arange(1, kmax + 1) / n).tolist()
+
+
+@lru_cache(maxsize=16)
+def _scan_plan(n: int, eta: float, alpha: float) -> tuple:
+    """What variation_alpha's scan of n-point rows needs besides the row, read-only:
+    kmax; the shifts 1..kmax and their dist^alpha; the gather indices i + k
+    (rows k, columns i) and dist^alpha of the powers of two k <= kmax; the bit
+    table (shift x power: the power is in the shift's binary expansion); which
+    shifts have more than one bit; and the columns 0..n-1."""
+    dists = _shift_dists(n, eta)
+    kmax = len(dists)
+    scale = np.array([dist**alpha for dist in dists])
+    powers = 1 << np.arange(kmax.bit_length())
+    ks = np.arange(1, kmax + 1)
+    bits = (ks[:, None] & powers) != 0
+    cols = np.arange(n)
+    plan = (ks, scale, powers[:, None] + cols, scale[powers - 1], bits, bits.sum(axis=1) > 1,
+            cols)
+    for a in plan:
+        a.flags.writeable = False
+    return (kmax, *plan)
 
 
 # Relative and absolute widening of a dyadic shift bound: far above the few
@@ -473,24 +499,25 @@ def variation_alpha(u, alpha: float, eta: float) -> float:
     margin is sized for their rounding).  A nan bound (a nan or inf in the
     row) never compares and is scanned; an inf bound is skipped only once the
     largest ratio is inf, which is then the result.
+
+    Everything but the row itself (shifts, dist^alpha, powers, bit table)
+    is a scan plan cached per (n, eta, alpha), and a shift k is gathered as
+    the values at i + k of the row extended by its first kmax values.
     """
     vals = u.values if isinstance(u, GridFunction) else np.asarray(u)
     if not 0.0 < alpha <= 1.0:
         raise FiberError("alpha must lie in (0, 1]")
-    windows, dists = _shift_windows(vals, eta)
-    if not dists:
+    kmax, ks, scale, p_idx, p_scale, bits, multi, cols = _scan_plan(len(vals), float(eta),
+                                                                    float(alpha))
+    if not kmax:
         return 0.0
-    kmax = len(dists)
-    scale = np.array([dist**alpha for dist in dists])
-    powers = 1 << np.arange(kmax.bit_length())
-    diffs = np.abs(vals - windows[powers - 1]).max(axis=1)
-    best = max([0.0, *(diffs / scale[powers - 1]).tolist()])
-    ks = np.arange(1, kmax + 1)
-    bits = (ks[:, None] & powers) != 0
+    ext = np.concatenate([vals, vals[:kmax]])  # ext[i + k] = vals[(i + k) % n]
+    diffs = np.abs(vals - ext[p_idx]).max(axis=1)
+    best = max([0.0, *(diffs / p_scale).tolist()])
     bound = np.where(bits, diffs, 0.0).sum(axis=1)
     bound = np.where(bound > 0.0, bound * _BOUND_MARGIN + _BOUND_SLACK, bound)
-    rest = ks[~(bound / scale <= best) & (bits.sum(axis=1) > 1)]
-    diffs = np.abs(vals - windows[rest - 1]).max(axis=1)
+    rest = ks[~(bound / scale <= best) & multi]
+    diffs = np.abs(vals - ext[rest[:, None] + cols]).max(axis=1)
     return float(max([best, *(diffs / scale[rest - 1]).tolist()]))
 
 

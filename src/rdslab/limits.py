@@ -716,6 +716,16 @@ class LilResult:
         return {k: v for k, v in asdict(self).items() if k != "trajectories"}
 
 
+def _lil_denominators(sigma: float, n_max: int) -> np.ndarray:
+    """sigma sqrt(2 t log log t) at index t - 10 for t = 10, ..., n_max.
+
+    One array expression, `array_equal` on this numpy build to evaluating it
+    for each t as a scalar (pinned by a test).
+    """
+    t = np.arange(10, n_max + 1)
+    return sigma * np.sqrt(2.0 * t * np.log(np.log(t)))
+
+
 def lil_probe(lab: Lab, g=None, n_max: int = 100_000, trials: int = 200, seed: int = 42,
               sigma2: float | None = None, sample_depth: int = 24, threads: int = 1) -> LilResult:
     """Running max of |S_n - n mu| / (sigma sqrt(2 n log log n)).
@@ -741,8 +751,7 @@ def lil_probe(lab: Lab, g=None, n_max: int = 100_000, trials: int = 200, seed: i
     checkpoints = sorted(set(np.unique(np.geomspace(10, n_max, 25).astype(int)).tolist()))
     running = np.zeros(trials)
     trajectories = np.zeros((len(checkpoints), trials))
-    # denom[t - 10] for t >= 10, by the scalar expression of each t
-    denom = np.array([sigma * np.sqrt(2.0 * t * np.log(np.log(t))) for t in range(10, n_max + 1)])
+    denom = _lil_denominators(sigma, n_max)
 
     def stat(t0, rows, sl):
         # row k is S_t at t = t0 + k + 1; rows at t < 10 leave the running max as it is

@@ -62,12 +62,14 @@ def pullback_sweep(table: OperatorTable, x: BasePoint, start: int, stop: int):
 
     Yields (level j, lambda_at_j, weights_at_j).  The weights entering level j
     are normalized, so lambda_at_j is exactly the mass created by one adjoint
-    step: the discrete version of nu_{shift x}(L_x 1).
+    step: the discrete version of nu_{shift x}(L_x 1).  The symbols of the
+    levels swept are read with one `x.symbols` call.
     """
     n = table.n_points
     omega = np.full(n, 1.0 / n)
+    syms = x.symbols(stop, start).tolist()
     for j in range(start - 1, stop - 1, -1):
-        w = table.op(x.symbol(j)).adjoint(omega)
+        w = table.op(syms[j - stop]).adjoint(omega)
         lam = float(w.sum())
         if not np.isfinite(lam) or lam <= 0:
             raise ThermoError(f"degenerate pullback normalizer at level {j}")
@@ -226,7 +228,8 @@ class Lab:
     request alone, with pullback depth pullback_depth + 1 at the highest
     level read.  Windows are memoized by the full request (points, forward
     levels, rho depth, nu levels), so each value is a pure function of
-    (spec, grid, depth, request) whatever was asked before.
+    (spec, grid, depth, request) whatever was asked before.  The single-vector
+    pullbacks of `_pullback_at_depth` are memoized per (point, depth) alike.
     """
 
     def __init__(self, spec: SystemSpec, n_points: int = 1024, interp: str = "cubic",
@@ -239,6 +242,7 @@ class Lab:
         self.depth_max = int(depth_max)
         self.duality_tol = float(duality_tol)
         self._windows = {}
+        self._pullbacks = {}
 
     @property
     def n_points(self) -> int:
@@ -319,10 +323,18 @@ class PullbackReport:
 
 
 def _pullback_at_depth(lab: Lab, x: BasePoint, depth: int):
-    """(nu weights, lambda) at x from a fresh depth-`depth` sweep, no caches."""
-    for _, lam, omega in pullback_sweep(lab.table, x, depth + 1, 0):
-        pass  # the sweep ends at level 0
-    return omega, lam
+    """(nu weights, lambda) at x from a depth-`depth` sweep independent of the windows.
+
+    Memoized on the lab per (x, depth); the weights are read-only.
+    """
+    key = (x, int(depth))
+    got = lab._pullbacks.get(key)
+    if got is None:
+        for _, lam, omega in pullback_sweep(lab.table, x, depth + 1, 0):
+            pass  # the sweep ends at level 0
+        omega.flags.writeable = False
+        got = lab._pullbacks[key] = (omega, lam)
+    return got
 
 
 def random_smooth_functions(n_points: int, count: int, seed: int, interp: str = "cubic",
@@ -410,7 +422,7 @@ def invariant_density(lab: Lab, x: BasePoint, depth: int | None = None) -> Densi
     The residuals compare independently built objects, so they measure
     genuine convergence rather than construction identities: the window
     normalizes rho so that its own nu_0(rho_0) = 1, so the nu-mass residual
-    integrates rho against a fresh single-vector pullback instead, and the
+    integrates rho against a single-vector pullback instead, and the
     fixed-point residual compares L_0 rho_x with the rho of the image fiber's
     own window (its own depth-K pushforward).
     """

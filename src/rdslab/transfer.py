@@ -151,6 +151,7 @@ class OperatorTable:
         self.interp = interp
         self.ops = {e: SymbolOperator(spec, e, self.n_points, interp, newton_tol=newton_tol)
                     for e in spec.alphabet}
+        self._phases = {}
 
     def op(self, e: int) -> SymbolOperator:
         return self.ops[int(e)]
@@ -158,9 +159,36 @@ class OperatorTable:
     def nodes(self) -> np.ndarray:
         return np.arange(self.n_points) / self.n_points
 
-    def phase_at_branches(self, e: int, observable, r: float) -> np.ndarray:
-        zb = self.ops[e].branch_points
-        return np.exp(1j * r * observable.values_for_symbol(e, zb))
+    def phase_at_branches(self, e: int, observable, r: float, memo: bool = False) -> np.ndarray:
+        """exp(i r g) at the branch points of symbol e, shape (d, N).
+
+        With memo=True the phase is kept per (e, observable, r), r to the
+        bit, and every repeat returns the same read-only array: a single-orbit
+        chain (`transfer_iterate`) revisits a few (symbol, r) pairs many
+        times.  Without, a fresh array is computed and not kept; the batched
+        `ConformalWindow.transport` takes one per (level, symbol group).
+        """
+        if not memo:
+            zb = self.ops[e].branch_points
+            return np.exp(1j * r * observable.values_for_symbol(e, zb))
+        key = (int(e), observable, float(r).hex())
+        phase = self._phases.get(key)
+        if phase is None:
+            phase = self._phases[key] = self.phase_at_branches(e, observable, r)
+            phase.flags.writeable = False
+        return phase
+
+
+def _step(table: OperatorTable, e: int, vals: np.ndarray, kind, lam, r, observable) -> np.ndarray:
+    """Values of one transfer step of `kind` by the operator of symbol e."""
+    op = table.op(e)
+    if kind == "raw":
+        return op.apply(vals)
+    if kind == "normalized":
+        return op.apply(vals) / lam
+    if kind == "perturbed":
+        return op.apply_perturbed(vals, table.phase_at_branches(e, observable, r, memo=True)) / lam
+    raise TransferError(f"unknown kind {kind!r}")
 
 
 def transfer_apply(table: OperatorTable, x: BasePoint, u: GridFunction, kind="raw",
@@ -168,23 +196,19 @@ def transfer_apply(table: OperatorTable, x: BasePoint, u: GridFunction, kind="ra
     """One transfer step from the fiber over x to the fiber over shift(x, 1)."""
     if u.fiber is not None and u.fiber != x:
         raise TransferError("grid function lives on a different fiber")
-    e = x.symbol(0)
-    op = table.op(e)
-    if kind == "raw":
-        vals = op.apply(u.values)
-    elif kind == "normalized":
-        vals = op.apply(u.values) / lam
-    elif kind == "perturbed":
-        phase = table.phase_at_branches(e, observable, r)
-        vals = op.apply_perturbed(u.values, phase) / lam
-    else:
-        raise TransferError(f"unknown kind {kind!r}")
+    vals = _step(table, x.symbol(0), u.values, kind, lam, r, observable)
     return GridFunction(vals, interp=u.interp, fiber=x.shift_by(1) if u.fiber is not None else None)
 
 
 def transfer_iterate(table: OperatorTable, x: BasePoint, u: GridFunction, n: int, kind="raw",
                      lambda_chain=None, r_sequence=None, observable=None) -> GridFunction:
-    """n-fold orbit composition; normalized/perturbed divide by the lambda chain."""
+    """n-fold orbit composition; normalized/perturbed divide by the lambda chain.
+
+    Bit-equal to n composed `transfer_apply` steps along the orbit of x, with
+    the same errors: the n symbols are read with one `x.symbols` call, the
+    fiber is checked once, the steps share `transfer_apply`'s `_step`, and
+    one GridFunction is built at the end (n <= 0 returns u itself).
+    """
     if kind in ("normalized", "perturbed"):
         if lambda_chain is None or len(lambda_chain) < n:
             raise TransferError("lambda_chain of length n required")
@@ -193,17 +217,18 @@ def transfer_iterate(table: OperatorTable, x: BasePoint, u: GridFunction, n: int
             raise TransferError("r_sequence must have length n")
         if observable is None:
             raise TransferError("perturbed kind requires the observable")
-    out = u
-    y = x
-    for j in range(int(n)):
-        out = transfer_apply(
-            table, y, out, kind=kind,
-            lam=None if kind == "raw" else lambda_chain[j],
-            r=0.0 if r_sequence is None else r_sequence[j],
-            observable=observable,
-        )
-        y = y.shift_by(1)
-    return out
+    syms = x.symbols(0, int(n)).tolist()
+    if not syms:
+        return u
+    if u.fiber is not None and u.fiber != x:
+        raise TransferError("grid function lives on a different fiber")
+    vals = u.values
+    for j, e in enumerate(syms):
+        vals = _step(table, e, vals, kind,
+                     None if kind == "raw" else lambda_chain[j],
+                     0.0 if r_sequence is None else r_sequence[j], observable)
+    return GridFunction(vals, interp=u.interp,
+                        fiber=x.shift_by(len(syms)) if u.fiber is not None else None)
 
 
 def oracle_transfer(spec: SystemSpec, x: BasePoint, u, n: int, w, kind="raw",

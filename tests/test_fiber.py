@@ -381,3 +381,17 @@ def test_cone_embed_zero_function_error(gibbs_lab):
         cone_embed(rl.GridFunction(np.zeros(n)), leb, hp)
     with pytest.raises(rl.fiber.FiberError):
         cone_embed(rl.GridFunction(-np.ones(n)), leb, hp)
+
+
+def test_variation_scan_plan_is_read_only():
+    from rdslab.fiber import _scan_plan
+
+    vals = np.cos(TWO_PI * np.arange(256) / 256)
+    variation_alpha(vals, 0.5, 0.2)
+    kmax, *arrays = _scan_plan(256, 0.2, 0.5)
+    assert kmax == 51
+    assert _scan_plan(256, 0.2, 0.5)[1] is arrays[0]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0

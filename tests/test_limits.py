@@ -394,6 +394,16 @@ def test_lil_block_stat_matches_per_step_running_max(small_stats_lab):
     assert res.terminal_values == running.tolist()
 
 
+def test_lil_denominators_are_the_scalar_expression():
+    from rdslab.config import DEFAULTS
+    from rdslab.limits import _lil_denominators
+
+    n_max = DEFAULTS["experiment"]["lil"]["n_max"].default
+    for sigma in (0.7207855591465617, 1.0, 3.3e-8):
+        scalar = [sigma * np.sqrt(2.0 * t * np.log(np.log(t))) for t in range(10, n_max + 1)]
+        assert np.array_equal(_lil_denominators(sigma, n_max), np.array(scalar))
+
+
 def test_coboundary_check_verdicts(stats_lab):
     g = CoboundaryObservable(stats_lab.spec, const=0.25)
     res = coboundary_check(stats_lab, g, n_list=(100, 400, 1600), trials=400, seed=21)

@@ -15,6 +15,7 @@ from rdslab.thermo import (
     fiberwise_invariance_residual,
     gap_estimate,
     invariant_density,
+    pullback_sweep,
     random_lipschitz_functions,
     random_smooth_functions,
     regularity_check,
@@ -335,3 +336,48 @@ def test_transport_output_dtype_follows_the_frequency(small_stats_lab):
     assert np.iscomplexobj(out)
     assert np.array_equal(out, win.transport(real_rows.astype(complex), 1, 0.4, lab.observable))
     assert win.transport(real_rows, 1, 0.0).dtype == np.float64
+
+
+@given(seed=st.integers(0, 2**32 - 1), lab_i=st.integers(0, 1), start=st.integers(-3, 12),
+       levels=st.integers(0, 10),
+       pins=st.dictionaries(st.integers(-14, 12), st.integers(0, 1), max_size=5))
+def test_pullback_sweep_matches_per_level_symbols(small_stats_lab, small_gibbs_lab, seed, lab_i,
+                                                  start, levels, pins):
+    table = (small_stats_lab, small_gibbs_lab)[lab_i].table
+    x = sample_base(table.spec.base, seed, 0).with_overrides(pins)
+    stop = start - levels
+    omega = np.full(table.n_points, 1.0 / table.n_points)
+    got = list(pullback_sweep(table, x, start, stop))
+    assert [j for j, _, _ in got] == list(range(start - 1, stop - 1, -1))
+    for j, lam, w in got:
+        ref = table.op(x.symbol(j)).adjoint(omega)
+        assert lam == float(ref.sum())
+        omega = ref / lam
+        assert np.array_equal(w, omega)
+
+
+def test_thermo_sweeps_the_depth_k_pullback_once(monkeypatch):
+    from rdslab import thermo
+
+    def fresh_lab():
+        return rl.Lab(rl.gibbs_system(), n_points=128, pullback_depth=12)
+
+    lab = fresh_lab()
+    x = sample_base(lab.spec.base, 42, 2)
+    sweeps = []
+    sweep = thermo.pullback_sweep
+
+    def spy(table, y, start, stop):
+        sweeps.append((y, start, stop))
+        return sweep(table, y, start, stop)
+
+    monkeypatch.setattr(thermo, "pullback_sweep", spy)
+    pull = conformal_pullback(lab, x, n_probe=5)
+    assert (x, lab.pullback_depth + 1, 0) in sweeps
+    before = len(sweeps)
+    dens = invariant_density(lab, x)
+    assert len(sweeps) == before  # the nu-mass residual reads the memoized pullback
+    assert len(set(sweeps)) == len(sweeps)
+    alone = invariant_density(fresh_lab(), x)
+    assert dens.nu_mass_residual == alone.nu_mass_residual
+    assert np.array_equal(pull.nu.weights, conformal_pullback(fresh_lab(), x, n_probe=5).nu.weights)

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import rdslab as rl
 from rdslab import rng, transfer
-from rdslab.base import sample_base
+from rdslab.base import BasePoint, sample_base
 from rdslab.fiber import GridFunction, alpha_norm, interp_stencil
-from rdslab.thermo import random_smooth_functions
+from rdslab.thermo import pullback_sweep, random_smooth_functions
 from rdslab.transfer import (
     TransferError,
     chain_error_budget,
@@ -411,3 +411,112 @@ def test_stencil_returns_node_values_exactly(log2_n, kind, seed):
     idx, wts = interp_stencil(np.arange(n) / n, n, kind)
     assert np.array_equal((values[idx] * wts).sum(axis=0), values)
     assert np.array_equal(GridFunction(values, interp=kind)(np.arange(n) / n), values)
+
+
+def composed_steps(table, x, u, n, kind="raw", lambda_chain=None, r_sequence=None,
+                   observable=None):
+    """transfer_iterate as n composed transfer_apply steps along the orbit, with its argument checks."""
+    if kind in ("normalized", "perturbed"):
+        if lambda_chain is None or len(lambda_chain) < n:
+            raise TransferError("lambda_chain of length n required")
+    if kind == "perturbed":
+        if r_sequence is None or len(r_sequence) != n:
+            raise TransferError("r_sequence must have length n")
+        if observable is None:
+            raise TransferError("perturbed kind requires the observable")
+    out, y = u, x
+    for j in range(n):
+        out = transfer_apply(table, y, out, kind=kind,
+                             lam=None if kind == "raw" else lambda_chain[j],
+                             r=0.0 if r_sequence is None else r_sequence[j], observable=observable)
+        y = y.shift_by(1)
+    return out
+
+
+def outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except TransferError as e:
+        return str(e)
+
+
+@given(seed=st.integers(0, 2**32 - 1), table_i=st.integers(0, 3),
+       kind=st.sampled_from(["raw", "normalized", "perturbed"]), complex_u=st.booleans(),
+       n=st.integers(0, 6), pins=st.dictionaries(st.integers(-2, 8), st.integers(0, 1), max_size=4),
+       on_fiber=st.booleans(),
+       fault=st.sampled_from([None, "wrong fiber", "short chain", "unknown kind"]))
+def test_iterate_is_the_composed_steps(small_tables, seed, table_i, kind, complex_u, n, pins,
+                                       on_fiber, fault):
+    table = small_tables[table_i]
+    gen = np.random.default_rng(seed)
+    x = sample_base(table.spec.base, seed, 0).with_overrides(pins)
+    vals = gen.uniform(-1.0, 1.0, table.n_points)
+    if complex_u:
+        vals = vals + 1j * gen.uniform(-1.0, 1.0, table.n_points)
+    fiber = x if on_fiber else None
+    chain = gen.uniform(0.5, 3.0, n + 1)
+    kw = dict(kind=kind, lambda_chain=None if kind == "raw" else chain,
+              r_sequence=tuple(gen.uniform(-1.0, 1.0, n)) if kind == "perturbed" else None,
+              observable=rl.default_observable(table.spec))
+    if fault == "wrong fiber":
+        fiber = x.shift_by(1)
+    elif fault == "short chain":
+        kw["lambda_chain"] = chain[:max(n - 1, 0)]
+    elif fault == "unknown kind":
+        kw.update(kind="upward", lambda_chain=chain)
+    u = GridFunction(vals, interp=table.interp, fiber=fiber)
+    got = outcome(transfer_iterate, table, x, u, n, **kw)
+    want = outcome(composed_steps, table, x, u, n, **kw)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert isinstance(got, GridFunction)
+    assert got.values.dtype == want.values.dtype
+    assert np.array_equal(got.values, want.values)
+    assert (got.interp, got.fiber) == (want.interp, want.fiber)
+
+
+def test_iterate_and_sweep_read_their_symbols_once(small_tables, monkeypatch):
+    table = small_tables[3]
+    obs = rl.default_observable(table.spec)
+    x = sample_base(table.spec.base, 5, 0).with_overrides({1: 1, 4: 0})
+    calls = []
+    symbols = BasePoint.symbols
+
+    def spy(self, lo, hi):
+        calls.append((lo, hi))
+        return symbols(self, lo, hi)
+
+    monkeypatch.setattr(BasePoint, "symbols", spy)
+    u = GridFunction(np.ones(table.n_points), interp=table.interp, fiber=x)
+    for n in range(1, 7):
+        for kw in (dict(), dict(kind="perturbed", lambda_chain=np.ones(n),
+                                r_sequence=(0.3,) * n, observable=obs)):
+            calls.clear()
+            transfer_iterate(table, x, u, n, **kw)
+            assert len(calls) == 1
+    for start, stop in ((1, 0), (6, 0), (9, -4)):
+        calls.clear()
+        assert len(list(pullback_sweep(table, x, start, stop))) == start - stop
+        assert len(calls) == 1
+
+
+def test_memoized_phase_is_shared_and_read_only():
+    spec = rl.make_system()
+    table = rl.OperatorTable(spec, 64)
+    obs, other = rl.default_observable(spec), rl.default_observable(spec)
+    for e in spec.alphabet:
+        phase = table.phase_at_branches(e, obs, 0.7, memo=True)
+        assert table.phase_at_branches(e, obs, 0.7, memo=True) is phase
+        assert not phase.flags.writeable
+        with pytest.raises(ValueError):
+            phase[0, 0] = 0.0
+        fresh = table.phase_at_branches(e, obs, 0.7)
+        assert fresh is not phase and fresh.flags.writeable
+        assert np.array_equal(fresh, phase)
+        for key in ((other, 0.7), (obs, 0.7000000000000001), (obs, -0.7)):
+            assert table.phase_at_branches(e, *key, memo=True) is not phase
+        # r is kept to the bit: at -0.0 the imaginary zeros where g > 0 are -0.0
+        pos = table.phase_at_branches(e, obs, 0.0, memo=True)
+        neg = table.phase_at_branches(e, obs, -0.0, memo=True)
+        assert neg.tobytes() == table.phase_at_branches(e, obs, -0.0).tobytes() != pos.tobytes()
