@@ -89,8 +89,9 @@ def _observable_for(lab, name: str, const: float = 0.25):
 
 # ---------------------------------------------------------------------------
 # subcommand implementations: each returns (results, contract_ok, artifacts).
-# `memo` is a dict that lives for one build_report call and holds results
-# that several subcommands of `all` share.
+# Each gets a fresh Lab.  `memo` is a dict that lives for one build_report call
+# and holds results that several subcommands of `all` share, keyed by config
+# names rather than by objects of one subcommand's Lab.
 
 
 def _run_thermo(lab, config, seed, threads, memo):
@@ -203,29 +204,27 @@ def _run_decay_base(lab, config, seed, threads, memo):
     return results, bool(ok), art
 
 
-def _sigma2(lab, g, config, seed, threads, memo):
-    """The sigma2 report of observable g (None: the lab's), computed once per memo."""
-    g = g if g is not None else lab.observable
-    key = ("sigma2", g)
+def _sigma2(lab, name, config, seed, threads, memo):
+    """The sigma2 report of the observable named `name`, computed once per memo."""
+    key = ("sigma2", name)
     if key not in memo:
         st = config["statistics"]
         memo[key] = limits.sigma2_estimate(
-            lab, g, M=st["m"], n_base_samples=st["n_base_samples"], n_var=st["n"],
-            trials=st["trials"], seed=seed, tail_tol=st["tail_tol"], m_max=st["m_max"],
-            sample_depth=config["numerics"]["sample_depth"], threads=threads)
+            lab, _observable_for(lab, name), M=st["m"], n_base_samples=st["n_base_samples"],
+            n_var=st["n"], trials=st["trials"], seed=seed, tail_tol=st["tail_tol"],
+            m_max=st["m_max"], sample_depth=config["numerics"]["sample_depth"], threads=threads)
     return memo[key]
 
 
 def _run_sigma2(lab, config, seed, threads, memo):
-    rep = _sigma2(lab, None, config, seed, threads, memo)
+    rep = _sigma2(lab, "default", config, seed, threads, memo)
     rows = [(m, s, se) for m, (s, se) in enumerate(zip(rep.s_values, rep.s_std_errs))]
     art = {"covariance.csv": csv_text(("m", "s_m", "std_err"), rows)}
     return rep.as_dict(), bool(rep.agreement and rep.tail_ok), art
 
 
 def _run_clt(lab, config, seed, threads, memo):
-    g = _observable_for(lab, config["experiment"]["clt"]["observable"])
-    var = _sigma2(lab, g, config, seed, threads, memo)
+    var = _sigma2(lab, config["experiment"]["clt"]["observable"], config, seed, threads, memo)
     res = limits.clt_test(var)
     results = res.as_dict()
     results["sigma2_mc"] = var.sigma2_mc
@@ -295,18 +294,18 @@ def build_report(subcommand: str, config: dict, threads: int = 1) -> tuple[dict,
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     seed = int(config["statistics"]["seed"])
-    lab = _build_lab(config)
     memo = {}
     if subcommand == "all":
         sub_results, ok_all, artifacts = {}, True, {}
         for name, runner in _RUNNERS.items():
-            res, ok, art = runner(lab, config, seed, threads, memo)
+            res, ok, art = runner(_build_lab(config), config, seed, threads, memo)
             sub_results[name] = {"results": res, "contract_ok": ok}
             ok_all = ok_all and ok
             for fname, text in art.items():
                 artifacts[f"{name}-{fname}"] = text
         results, contract_ok = sub_results, ok_all
     else:
+        lab = _build_lab(config)
         results, contract_ok, artifacts = _RUNNERS[subcommand](lab, config, seed, threads, memo)
     report = {
         "subcommand": subcommand,

@@ -518,25 +518,24 @@ def covariance_sequence(lab: Lab, g, M: int, n_base_samples: int, seed: int,
     M = int(M)
     nodes = np.arange(lab.n_points) / lab.n_points
 
-    g0_all, fiber_terms, gm_all = [], [[] for _ in range(M + 1)], [[] for _ in range(M + 1)]
+    fiber_terms, gm_all = [[] for _ in range(M + 1)], [[] for _ in range(M + 1)]
     for ci, done in enumerate(range(0, n_base_samples, COVARIANCE_CHUNK)):
         size = min(COVARIANCE_CHUNK, n_base_samples - done)
         ens = OrbitEnsemble(lab, size, seed, stream=100 + ci, fwd=M, depth=sample_depth,
                             nu_levels=tuple(range(M + 1)))
         rho = ens.rho_snap[0]
-        gvals0 = g.values_for_symbol(ens.symbol(0)[:, None], nodes[None, :])
-        g_mean0 = (ens.mu_weights() * gvals0).sum(axis=1)
-        u = (gvals0 - g_mean0[:, None]) * rho
         for m in range(M + 1):
             nu = ens.nu_snap.pop(m)
             gm = g.values_for_symbol(ens.symbol(m)[:, None], nodes[None, :])
+            g_mean = (_mu_rows(nu, rho) * gm).sum(axis=1)  # G at level m: mu of g on its fiber
+            if m == 0:
+                u = (gm - g_mean[:, None]) * rho
             fiber_terms[m].extend((nu * gm * u).sum(axis=1).tolist())
-            gm_all[m].extend((_mu_rows(nu, rho) * gm).sum(axis=1).tolist())
+            gm_all[m].extend(g_mean.tolist())
             if m < M:
                 u, rho = ens.transport(u, m), ens.transport(rho, m)
-        g0_all.extend(g_mean0.tolist())
 
-    g0 = np.array(g0_all)
+    g0 = np.array(gm_all[0])
     rows = []
     for m in range(M + 1):
         fiber = np.array(fiber_terms[m])

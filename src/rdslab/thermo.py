@@ -427,8 +427,8 @@ def invariant_density(lab: Lab, x: BasePoint, depth: int | None = None) -> Densi
     own window (its own depth-K pushforward).
     """
     K = lab.pullback_depth if depth is None else int(depth)
-    rho = lab.rho(x, K)
-    win = lab.ensure_chain(x, -(K - 1), 0)
+    win = lab.window((x,), rho_depth=K, nu_levels=range(-(K - 1), 1))
+    rho = GridFunction(win.rho_snap[0][0], interp=lab.interp, fiber=x)
     acc = np.ones((1, lab.n_points))
     for j in range(-(K - 1), 0):
         acc = win.transport(acc, j) + 1.0
@@ -436,7 +436,7 @@ def invariant_density(lab: Lab, x: BasePoint, depth: int | None = None) -> Densi
     cesaro_gap = float(np.max(np.abs(rho.values - cesaro)))
 
     rho_next = lab.rho(x.shift_by(1), K)
-    pushed = transfer_apply(lab.table, x, rho, kind="normalized", lam=lab.lam(x))
+    pushed = transfer_apply(lab.table, x, rho, kind="normalized", lam=float(win.lam_at(0)[0]))
     fixed_point = float(np.max(np.abs(pushed.values - rho_next.values)))
     nu_x = FiberMeasure(_pullback_at_depth(lab, x, lab.pullback_depth)[0], fiber=x)
     nu_mass = abs(nu_x.integrate(rho) - 1.0)

@@ -3,17 +3,15 @@
 The discretized operator for one base symbol is a sparse N x N matrix built
 from the inverse branches of the target nodes, the potential weights at the
 branch points, and the periodic interpolation stencil.  A SymbolOperator
-holds it as three sparse structures, one per method family (see its
-docstring); the benchmark tracer's hooks read them.  The batch methods
-multiply by transposes of the structures built once with the operator:
-views that share the structures' arrays, so they hold no new data.  A large
-batch is multiplied in row tiles of about TILE_BYTES of output, each written
-into a C-ordered result while it is still in cache; a batch of one tile is
-multiplied whole.  Every row gets the same bits either way, but the memory
-layout of a batch result differs between the two, so callers must not rely
-on it.  Orbit iterates are step-wise compositions (cost n * N * deg); the
-depth-n preimage tree (cost N * deg^n) is kept only as the ground-truth
-oracle.
+holds that one weighted matrix, read row-wise by `apply*` and through one
+held transposed view by `adjoint*`, plus the unweighted stencils of each
+branch for `apply_perturbed*`.  A large batch is multiplied in row tiles of
+about TILE_BYTES of output, each written into a C-ordered result while it is
+still in cache; a batch of one tile is multiplied whole.  Every row gets the
+same bits either way, but the memory layout of a batch result differs
+between the two, so callers must not rely on it.  Orbit iterates are
+step-wise compositions (cost n * N * deg); the depth-n preimage tree (cost
+N * deg^n) is kept only as the ground-truth oracle.
 """
 
 from __future__ import annotations
@@ -49,16 +47,16 @@ class TransferError(RuntimeError):
 class SymbolOperator:
     """Discretized transfer operator for one base symbol.
 
-    Three sparse structures, each read by one method family: `matrix` (CSR;
-    row i holds the e^phi-weighted stencils of the branch points of node i) by
-    `adjoint*`, `matrix_t` (its transpose) by `apply*`, and `branch_interp_t`
-    (per branch, the transposed unweighted stencils) by `apply_perturbed*`.
-    A single-vector call is row 0 of its batch method on a one-row batch, so
-    both give the same bits.  The benchmark tracer's hooks read the structures.
+    `matrix` (CSR) is the operator: row i holds the e^phi-weighted stencils
+    of the branch points of node i.  `apply*` multiply by it with scipy's CSR
+    kernel, and `adjoint*` by `matrix_t`, its transpose: a CSC view of the
+    same arrays, built once here.  `branch_interp[b]` (CSR, target-major)
+    holds the unweighted stencils of branch b, which `apply_perturbed*`
+    weights by e^phi times the phase.  A batch method returns `(A @ rows.T).T`
+    for its structure A.  A single-vector call is row 0 of its batch method
+    on a one-row batch, so both give the same bits.  The benchmark tracer's
+    hooks read `matrix`, `matrix_t` and `branch_interp_t`.
 
-    A batch method returns `(A.T @ rows.T).T` for its structure A, the
-    expression scipy evaluates for `rows @ A`, with each A.T (a CSC view of
-    A's arrays, no new data) built once here instead of once per product.
     A batch of more than one tile (`_tiled`) is multiplied tile by tile into
     a C-ordered (rows x N) result; a batch of one tile returns scipy's
     transposed view as it is.  Each row meets the same kernel on the same
@@ -80,14 +78,17 @@ class SymbolOperator:
         data = (wts * self.phi_weights.ravel()[None, :]).ravel()
         self.matrix = sp.csr_matrix((data, (np.tile(targets, d).ravel(), idx.ravel())),
                                     shape=(n, n))
-        self.matrix_t = sp.csr_matrix(self.matrix.T)
-        self.branch_interp_t = [
+        self.matrix_t = self.matrix.T
+        self.branch_interp = [
             sp.csr_matrix((wts[:, b * n:(b + 1) * n].ravel(),
-                           (idx[:, b * n:(b + 1) * n].ravel(), targets.ravel())), shape=(n, n))
+                           (targets.ravel(), idx[:, b * n:(b + 1) * n].ravel())), shape=(n, n))
             for b in range(d)]
-        self._matrix_T = self.matrix.T
-        self._matrix_t_T = self.matrix_t.T
-        self._branch_interp_t_T = [st.T for st in self.branch_interp_t]
+
+    @property
+    def branch_interp_t(self) -> list:
+        """Views b.T of `branch_interp`, whose nnz and bytes `perfbench/tracer.py`
+        counts; kept for it until ROADMAP item 1 removes it."""
+        return [b.T for b in self.branch_interp]
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """L u at the target nodes."""
@@ -103,13 +104,13 @@ class SymbolOperator:
 
     def adjoint_batch(self, omegas: np.ndarray) -> np.ndarray:
         """Rows of omega @ matrix."""
-        a_t = self._matrix_T
+        a_t = self.matrix_t
         return _tiled(omegas, np.result_type(a_t.dtype, omegas), lambda rows: (a_t @ rows.T).T)
 
     def apply_batch(self, us: np.ndarray) -> np.ndarray:
-        """Rows of u @ matrix_t."""
-        a_t = self._matrix_t_T
-        return _tiled(us, np.result_type(a_t.dtype, us), lambda rows: (a_t @ rows.T).T)
+        """Rows of matrix @ u."""
+        a = self.matrix
+        return _tiled(us, np.result_type(a.dtype, us), lambda rows: (a @ rows.T).T)
 
     def apply_perturbed_batch(self, us: np.ndarray, phase: np.ndarray) -> np.ndarray:
         """Rows of L(e^{i r g} u); phase has shape (d, n) as in apply_perturbed."""
@@ -117,8 +118,8 @@ class SymbolOperator:
 
         def product(rows):
             out = None  # weighted branch products, summed in branch order in place
-            for w, st_T in zip(weights, self._branch_interp_t_T):
-                p = (st_T @ rows.T).T
+            for w, b in zip(weights, self.branch_interp):
+                p = (b @ rows.T).T
                 p = np.multiply(w, p, out=p if p.dtype == np.result_type(w, p) else None)
                 out = p if out is None else np.add(out, p, out=out)
                 del p  # released before the next product is formed

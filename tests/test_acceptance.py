@@ -262,7 +262,7 @@ def test_criterion_14_reproducibility(tmp_path):
         "experiment.assumption6.n_list=[2,3]", "experiment.assumption6.r_draws=2",
         "experiment.assumption6.pair_depths=[2,4]",
     ])
-    checked = 0
+    alone = {}
     for sub in cli.SUBCOMMANDS:
         if sub == "all":
             continue
@@ -272,10 +272,22 @@ def test_criterion_14_reproducibility(tmp_path):
         s8 = json.dumps({k: v for k, v in r8.items() if k != "volatile"}, sort_keys=True)
         assert s1 == s8, f"{sub} differs across thread counts"
         assert a1 == a8
-        checked += 1
+        alone[sub] = r1
+    checked = len(alone)
+    # inside `all`, each subcommand reports what it reports alone, whatever ran before it
+    every, _ = cli.build_report("all", cfg, threads=1)
+    assert set(every["results"]) == set(alone)
+    for sub, r1 in alone.items():
+        part = every["results"][sub]
+        assert json.dumps(part["results"], sort_keys=True) == json.dumps(r1["results"],
+                                                                         sort_keys=True), sub
+        assert part["contract_ok"] == r1["contract_ok"], sub
+        hashes = {k[len(sub) + 1:]: v for k, v in every["artifact_hashes"].items()
+                  if k.startswith(f"{sub}-")}
+        assert hashes == r1["artifact_hashes"], sub
     # full file-level replay for a representative report
     rep, art = cli.build_report("sigma2", cfg, threads=1)
     d = cli.write_report(rep, art, str(tmp_path))
     assert cli.replay(os.path.join(d, "report.json"), threads=8) == 0
-    report(14, f"{checked} subcommand reports byte-identical at thread counts 1 and 8; "
-               f"file replay exit 0")
+    report(14, f"{checked} subcommand reports byte-identical at thread counts 1 and 8 and "
+               f"inside `all`; file replay exit 0")

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 import rdslab as rl
 from rdslab import transfer
@@ -58,6 +59,14 @@ def test_attributes_read_by_the_tracer_hooks():
     for op in lab.table.ops.values():
         for attr in ("matrix", "matrix_t", "branch_interp_t"):
             assert hasattr(op, attr), attr
+        # the batch hooks count flop from nnz and bytes from the three arrays: the
+        # views read now have the sizes of the CSR transposes the operator once held
+        held = [(op.matrix_t, sp.csr_matrix(op.matrix.T))]
+        held += [(b_t, sp.csr_matrix(b.T)) for b_t, b in zip(op.branch_interp_t, op.branch_interp)]
+        for view, csr in held:
+            assert view.nnz == csr.nnz
+            for name in ("data", "indices", "indptr"):
+                assert getattr(view, name).size == getattr(csr, name).size, name
     ens = rl.OrbitEnsemble(lab, 3, 1, 2, depth=3)
     # the ensemble hook sums .nbytes over the values of both snapshot dicts
     for snaps in (ens.nu_snap, ens.rho_snap):

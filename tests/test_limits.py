@@ -438,6 +438,30 @@ def test_orbit_ensemble_levels(stats_lab):
     assert np.all((0 <= z) & (z < 1))
 
 
+def ensemble_readings(lab, depth):
+    """mu at level 0, lambda at levels 0-3 and the encoding chain read with nu at level 3."""
+    ens = OrbitEnsemble(lab, 200, 42, 11, fwd=3, depth=depth, nu_levels=(0, 3))
+    lam = np.stack([ens.lam_at(j) for j in range(4)])
+    rows = ens.chain_perturbed(ens.rho_snap[0], 0, (0.4, -0.3, 0.2))
+    return ens.mu_weights(), lam, ens.fiber_integral(3, rows)
+
+
+def depth_moves(lab, depth, ref_depth=32):
+    """How far the readings at `depth` sit from those at ref_depth (mu absolute, rest relative)."""
+    mu, lam, enc = ensemble_readings(lab, depth)
+    mu_r, lam_r, enc_r = ensemble_readings(lab, ref_depth)
+    return max(np.max(np.abs(mu - mu_r)), np.max(np.abs(lam - lam_r) / np.abs(lam_r)),
+               np.max(np.abs(enc - enc_r)) / np.max(np.abs(enc_r)))
+
+
+def test_ensemble_depth_24_has_converged(small_gibbs_lab):
+    # the default sample_depth: 8 more levels of pullback move nothing above rounding
+    for lab in (small_gibbs_lab, rl.Lab(rl.make_system(), n_points=256)):
+        assert depth_moves(lab, 24) <= 1e-12
+    # the check has teeth: on the Gibbs system a depth-8 pullback moves mu by about 1e-8
+    assert depth_moves(small_gibbs_lab, 8) > 1e-12
+
+
 def test_orbit_ensemble_rho_is_the_lambda_normalized_pushforward(stats_lab):
     lab, fwd, depth = stats_lab, 3, 12
     ens = OrbitEnsemble(lab, 50, 3, 5, fwd=fwd, depth=depth, nu_levels=(0, fwd))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -319,54 +320,46 @@ def test_perturbed_batch_is_the_branch_sum_and_leaves_rows_alone(small_tables, s
                 assert np.array_equal(op.apply_perturbed(us[i], phase), out[i])
 
 
-@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), complex_rows=st.booleans())
-def test_batch_products_are_scipy_row_products(small_tables, seed, rows, complex_rows):
-    # the batch methods multiply by transposes held since construction: the bits
-    # of `rows @ structure`, from views that share the structures' arrays
-    gen = np.random.default_rng(seed)
-    for table in small_tables:
-        for e, op in table.ops.items():
-            us = gen.uniform(-1.0, 1.0, (rows, table.n_points))
-            if complex_rows:
-                us = us + 1j * gen.uniform(-1.0, 1.0, us.shape)
-            phase = table.phase_at_branches(e, rl.default_observable(table.spec), 0.7)
-            ref = None
-            for w, s_t in zip(op.phi_weights * phase, op.branch_interp_t):
-                p = w * (us @ s_t)
-                ref = p if ref is None else ref + p
-            assert np.array_equal(op.adjoint_batch(us), us @ op.matrix)
-            assert np.array_equal(op.apply_batch(us), us @ op.matrix_t)
-            assert np.array_equal(op.apply_perturbed_batch(us, phase), ref)
-            held = [(op._matrix_T, op.matrix), (op._matrix_t_T, op.matrix_t),
-                    *zip(op._branch_interp_t_T, op.branch_interp_t)]
-            for a_t, a in held:
-                assert a_t.shape == a.shape[::-1]
-                for name in ("data", "indices", "indptr"):
-                    assert np.shares_memory(getattr(a_t, name), getattr(a, name))
+def source_major_structures(op, n, interp):
+    """The transposes an operator used to hold: a CSR copy of matrix.T and, per
+    branch, the unweighted stencils built source-major straight from the stencil."""
+    idx, wts = interp_stencil(op.branch_points.ravel(), n, interp)
+    targets = np.broadcast_to(np.arange(n), (idx.shape[0], n))
+    stencils_t = [sp.csr_matrix((wts[:, b * n:(b + 1) * n].ravel(),
+                                 (idx[:, b * n:(b + 1) * n].ravel(), targets.ravel())),
+                                shape=(n, n))
+                  for b in range(op.branch_points.shape[0])]
+    return sp.csr_matrix(op.matrix.T), stencils_t
 
 
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), tile=st.integers(1, 7),
        complex_rows=st.booleans())
-def test_row_tiles_give_the_untiled_bits(small_tables, seed, rows, tile, complex_rows):
-    # with TILE_BYTES set to `tile` output rows, a larger batch is multiplied tile by
-    # tile (a C-ordered result shows it), and every row keeps the bits of the
-    # untiled expression, whatever the last partial tile holds
+def test_batch_products_are_scipy_row_products(small_tables, seed, rows, tile, complex_rows):
+    # every batch method, whole and with TILE_BYTES set to `tile` output rows, keeps
+    # the bits of the row products by the source-major structures multiplied through
+    # their CSC views; a larger batch is multiplied tile by tile (a C-ordered result
+    # shows it); and matrix_t is a view of matrix's arrays, not a copy
     gen = np.random.default_rng(seed)
     for table in small_tables:
         n = table.n_points
         for e, op in table.ops.items():
+            assert op.matrix_t.shape == op.matrix.shape[::-1]
+            for name in ("data", "indices", "indptr"):
+                assert np.shares_memory(getattr(op.matrix_t, name), getattr(op.matrix, name))
+            matrix_t, stencils_t = source_major_structures(op, n, table.interp)
             us = gen.uniform(-1.0, 1.0, (rows, n))
             if complex_rows:
                 us = us + 1j * gen.uniform(-1.0, 1.0, us.shape)
             phase = table.phase_at_branches(e, rl.default_observable(table.spec), 0.7)
             perturbed = None
-            for w, st_T in zip(op.phi_weights * phase, op._branch_interp_t_T):
-                p = w * (st_T @ us.T).T
+            for w, st_t in zip(op.phi_weights * phase, stencils_t):
+                p = w * (st_t.T @ us.T).T
                 perturbed = p if perturbed is None else perturbed + p
-            cases = [(op.adjoint_batch, (us,), (op._matrix_T @ us.T).T),
-                     (op.apply_batch, (us,), (op._matrix_t_T @ us.T).T),
+            cases = [(op.adjoint_batch, (us,), (op.matrix.T @ us.T).T),
+                     (op.apply_batch, (us,), (matrix_t.T @ us.T).T),
                      (op.apply_perturbed_batch, (us, phase), perturbed)]
             for method, args, want in cases:
+                assert np.array_equal(method(*args), want)
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(transfer, "TILE_BYTES", tile * n * want.itemsize)
                     got = method(*args)
