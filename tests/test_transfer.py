@@ -332,13 +332,33 @@ def source_major_structures(op, n, interp):
     return sp.csr_matrix(op.matrix.T), stencils_t
 
 
-@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), tile=st.integers(1, 7),
-       complex_rows=st.booleans())
-def test_batch_products_are_scipy_row_products(small_tables, seed, rows, tile, complex_rows):
-    # every batch method, whole and with TILE_BYTES set to `tile` output rows, keeps
-    # the bits of the row products by the source-major structures multiplied through
-    # their CSC views; a larger batch is multiplied tile by tile (a C-ordered result
-    # shows it); and matrix_t is a view of matrix's arrays, not a copy
+def batch_cases(table, e, us, structures):
+    """(method, args, want) per batch method, with `want` the row products by the
+    given (matrix_t, per-branch stencils_t) multiplied through their CSC views."""
+    op = table.ops[e]
+    matrix_t, stencils_t = structures
+    phase = table.phase_at_branches(e, rl.default_observable(table.spec), 0.7)
+    perturbed = None
+    for w, st_t in zip(op.phi_weights * phase, stencils_t):
+        p = w * (st_t.T @ us.T).T
+        perturbed = p if perturbed is None else perturbed + p
+    return [(op.adjoint_batch, (us,), (op.matrix.T @ us.T).T),
+            (op.apply_batch, (us,), (matrix_t.T @ us.T).T),
+            (op.apply_perturbed_batch, (us, phase), perturbed)]
+
+
+def random_rows(gen, rows, n, complex_rows):
+    us = gen.uniform(-1.0, 1.0, (rows, n))
+    if complex_rows:
+        us = us + 1j * gen.uniform(-1.0, 1.0, us.shape)
+    return us
+
+
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), complex_rows=st.booleans())
+def test_batch_products_are_scipy_row_products(small_tables, seed, rows, complex_rows):
+    # every batch method keeps the bits of the row products by the source-major
+    # structures multiplied through their CSC views, and matrix_t is a view of
+    # matrix's arrays, not a copy
     gen = np.random.default_rng(seed)
     for table in small_tables:
         n = table.n_points
@@ -346,20 +366,27 @@ def test_batch_products_are_scipy_row_products(small_tables, seed, rows, tile, c
             assert op.matrix_t.shape == op.matrix.shape[::-1]
             for name in ("data", "indices", "indptr"):
                 assert np.shares_memory(getattr(op.matrix_t, name), getattr(op.matrix, name))
-            matrix_t, stencils_t = source_major_structures(op, n, table.interp)
-            us = gen.uniform(-1.0, 1.0, (rows, n))
-            if complex_rows:
-                us = us + 1j * gen.uniform(-1.0, 1.0, us.shape)
-            phase = table.phase_at_branches(e, rl.default_observable(table.spec), 0.7)
-            perturbed = None
-            for w, st_t in zip(op.phi_weights * phase, stencils_t):
-                p = w * (st_t.T @ us.T).T
-                perturbed = p if perturbed is None else perturbed + p
-            cases = [(op.adjoint_batch, (us,), (op.matrix.T @ us.T).T),
-                     (op.apply_batch, (us,), (matrix_t.T @ us.T).T),
-                     (op.apply_perturbed_batch, (us, phase), perturbed)]
-            for method, args, want in cases:
-                assert np.array_equal(method(*args), want)
+            us = random_rows(gen, rows, n, complex_rows)
+            structures = source_major_structures(op, n, table.interp)
+            for method, args, want in batch_cases(table, e, us, structures):
+                got = method(*args)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), tile=st.integers(1, 7),
+       complex_rows=st.booleans())
+def test_row_tiles_give_the_untiled_bits(small_tables, seed, rows, tile, complex_rows):
+    # with TILE_BYTES set to `tile` output rows, a larger batch is multiplied tile by
+    # tile (a C-ordered result shows it), and every row keeps the bits of the
+    # untiled expression, whatever the last partial tile holds
+    gen = np.random.default_rng(seed)
+    for table in small_tables:
+        n = table.n_points
+        for e, op in table.ops.items():
+            us = random_rows(gen, rows, n, complex_rows)
+            structures = source_major_structures(op, n, table.interp)
+            for method, args, want in batch_cases(table, e, us, structures):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(transfer, "TILE_BYTES", tile * n * want.itemsize)
                     got = method(*args)
