@@ -312,9 +312,6 @@ class SystemObservable:
         z = np.asarray(z, dtype=np.float64)
         return self._offset[e] + self._amp * np.cos(TWO_PI * (z - self._phase[e]))
 
-    def values(self, x: BasePoint, z) -> np.ndarray:
-        return self.values_for_symbol(x.symbol(0), z)
-
 
 class CoboundaryObservable:
     """g_x(z) = k(z) - k(T_x z) + const: Birkhoff sums telescope exactly."""
@@ -329,9 +326,6 @@ class CoboundaryObservable:
         tz = apply_map_symbol(self.spec, np.asarray(e, dtype=np.int64), z)
         return self.k(z) - self.k(tz) + self.const
 
-    def values(self, x: BasePoint, z) -> np.ndarray:
-        return self.values_for_symbol(x.symbol(0), z)
-
 
 class ScaledObservable:
     def __init__(self, inner, factor: float):
@@ -340,9 +334,6 @@ class ScaledObservable:
 
     def values_for_symbol(self, e, z):
         return self.factor * self.inner.values_for_symbol(e, z)
-
-    def values(self, x, z):
-        return self.factor * self.inner.values(x, z)
 
 
 def default_observable(spec: SystemSpec) -> SystemObservable:
@@ -355,7 +346,7 @@ def birkhoff_sum(spec: SystemSpec, h, x: BasePoint, z, n: int):
     total = np.zeros_like(z)
     y = x
     for _ in range(int(n)):
-        total = total + h.values(y, z)
+        total = total + h.values_for_symbol(y.symbol(0), z)
         z = apply_map(spec, y, z)
         y = y.shift_by(1)
     return float(total) if total.ndim == 0 else total

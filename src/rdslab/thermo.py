@@ -88,9 +88,10 @@ class ConformalWindow:
 
     Row t of `symbols` lists the symbols of base point x_t at levels lo,
     lo + 1, ...; level j is the fiber over shift^j(x_t).  A single downward
-    adjoint sweep from level fwd + depth stops at min(nu_levels + [0]), the
-    lowest level anything reads; it records lambda at every level it passes
-    and the requested nu snapshots (each with pullback depth >= depth).  rho
+    adjoint sweep from level fwd + depth stops at min(nu_levels + [lam_lo, 0]),
+    the lowest level anything reads; it records lambda at every level it
+    passes (so lambda is held from lam_lo up with no nu level there) and the
+    requested nu snapshots (each with pullback depth >= depth).  rho
     starts from the constant density at level -rho_depth (default: depth)
     and is pushed up to level 0, each level rescaled to unit row sums, then
     scaled in place so that nu_0(rho_0) = 1.  That is the lambda-normalized
@@ -111,14 +112,15 @@ class ConformalWindow:
     error = ThermoError
 
     def __init__(self, table: OperatorTable, symbols: np.ndarray, lo: int, fwd: int = 0,
-                 depth: int = 24, nu_levels=(0,), rho_depth: int | None = None):
+                 depth: int = 24, nu_levels=(0,), rho_depth: int | None = None,
+                 lam_lo: int = 0):
         self.table = table
         fwd, depth = int(fwd), int(depth)
         rho_depth = depth if rho_depth is None else int(rho_depth)
         self._symbols = symbols
         self._sym_lo = int(lo)
         nu_levels = sorted(set(int(j) for j in nu_levels))
-        stop = min(nu_levels + [0])
+        stop = min(nu_levels + [int(lam_lo), 0])
         top = fwd + depth
         if (nu_levels and nu_levels[-1] > fwd) or min(stop, -rho_depth) < lo \
                 or symbols.shape[1] < top - lo:
@@ -227,9 +229,8 @@ class Lab:
     Every conformal value is read from a `ConformalWindow` built from the
     request alone, with pullback depth pullback_depth + 1 at the highest
     level read.  Windows are memoized by the full request (points, forward
-    levels, rho depth, nu levels), so each value is a pure function of
-    (spec, grid, depth, request) whatever was asked before.  The single-vector
-    pullbacks of `_pullback_at_depth` are memoized per (point, depth) alike.
+    levels, rho depth, nu levels, lowest lambda level), so each value is a
+    pure function of (spec, grid, depth, request) whatever was asked before.
     """
 
     def __init__(self, spec: SystemSpec, n_points: int = 1024, interp: str = "cubic",
@@ -242,7 +243,6 @@ class Lab:
         self.depth_max = int(depth_max)
         self.duality_tol = float(duality_tol)
         self._windows = {}
-        self._pullbacks = {}
 
     @property
     def n_points(self) -> int:
@@ -255,23 +255,24 @@ class Lab:
     # -- conformal family ---------------------------------------------------
 
     def window(self, xs, fwd: int = 0, rho_depth: int | None = None,
-               nu_levels=(0,)) -> ConformalWindow:
+               nu_levels=(0,), lam_lo: int = 0) -> ConformalWindow:
         """One grouped sweep over the orbits of the base points xs, rows in order.
 
-        lambda is held from level min(nu_levels + [0]) up, nu at each of
-        nu_levels (none above fwd), and rho at level 0 is the constant function
-        pushed `rho_depth` steps (default pullback_depth).  Symbols come from
-        BasePoint.symbols, so pinned overrides hold.
+        lambda is held from level min(nu_levels + [lam_lo, 0]) up, nu at each
+        of nu_levels (none above fwd), and rho at level 0 is the constant
+        function pushed `rho_depth` steps (default pullback_depth).  Symbols
+        come from BasePoint.symbols, so pinned overrides hold.
         """
         K = self.pullback_depth
         rho_depth = K if rho_depth is None else int(rho_depth)
-        key = (tuple(xs), int(fwd), rho_depth, tuple(sorted(set(int(j) for j in nu_levels))))
+        key = (tuple(xs), int(fwd), rho_depth, tuple(sorted(set(int(j) for j in nu_levels))),
+               int(lam_lo))
         win = self._windows.get(key)
         if win is None:
-            lo = min(key[3] + (0, -rho_depth))
+            lo = min(key[3] + (0, -rho_depth, key[4]))
             symbols = np.stack([x.symbols(lo, key[1] + K + 1) for x in key[0]])
             win = ConformalWindow(self.table, symbols, lo, fwd=key[1], depth=K + 1,
-                                  nu_levels=key[3], rho_depth=rho_depth)
+                                  nu_levels=key[3], rho_depth=rho_depth, lam_lo=key[4])
             self._windows[key] = win
         return win
 
@@ -323,18 +324,10 @@ class PullbackReport:
 
 
 def _pullback_at_depth(lab: Lab, x: BasePoint, depth: int):
-    """(nu weights, lambda) at x from a depth-`depth` sweep independent of the windows.
-
-    Memoized on the lab per (x, depth); the weights are read-only.
-    """
-    key = (x, int(depth))
-    got = lab._pullbacks.get(key)
-    if got is None:
-        for _, lam, omega in pullback_sweep(lab.table, x, depth + 1, 0):
-            pass  # the sweep ends at level 0
-        omega.flags.writeable = False
-        got = lab._pullbacks[key] = (omega, lam)
-    return got
+    """(nu weights, lambda) at x from one depth-`depth` single-vector sweep."""
+    for _, lam, omega in pullback_sweep(lab.table, x, depth + 1, 0):
+        pass  # the sweep ends at level 0
+    return omega, lam
 
 
 def random_smooth_functions(n_points: int, count: int, seed: int, interp: str = "cubic",
@@ -419,15 +412,14 @@ class DensityReport:
 def invariant_density(lab: Lab, x: BasePoint, depth: int | None = None) -> DensityReport:
     """rho at x as a depth-K pushforward, cross-checked against the Cesaro average.
 
-    The residuals compare independently built objects, so they measure
-    genuine convergence rather than construction identities: the window
-    normalizes rho so that its own nu_0(rho_0) = 1, so the nu-mass residual
-    integrates rho against a single-vector pullback instead, and the
-    fixed-point residual compares L_0 rho_x with the rho of the image fiber's
-    own window (its own depth-K pushforward).
+    The Cesaro gap and the fixed-point residual compare independently built
+    objects: the fixed-point residual compares L_0 rho_x with the rho of the
+    image fiber's own window (its own depth-K pushforward).  The nu-mass
+    residual does not: nu_x is the window's own nu_0, which rho was scaled
+    against so that nu_0(rho_0) = 1, so it measures rounding only.
     """
     K = lab.pullback_depth if depth is None else int(depth)
-    win = lab.window((x,), rho_depth=K, nu_levels=range(-(K - 1), 1))
+    win = lab.window((x,), rho_depth=K, lam_lo=-(K - 1))
     rho = GridFunction(win.rho_snap[0][0], interp=lab.interp, fiber=x)
     acc = np.ones((1, lab.n_points))
     for j in range(-(K - 1), 0):
@@ -438,8 +430,7 @@ def invariant_density(lab: Lab, x: BasePoint, depth: int | None = None) -> Densi
     rho_next = lab.rho(x.shift_by(1), K)
     pushed = transfer_apply(lab.table, x, rho, kind="normalized", lam=float(win.lam_at(0)[0]))
     fixed_point = float(np.max(np.abs(pushed.values - rho_next.values)))
-    nu_x = FiberMeasure(_pullback_at_depth(lab, x, lab.pullback_depth)[0], fiber=x)
-    nu_mass = abs(nu_x.integrate(rho) - 1.0)
+    nu_mass = abs(FiberMeasure(win.nu_snap[0][0], fiber=x).integrate(rho) - 1.0)
     return DensityReport(rho, K, cesaro_gap, fixed_point, float(nu_mass))
 
 
@@ -546,13 +537,13 @@ def regularity_check(lab: Lab, base_pairs, n_list, beta_grid=None) -> Regularity
         def row_diffs(rows):
             return np.max(np.abs(rows[0::2] - rows[1::2]), axis=1).tolist()
 
-        win = lab.window(points)
+        win = lab.window(points, nu_levels=())
         lam = win.lam_at(0)
         dlam = np.abs(lam[0::2] - lam[1::2]).tolist()
         drho = row_diffs(win.rho_snap[0])
         for n in n_list:
             # L_0^n 1 transported to x is the depth-n density
-            diter[int(n)] = row_diffs(lab.window(points, rho_depth=int(n)).rho_snap[0])
+            diter[int(n)] = row_diffs(lab.window(points, rho_depth=int(n), nu_levels=()).rho_snap[0])
 
     def fit(deltas):
         pts = [(np.log(dd), np.log(v)) for dd, v in zip(dists, deltas) if v > 1e-14]
@@ -583,8 +574,7 @@ def regularity_check(lab: Lab, base_pairs, n_list, beta_grid=None) -> Regularity
 
 def uniform_bounds_check(lab: Lab, x_samples, n_max: int) -> dict:
     """Measured envelope of L_0^n 1 and rho over samples: one C with C^-1 <= . <= C."""
-    # the sweep runs down to level -n_max, so lambda is held on the whole path
-    win = lab.window(x_samples, nu_levels=(-n_max, 0))
+    win = lab.window(x_samples, nu_levels=(), lam_lo=-n_max)
     rho = win.rho_snap[0]
     u = np.ones(rho.shape)
     lo, hi = np.inf, 0.0

@@ -373,7 +373,7 @@ def operator_norm_bounds_check(lab, x_samples, r_grid, n_max: int, seed: int = 0
             fs.append(vals)
     fs = np.array(fs)
     # rows of one x share its symbol path, so the window sweeps each x once
-    win = lab.window([x for x in xs for _ in range(per_x)], fwd=n_max - 1)
+    win = lab.window([x for x in xs for _ in range(per_x)], fwd=n_max - 1, nu_levels=())
     f_inf = np.max(np.abs(fs), axis=1)
     f_alpha = np.array([alpha_norm(f, hp.alpha, hp.eta) for f in fs])
     sup_env = np.zeros(n_max)

@@ -78,7 +78,7 @@ def test_birkhoff_sum_examples():
     x = sample_base(spec.base, 5, 0)
 
     class One:
-        def values(self, x, z):
+        def values_for_symbol(self, e, z):
             return np.ones_like(np.asarray(z, dtype=float))
 
     assert birkhoff_sum(spec, One(), x, 0.3, 7) == pytest.approx(7.0)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -222,7 +224,7 @@ def test_window_rows_bit_equal_to_one_point_windows(small_gibbs_lab, points, fwd
         assert np.array_equal(rho[i], rho_one[0])
 
 
-def unshared_sweep(table, block, lo, fwd, depth, nu_levels, rho_depth):
+def unshared_sweep(table, block, lo, fwd, depth, nu_levels, rho_depth, lam_lo):
     """Every row pushed at every level, grouped by symbol: the sweep before rows whose
     symbols agree shared their states.  Returns lambda and nu per level, and rho_0."""
     def grouped(j, method, rows):
@@ -236,7 +238,7 @@ def unshared_sweep(table, block, lo, fwd, depth, nu_levels, rho_depth):
     n = table.n_points
     lam, nu = {}, {}
     omega = np.full((len(block), n), 1.0 / n)
-    for j in range(fwd + depth - 1, min(list(nu_levels) + [0]) - 1, -1):
+    for j in range(fwd + depth - 1, min(list(nu_levels) + [lam_lo, 0]) - 1, -1):
         omega = grouped(j, "adjoint_batch", omega)
         lam[j] = omega.sum(axis=1)
         omega = omega / lam[j][:, None]
@@ -248,12 +250,15 @@ def unshared_sweep(table, block, lo, fwd, depth, nu_levels, rho_depth):
     return lam, nu, rho / np.einsum("ij,ij->i", nu[0], rho)[:, None]
 
 
-@pytest.fixture(scope="module")
-def three_symbol_table():
-    spec = rl.gibbs_system(weights=(0.3, 0.3, 0.4), branch_count=(2, 3, 2),
+def three_symbol_system():
+    return rl.gibbs_system(weights=(0.3, 0.3, 0.4), branch_count=(2, 3, 2),
                            nonlinearity=(0.0, 0.0, 0.0), potential_amp=(0.1, 0.15, -0.05),
                            obs_offset=(0.2, -0.1, 0.0), obs_phase=(0.0, 0.3, 0.6))
-    return rl.OperatorTable(spec, 64)
+
+
+@pytest.fixture(scope="module")
+def three_symbol_table():
+    return rl.OperatorTable(three_symbol_system(), 64)
 
 
 @st.composite
@@ -265,7 +270,8 @@ def shared_blocks(draw):
     fwd, depth = draw(st.integers(0, 3)), draw(st.integers(1, 6))
     rho_depth = draw(st.integers(0, 6))
     nu_levels = sorted(draw(st.sets(st.integers(-3, fwd), max_size=3)))
-    lo = min(nu_levels + [0, -rho_depth])
+    lam_lo = draw(st.integers(-4, 0))
+    lo = min(nu_levels + [0, -rho_depth, lam_lo])
     width = fwd + depth - lo
     n_rows = draw(st.integers(1, 10))
     block = np.random.default_rng(draw(st.integers(0, 2**16))).integers(0, q, (n_rows, width))
@@ -277,19 +283,24 @@ def shared_blocks(draw):
                 "bottom": slice(-rho_depth - lo, -rho_depth - lo + k),
                 "pinned": slice(max(-k - lo, 0), k - lo + 1)}[kind]
         block[b, cols] = block[a, cols]
-    return q, block, lo, fwd, depth, nu_levels, rho_depth
+    return q, block, lo, fwd, depth, nu_levels, rho_depth, lam_lo
 
 
 @given(shared_blocks())
 def test_shared_path_sweep_bit_equal_to_unshared_sweep(small_gibbs_lab, three_symbol_table,
                                                         case):
-    q, block, lo, fwd, depth, nu_levels, rho_depth = case
+    q, block, lo, fwd, depth, nu_levels, rho_depth, lam_lo = case
     table = small_gibbs_lab.table if q == 2 else three_symbol_table
     win = ConformalWindow(table, block, lo, fwd=fwd, depth=depth, nu_levels=nu_levels,
-                          rho_depth=rho_depth)
-    lam, nu, rho0 = unshared_sweep(table, block, lo, fwd, depth, nu_levels, rho_depth)
+                          rho_depth=rho_depth, lam_lo=lam_lo)
+    lam, nu, rho0 = unshared_sweep(table, block, lo, fwd, depth, nu_levels, rho_depth, lam_lo)
+    # lambda is held down to lam_lo (or a lower nu level), and no further
+    stop = min(nu_levels + [lam_lo, 0])
+    assert min(lam) == stop
     for j in lam:
         assert np.array_equal(win.lam_at(j), lam[j])
+    with pytest.raises(ThermoError):
+        win.lam_at(stop - 1)
     assert sorted(win.nu_snap) == nu_levels
     for j in nu_levels:
         assert np.array_equal(win.nu_snap[j], nu[j])
@@ -376,8 +387,43 @@ def test_thermo_sweeps_the_depth_k_pullback_once(monkeypatch):
     assert (x, lab.pullback_depth + 1, 0) in sweeps
     before = len(sweeps)
     dens = invariant_density(lab, x)
-    assert len(sweeps) == before  # the nu-mass residual reads the memoized pullback
+    assert len(sweeps) == before  # the nu-mass residual reads its window's nu_0
     assert len(set(sweeps)) == len(sweeps)
     alone = invariant_density(fresh_lab(), x)
+    assert len(sweeps) == before  # no pullback on a fresh lab either
     assert dens.nu_mass_residual == alone.nu_mass_residual
     assert np.array_equal(pull.nu.weights, conformal_pullback(fresh_lab(), x, n_probe=5).nu.weights)
+
+
+@functools.lru_cache(maxsize=None)
+def system_lab(name, interp, n_points, depth):
+    spec = {"default": rl.make_system, "gibbs": rl.gibbs_system,
+            "three": three_symbol_system}[name]()
+    return rl.Lab(spec, n_points=n_points, interp=interp, pullback_depth=depth)
+
+
+@st.composite
+def pullback_cases(draw):
+    """A lab (system, interpolation, N, K) and a sampled base point with pinned symbols."""
+    lab = system_lab(draw(st.sampled_from(["default", "gibbs", "three"])),
+                     draw(st.sampled_from(["cubic", "linear"])),
+                     draw(st.sampled_from([32, 96, 256])), draw(st.sampled_from([2, 5, 12, 40])))
+    depth, q = lab.pullback_depth, len(lab.spec.alphabet)
+    pins = draw(st.dictionaries(st.integers(-2, depth + 2), st.integers(0, q - 1), max_size=4))
+    return lab, sample_base(lab.spec.base, draw(st.integers(0, 2**16)), 0).with_overrides(pins)
+
+
+@given(pullback_cases())
+def test_single_vector_pullback_bit_equal_to_one_row_window(case):
+    from rdslab.thermo import _pullback_at_depth
+
+    lab, x = case
+    K = lab.pullback_depth
+    omega, lam = _pullback_at_depth(lab, x, K)
+    win = lab.window((x,))
+    assert np.array_equal(omega, win.nu_snap[0][0])
+    assert lam == win.lam_at(0)[0]
+    # teeth: a pullback one level shallower holds other bits (deep sweeps at small N
+    # can settle on a rounding fixed point, where neighbouring depths agree)
+    if K <= 12:
+        assert not np.array_equal(_pullback_at_depth(lab, x, K - 1)[0], win.nu_snap[0][0])
