@@ -75,8 +75,7 @@ def gridfunction_csv(gf: GridFunction) -> str:
     return csv_text(("index", "point", "value_re", "value_im"), rows)
 
 
-def _build_lab(config) -> Lab:
-    spec = system_from_config(config)
+def _build_lab(config, spec) -> Lab:
     num = config["numerics"]
     return Lab(spec, n_points=num["n_points"], interp=num["interp"],
                pullback_depth=num["pullback_depth"], depth_max=num["depth_max"],
@@ -89,9 +88,9 @@ def _observable_for(lab, name: str, const: float = 0.25):
 
 # ---------------------------------------------------------------------------
 # subcommand implementations: each returns (results, contract_ok, artifacts).
-# Each gets a fresh Lab.  `memo` is a dict that lives for one build_report call
-# and holds results that several subcommands of `all` share, keyed by config
-# names rather than by objects of one subcommand's Lab.
+# Each gets a fresh Lab on the report's one SystemSpec.  `memo` is a dict that
+# lives for one build_report call and holds results that several subcommands
+# of `all` share, keyed by config names rather than by objects of one Lab.
 
 
 def _run_thermo(lab, config, seed, threads, memo):
@@ -294,18 +293,19 @@ def build_report(subcommand: str, config: dict, threads: int = 1) -> tuple[dict,
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     seed = int(config["statistics"]["seed"])
+    spec = system_from_config(config)
     memo = {}
     if subcommand == "all":
         sub_results, ok_all, artifacts = {}, True, {}
         for name, runner in _RUNNERS.items():
-            res, ok, art = runner(_build_lab(config), config, seed, threads, memo)
+            res, ok, art = runner(_build_lab(config, spec), config, seed, threads, memo)
             sub_results[name] = {"results": res, "contract_ok": ok}
             ok_all = ok_all and ok
             for fname, text in art.items():
                 artifacts[f"{name}-{fname}"] = text
         results, contract_ok = sub_results, ok_all
     else:
-        lab = _build_lab(config)
+        lab = _build_lab(config, spec)
         results, contract_ok, artifacts = _RUNNERS[subcommand](lab, config, seed, threads, memo)
     report = {
         "subcommand": subcommand,

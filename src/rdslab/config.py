@@ -139,18 +139,18 @@ DEFAULTS = {
         "gap": {"n_x": Int(8, 1),  # a conformal window needs at least one base point
                 "n_u": Int(4, 1),  # the residuals are means over the test functions
                 "n_min": Int(1, 1),  # residuals start after one transfer step
-                "n_max": Int(20, 1),  # and at least n_min
+                "n_max": Int(20, 3),  # and at least n_min + 2: the fit needs 3 values of n
                 "battery": Choice("lipschitz", ("lipschitz", "smooth"))},
         "bounds": {"n_x": Int(4, 1), "uniform_n_x": Int(100, 1),
                    "r_grid": List([0.0, 0.5, 1.0], float),  # within epsilon0
-                   "n_max": Int(12, 1),  # the norm bounds start after one transfer step
+                   "n_max": Int(12, 2),  # the growth slopes are fits over n = 1..n_max
                    "uniform_n_max": Int(30, 1)},  # the envelope of L_0^n 1 needs one step
         "encoding": {"r_sequence": List([0.4, -0.3, 0.2], float)},  # one per step, within epsilon0
         "condition_h": {
             "block_n": Int(1, 1), "block_m": Int(1, 1),  # (H) couples two nonempty block groups
             "boundaries": List([0, 1, 2], int, 3, least=0, order="increasing"),  # the block edges
             "frequencies": List([0.4, 0.4], float, 2),  # one per block, within epsilon0
-            "k_list": List([0, 1, 2, 3, 4, 5, 6], int, least=0, distinct=True)},  # gap lengths
+            "k_list": List([0, 1, 2, 3, 4, 5, 6], int, 2, least=0, distinct=True)},  # a fit in k
         "assumption6": {
             "n_list": List([2, 4, 8], int, 2, least=1, distinct=True),  # uniformity is a trend in n
             "r_draws": Int(5, 1),  # the norm at each n is a max over the draws
@@ -200,12 +200,13 @@ def _check_cross(config: dict):
     """The rules that tie one key to others; each leaf already keeps its own."""
     def at(path):
         return functools.reduce(operator.getitem, path.split("."), config)
-    for path, floor_path in (("numerics.depth_max", "numerics.pullback_depth"),
-                             ("statistics.m_max", "statistics.m"),
-                             ("experiment.gap.n_max", "experiment.gap.n_min")):
-        value, floor = at(path), at(floor_path)
+    for path, floor_path, plus in (("numerics.depth_max", "numerics.pullback_depth", 0),
+                                   ("statistics.m_max", "statistics.m", 0),
+                                   ("experiment.gap.n_max", "experiment.gap.n_min", 2)):
+        value, floor = at(path), at(floor_path) + plus
         if value < floor:
-            raise ConfigError(f"{path} must be an integer >= {floor_path} = {floor}, got {value!r}")
+            raise ConfigError(f"{path} must be an integer >= {floor_path}"
+                              f"{f' + {plus}' if plus else ''} = {floor}, got {value!r}")
     ch = config["experiment"]["condition_h"]
     n_blocks = ch["block_n"] + ch["block_m"]
     for name, size in (("frequencies", n_blocks), ("boundaries", n_blocks + 1)):

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import rng
 from .base import sample_seeds, symbols_for_seeds
-from .fiber import GridFunction, _map_step, apply_map_symbol
+from .fiber import GridFunction, _map_step
 from .thermo import ConformalWindow, Lab, _mu_rows
-from .transfer import transfer_iterate
+from .transfer import forward_phase_sum, transfer_iterate
 
 SIGMA2_FLOOR = 1e-3
 
@@ -252,11 +252,8 @@ def encoding_check(lab: Lab, r_sequence, n_base_samples: int, seed: int,
     n = len(r_sequence)
     ens = OrbitEnsemble(lab, n_base_samples, seed, stream=11, fwd=n, depth=sample_depth,
                         nu_levels=(0, n))
-    z = ens.sample_z()
-    phase = np.zeros(n_base_samples)
-    for j in range(n):
-        phase = phase + r_sequence[j] * g.values_for_symbol(ens.symbol(j), z)
-        z = apply_map_symbol(lab.spec, ens.symbol(j), z)
+    phase = forward_phase_sum(lab.spec, [ens.symbol(j) for j in range(n)], ens.sample_z(),
+                              r_sequence, g)
     lhs_t = np.exp(1j * phase)
     rows = ens.chain_perturbed(ens.rho_snap[0], 0, r_sequence, observable=g)
     rhs_t = ens.fiber_integral(n, rows)

@@ -201,15 +201,13 @@ class ConformalWindow:
         """Rows pushed from level j to j + 1 by their row's normalized operator.
 
         r != 0 applies the perturbed operator u -> L(e^{i r g} u) of the
-        observable g before dividing by lambda at j.  The output is complex at
-        r != 0 and keeps the dtype of `rows` otherwise.
+        observable g before dividing by lambda at j; each symbol's operator
+        holds its own phase exp(i r g).  The output is complex at r != 0 and
+        keeps the dtype of `rows` otherwise.
         """
-        table = self.table
-
         def step(e, u):
-            if r == 0.0:
-                return table.op(e).apply_batch(u)
-            return table.op(e).apply_perturbed_batch(u, table.phase_at_branches(e, observable, r))
+            op = self.table.op(e)
+            return op.apply_batch(u) if r == 0.0 else op.apply_perturbed_batch(u, r, observable)
         out = np.empty(rows.shape, rows.dtype if r == 0.0 else np.result_type(rows, complex))
         self._grouped(self.symbol(j), step, rows, out)
         out /= self.lam_at(j)[:, None]

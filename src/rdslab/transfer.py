@@ -5,13 +5,15 @@ from the inverse branches of the target nodes, the potential weights at the
 branch points, and the periodic interpolation stencil.  A SymbolOperator
 holds that one weighted matrix, read row-wise by `apply*` and through one
 held transposed view by `adjoint*`, plus the unweighted stencils of each
-branch for `apply_perturbed*`.  A large batch is multiplied in row tiles of
-about TILE_BYTES of output, each written into a C-ordered result while it is
-still in cache; a batch of one tile is multiplied whole.  Every row gets the
-same bits either way, but the memory layout of a batch result differs
-between the two, so callers must not rely on it.  Orbit iterates are
-step-wise compositions (cost n * N * deg); the depth-n preimage tree (cost
-N * deg^n) is kept only as the ground-truth oracle.
+branch for the perturbed operator L_r u = L(e^{i r g} u), called with r and
+g: the operator computes each phase exp(i r g) at its branch points once
+and holds it.  A large batch is multiplied in row tiles of about TILE_BYTES
+of output, each written into a C-ordered result while it is still in cache;
+a batch of one tile is multiplied whole.  Every row gets the same bits
+either way, but the memory layout of a batch result differs between the
+two, so callers must not rely on it.  Orbit iterates are step-wise
+compositions (cost n * N * deg); the depth-n preimage tree (cost N * deg^n)
+is kept only as the ground-truth oracle.
 """
 
 from __future__ import annotations
@@ -52,16 +54,20 @@ class SymbolOperator:
     kernel, and `adjoint*` by `matrix_t`, its transpose: a CSC view of the
     same arrays, built once here.  `branch_interp[b]` (CSR, target-major)
     holds the unweighted stencils of branch b, which `apply_perturbed*`
-    weights by e^phi times the phase.  A batch method returns `(A @ rows.T).T`
-    for its structure A.  A single-vector call is row 0 of its batch method
-    on a one-row batch, so both give the same bits.  The benchmark tracer's
-    hooks read `matrix`, `matrix_t` and `branch_interp_t`.
+    weights by e^phi times `phase(r, observable)`.  A batch method returns
+    `(A @ rows.T).T` for its structure A.  A single-vector call is row 0 of
+    its batch method on a one-row batch, so both give the same bits.  The
+    benchmark tracer's hooks read `matrix`, `matrix_t` and `branch_interp_t`.
 
     A batch of more than one tile (`_tiled`) is multiplied tile by tile into
     a C-ordered (rows x N) result; a batch of one tile returns scipy's
     transposed view as it is.  Each row meets the same kernel on the same
     values in both cases, so it has the same bits, but the result's memory
     layout depends on the batch size: callers must not rely on it.
+
+    `phase` alone computes exp(i r g), and holds each phase read-only per
+    (observable, r to the bit): the held phases grow with the number of
+    distinct (observable, r) that the operator's `Lab` is asked for.
     """
 
     def __init__(self, spec: SystemSpec, e: int, n_points: int, interp: str,
@@ -69,6 +75,7 @@ class SymbolOperator:
         n = n_points
         nodes = np.arange(n) / n
         zb = inverse_branches_symbol(spec, e, nodes, newton_tol=newton_tol)
+        self.symbol = int(e)
         self.branch_points = zb
         self.phi_weights = np.exp(potential_values(spec, e, zb))  # (d, n)
         d = zb.shape[0]
@@ -83,6 +90,7 @@ class SymbolOperator:
             sp.csr_matrix((wts[:, b * n:(b + 1) * n].ravel(),
                            (targets.ravel(), idx[:, b * n:(b + 1) * n].ravel())), shape=(n, n))
             for b in range(d)]
+        self._phases = {}
 
     @property
     def branch_interp_t(self) -> list:
@@ -94,9 +102,19 @@ class SymbolOperator:
         """L u at the target nodes."""
         return self.apply_batch(u[None, :])[0]
 
-    def apply_perturbed(self, u: np.ndarray, phase: np.ndarray) -> np.ndarray:
-        """L(e^{i r g} u) with phase = exp(i r g(branch_points)), shape (d, n)."""
-        return self.apply_perturbed_batch(u[None, :], phase)[0]
+    def apply_perturbed(self, u: np.ndarray, r: float, observable) -> np.ndarray:
+        """L(e^{i r g} u) for the observable g."""
+        return self.apply_perturbed_batch(u[None, :], r, observable)[0]
+
+    def phase(self, r: float, observable) -> np.ndarray:
+        """exp(i r g) at `branch_points`, shape (d, n); the same read-only array on every repeat."""
+        key = (observable, float(r).hex())
+        phase = self._phases.get(key)
+        if phase is None:
+            phase = self._phases[key] = np.exp(
+                1j * r * observable.values_for_symbol(self.symbol, self.branch_points))
+            phase.flags.writeable = False
+        return phase
 
     def adjoint(self, omega: np.ndarray) -> np.ndarray:
         """L^T acting on quadrature weights (the measure pullback step)."""
@@ -112,9 +130,9 @@ class SymbolOperator:
         a = self.matrix
         return _tiled(us, np.result_type(a.dtype, us), lambda rows: (a @ rows.T).T)
 
-    def apply_perturbed_batch(self, us: np.ndarray, phase: np.ndarray) -> np.ndarray:
-        """Rows of L(e^{i r g} u); phase has shape (d, n) as in apply_perturbed."""
-        weights = self.phi_weights * phase
+    def apply_perturbed_batch(self, us: np.ndarray, r: float, observable) -> np.ndarray:
+        """Rows of L(e^{i r g} u)."""
+        weights = self.phi_weights * self.phase(r, observable)
 
         def product(rows):
             out = None  # weighted branch products, summed in branch order in place
@@ -152,32 +170,12 @@ class OperatorTable:
         self.interp = interp
         self.ops = {e: SymbolOperator(spec, e, self.n_points, interp, newton_tol=newton_tol)
                     for e in spec.alphabet}
-        self._phases = {}
 
     def op(self, e: int) -> SymbolOperator:
         return self.ops[int(e)]
 
     def nodes(self) -> np.ndarray:
         return np.arange(self.n_points) / self.n_points
-
-    def phase_at_branches(self, e: int, observable, r: float, memo: bool = False) -> np.ndarray:
-        """exp(i r g) at the branch points of symbol e, shape (d, N).
-
-        With memo=True the phase is kept per (e, observable, r), r to the
-        bit, and every repeat returns the same read-only array: a single-orbit
-        chain (`transfer_iterate`) revisits a few (symbol, r) pairs many
-        times.  Without, a fresh array is computed and not kept; the batched
-        `ConformalWindow.transport` takes one per (level, symbol group).
-        """
-        if not memo:
-            zb = self.ops[e].branch_points
-            return np.exp(1j * r * observable.values_for_symbol(e, zb))
-        key = (int(e), observable, float(r).hex())
-        phase = self._phases.get(key)
-        if phase is None:
-            phase = self._phases[key] = self.phase_at_branches(e, observable, r)
-            phase.flags.writeable = False
-        return phase
 
 
 def _step(table: OperatorTable, e: int, vals: np.ndarray, kind, lam, r, observable) -> np.ndarray:
@@ -188,7 +186,7 @@ def _step(table: OperatorTable, e: int, vals: np.ndarray, kind, lam, r, observab
     if kind == "normalized":
         return op.apply(vals) / lam
     if kind == "perturbed":
-        return op.apply_perturbed(vals, table.phase_at_branches(e, observable, r, memo=True)) / lam
+        return op.apply_perturbed(vals, r, observable) / lam
     raise TransferError(f"unknown kind {kind!r}")
 
 
@@ -275,16 +273,14 @@ def projection_Q(u: GridFunction, nu, rho_target: GridFunction) -> GridFunction:
     return GridFunction(mass * rho_target.values, interp=u.interp, fiber=rho_target.fiber)
 
 
-def forward_phase_sum(spec: SystemSpec, x: BasePoint, z: np.ndarray, r_sequence, observable) -> np.ndarray:
-    """sum_j r_j g over the forward orbit, evaluated in closed form (no grids)."""
+def forward_phase_sum(spec: SystemSpec, symbols, z: np.ndarray, r_sequence, observable) -> np.ndarray:
+    """sum_j r_j g(T^j z) in closed form (no grids), step j by the map of symbols[j]:
+    one symbol, or an array of symbols with one entry per entry of z."""
     z = np.asarray(z, dtype=np.float64)
     total = np.zeros_like(z)
-    y = x
-    for r in r_sequence:
-        e = y.symbol(0)
+    for e, r in zip(symbols, r_sequence):
         total = total + r * observable.values_for_symbol(e, z)
         z = apply_map_symbol(spec, e, z)
-        y = y.shift_by(1)
     return total
 
 
@@ -317,6 +313,7 @@ def perturbed_chain_identity_check(lab, x: BasePoint, u, r_sequence, observable=
     obs = observable if observable is not None else lab.observable
     n = len(r_sequence)
     chain = lab.lambda_chain(x, n)
+    syms = x.symbols(0, n)
     if method == "oracle":
         # golden-ratio probe points: deterministic and equidistributed
         probes = np.sort((np.arange(1, n_probes + 1) * 0.6180339887498949) % 1.0)
@@ -327,7 +324,7 @@ def perturbed_chain_identity_check(lab, x: BasePoint, u, r_sequence, observable=
                               lambda_chain=chain, r_sequence=r_sequence, observable=obs)
 
         def modulated(z):
-            return np.exp(1j * forward_phase_sum(spec, x, z, r_sequence, obs)) * f(z)
+            return np.exp(1j * forward_phase_sum(spec, syms, z, r_sequence, obs)) * f(z)
 
         rhs = oracle_transfer(spec, x, modulated, n, probes, kind="normalized", lambda_chain=chain)
         return float(np.max(np.abs(lhs - rhs)))
@@ -337,7 +334,7 @@ def perturbed_chain_identity_check(lab, x: BasePoint, u, r_sequence, observable=
         lhs = transfer_iterate(lab.table, x, u, n, kind="perturbed",
                                lambda_chain=chain, r_sequence=r_sequence, observable=obs)
         nodes = lab.table.nodes()
-        phase = forward_phase_sum(spec, x, nodes, r_sequence, obs)
+        phase = forward_phase_sum(spec, syms, nodes, r_sequence, obs)
         v0 = GridFunction(np.exp(1j * phase) * u.values, interp=u.interp, fiber=u.fiber)
         rhs = transfer_iterate(lab.table, x, v0, n, kind="normalized", lambda_chain=chain)
         return float(np.max(np.abs(lhs.values - rhs.values)))
@@ -396,7 +393,7 @@ def operator_norm_bounds_check(lab, x_samples, r_grid, n_max: int, seed: int = 0
         "sup_envelope": sup_env.tolist(),
         "alpha_envelope": alpha_env.tolist(),
         "c_fitted": float(max(sup_env.max(), 1.0)),
-        "c_inf_on_one": float(max(c_inf, 1.0)),
+        "c_inf_on_one": float(max(c_inf, 1.0)) if 0 in r_grid else float("nan"),
         "sup_slope": sup_slope,
         "alpha_slope": alpha_slope,
         "bounded": bool(sup_slope <= 0.01 and alpha_slope <= 0.01),

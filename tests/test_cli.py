@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdslab.cli as cli
+import rdslab.config as config_module
 from rdslab import limits
 from rdslab.config import (
     DEFAULTS,
@@ -80,7 +81,7 @@ def test_cli_run_unknown_key_exit_1(tmp_path, capsys):
     ("statistics.m_max", 2), ("statistics.n", 1), ("experiment.decay_base.n_samples", 1),
     ("experiment.lil.trials", 1), ("experiment.gap.n_u", 0), ("experiment.thermo.stream", -1),
     ("statistics.seed", 1.5), ("statistics.seed", -1), ("statistics.seed", 2**64),
-    ("numerics.n_points", 10**30),
+    ("numerics.n_points", 10**30), ("experiment.bounds.n_max", 1), ("experiment.gap.n_max", 2),
 ])
 def test_integer_settings_below_floor_exit_1(tmp_path, capsys, key, value):
     code = cli.run("thermo", out_dir=str(tmp_path), sets=[f"{key}={json.dumps(value)}"])
@@ -89,12 +90,14 @@ def test_integer_settings_below_floor_exit_1(tmp_path, capsys, key, value):
     assert not any(tmp_path.iterdir())
 
 
-def test_empty_gap_range_exit_1(tmp_path, capsys):
+@pytest.mark.parametrize("n_min,n_max", [(5, 4), (5, 6), (2, 3)])
+def test_empty_gap_range_exit_1(tmp_path, capsys, n_min, n_max):
+    # the gap fit needs 3 values of n: fewer report "too strong to measure"
     code = cli.run("gap", out_dir=str(tmp_path),
-                   sets=["experiment.gap.n_min=5", "experiment.gap.n_max=4"])
+                   sets=[f"experiment.gap.n_min={n_min}", f"experiment.gap.n_max={n_max}"])
     assert code == 1
-    assert ("config error: experiment.gap.n_max must be an integer >= experiment.gap.n_min"
-            in capsys.readouterr().err)
+    assert ("config error: experiment.gap.n_max must be an integer >= experiment.gap.n_min + 2"
+            f" = {n_min + 2}" in capsys.readouterr().err)
     assert not any(tmp_path.iterdir())
 
 
@@ -106,6 +109,7 @@ def test_empty_gap_range_exit_1(tmp_path, capsys):
     ("experiment.condition_h.k_list", [-1, 2]), ("experiment.condition_h.k_list", [1, 1, 2]),
     ("experiment.assumption6.n_list", [0, 2]), ("experiment.coboundary.n_list", [0, 100]),
     ("experiment.assumption6.pair_depths", []), ("experiment.bounds.r_grid", []),
+    ("experiment.condition_h.k_list", [3]),
 ])
 def test_lists_too_short_exit_1(tmp_path, capsys, key, value):
     # one n gives a one-point slope fit: no verdict may come from it
@@ -285,7 +289,7 @@ PARTNERS = {
     "numerics.depth_max": lambda v: {"numerics.pullback_depth": 2},
     "statistics.m": lambda v: {"statistics.m_max": v},
     "statistics.m_max": lambda v: {"statistics.m": 1},
-    "experiment.gap.n_min": lambda v: {"experiment.gap.n_max": v},
+    "experiment.gap.n_min": lambda v: {"experiment.gap.n_max": v + 2},
     "numerics.epsilon0": lambda v: {"experiment.encoding.r_sequence": [0.0],
                                     "experiment.bounds.r_grid": [0.0],
                                     **block_count(1)},
@@ -454,6 +458,25 @@ def test_all_computes_sigma2_once_per_observable(monkeypatch):
     cfg["experiment"]["clt"]["observable"] = "coboundary"
     cli.build_report("all", cfg)
     assert len(observables) == 4  # a different observable is a different estimate
+
+
+def test_run_all_builds_one_system_spec_per_report(tmp_path, monkeypatch):
+    # `run` resolves the config twice (the file, then the overrides), each check
+    # building the spec; the report then builds one and hands it to every Lab
+    built, specs = [], []
+    real = config_module.make_system
+    monkeypatch.setattr(config_module, "make_system",
+                        lambda **kwargs: built.append(1) or real(**kwargs))
+
+    def runner(lab, *args):
+        specs.append(lab.spec)
+        return {}, True, {}
+
+    for name in cli._RUNNERS:
+        monkeypatch.setitem(cli._RUNNERS, name, runner)
+    assert cli.run("all", out_dir=str(tmp_path), sets=["numerics.n_points=16"]) == 0
+    assert len(built) == 3
+    assert len(specs) == len(cli._RUNNERS) and all(s is specs[0] for s in specs)
 
 
 def test_decay_base_csv_columns(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 import rdslab as rl
 from rdslab import limits, rng
-from rdslab.base import sample_base
+from rdslab.base import BasePoint, sample_base
 from rdslab.fiber import CoboundaryObservable, ScaledObservable, SystemObservable
 from rdslab.limits import (
     COVARIANCE_CHUNK,
@@ -27,6 +27,7 @@ from rdslab.limits import (
     sigma2_estimate,
 )
 from rdslab.thermo import gap_estimate, random_smooth_functions
+from rdslab.transfer import forward_phase_sum
 
 TWO_PI = 2 * np.pi
 
@@ -67,6 +68,19 @@ def test_encoding_identity_random_draws(stats_lab, draw):
     rs = tuple(gen.uniform(-1, 1, size=n))
     res = encoding_check(stats_lab, rs, 400, seed=200 + draw)
     assert res.within_tolerance, res
+
+
+def test_forward_phase_sum_over_ensemble_columns_is_the_row_sums(small_stats_lab):
+    # the ensemble's symbol columns are BasePoint(seed, law).symbols row by row
+    lab, rs = small_stats_lab, (0.4, -0.3, 0.2, 0.7)
+    ens = OrbitEnsemble(lab, 16, 5, 11, fwd=len(rs), depth=3)
+    z = ens.sample_z()
+    got = forward_phase_sum(lab.spec, [ens.symbol(j) for j in range(len(rs))], z, rs,
+                            lab.observable)
+    for t, seed in enumerate(ens.seeds):
+        syms = BasePoint(int(seed), lab.spec.base).symbols(0, len(rs))
+        want = forward_phase_sum(lab.spec, syms, z[t:t + 1], rs, lab.observable)
+        assert got[t:t + 1].tobytes() == want.tobytes()
 
 
 # -- condition (H) -----------------------------------------------------------

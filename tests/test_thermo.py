@@ -349,6 +349,26 @@ def test_transport_output_dtype_follows_the_frequency(small_stats_lab):
     assert win.transport(real_rows, 1, 0.0).dtype == np.float64
 
 
+def test_window_chain_evaluates_each_phase_once_per_symbol():
+    # a chain at one r over several levels meets every symbol many times; the
+    # observable is evaluated at a symbol's branch points only the first time
+    lab = rl.Lab(rl.make_system(), n_points=16, pullback_depth=4)
+    evaluated = []
+
+    class Counting:
+        def values_for_symbol(self, e, z):
+            evaluated.append(int(e))
+            return lab.observable.values_for_symbol(e, z)
+
+    obs = Counting()
+    win = lab.window([sample_base(lab.spec.base, 42, i) for i in range(8)], fwd=5)
+    rows = win.rho_snap[0]
+    for j in range(6):
+        rows = win.transport(rows, j, 0.4, obs)
+    met = {int(e) for j in range(6) for e in win.symbol(j)}
+    assert sorted(evaluated) == sorted(met) == list(lab.spec.alphabet)
+
+
 @given(seed=st.integers(0, 2**32 - 1), lab_i=st.integers(0, 1), start=st.integers(-3, 12),
        levels=st.integers(0, 10),
        pins=st.dictionaries(st.integers(-14, 12), st.integers(0, 1), max_size=5))

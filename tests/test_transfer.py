@@ -222,12 +222,13 @@ def test_operator_norm_bounds(gibbs_lab):
 
 
 def test_operator_norm_alpha_bound_at_half(gibbs_lab):
-    # alpha-norm ratio at r = 0.5 within C (1 + |r| Q), C measured from L_0^n 1
+    # alpha-norm ratio at r = 0.5 within C (1 + |r| Q) at C = 1, the floor of the
+    # envelope of L_0^n 1; with no r = 0 in the grid that envelope is not measured
     lab = gibbs_lab
     xs = [sample_base(lab.spec.base, 23, i) for i in range(3)]
     rep = rl.operator_norm_bounds_check(lab, xs, (0.5,), 10, seed=3)
-    c = rep["c_inf_on_one"]
-    bound = c * (1 + 0.5 * lab.spec.holder.Q_tilde)
+    assert np.isnan(rep["c_inf_on_one"])
+    bound = 1 + 0.5 * lab.spec.holder.Q_tilde
     assert max(rep["alpha_envelope"]) <= bound + 1e-9
 
 
@@ -310,14 +311,15 @@ def test_perturbed_batch_is_the_branch_sum_and_leaves_rows_alone(small_tables, s
             if complex_rows:
                 us = us + 1j * gen.uniform(-1.0, 1.0, us.shape)
             before = us.copy()
-            phase = table.phase_at_branches(e, rl.default_observable(table.spec), 0.7)
+            obs = rl.default_observable(table.spec)
+            phase = op.phase(0.7, obs)
             ref = sum((op.phi_weights[b] * phase[b])[None, :] * (us @ s_t)
                       for b, s_t in enumerate(op.branch_interp_t))
-            out = op.apply_perturbed_batch(us, phase)
+            out = op.apply_perturbed_batch(us, 0.7, obs)
             assert np.array_equal(out, ref)
             assert np.array_equal(us, before)
             for i in range(rows):
-                assert np.array_equal(op.apply_perturbed(us[i], phase), out[i])
+                assert np.array_equal(op.apply_perturbed(us[i], 0.7, obs), out[i])
 
 
 def source_major_structures(op, n, interp):
@@ -337,14 +339,14 @@ def batch_cases(table, e, us, structures):
     given (matrix_t, per-branch stencils_t) multiplied through their CSC views."""
     op = table.ops[e]
     matrix_t, stencils_t = structures
-    phase = table.phase_at_branches(e, rl.default_observable(table.spec), 0.7)
+    obs = rl.default_observable(table.spec)
     perturbed = None
-    for w, st_t in zip(op.phi_weights * phase, stencils_t):
+    for w, st_t in zip(op.phi_weights * op.phase(0.7, obs), stencils_t):
         p = w * (st_t.T @ us.T).T
         perturbed = p if perturbed is None else perturbed + p
     return [(op.adjoint_batch, (us,), (op.matrix.T @ us.T).T),
             (op.apply_batch, (us,), (matrix_t.T @ us.T).T),
-            (op.apply_perturbed_batch, (us, phase), perturbed)]
+            (op.apply_perturbed_batch, (us, 0.7, obs), perturbed)]
 
 
 def random_rows(gen, rows, n, complex_rows):
@@ -521,22 +523,23 @@ def test_iterate_and_sweep_read_their_symbols_once(small_tables, monkeypatch):
         assert len(calls) == 1
 
 
+def fresh_phase(e, op, r, obs):
+    return np.exp(1j * r * obs.values_for_symbol(e, op.branch_points))
+
+
 def test_memoized_phase_is_shared_and_read_only():
     spec = rl.make_system()
     table = rl.OperatorTable(spec, 64)
     obs, other = rl.default_observable(spec), rl.default_observable(spec)
-    for e in spec.alphabet:
-        phase = table.phase_at_branches(e, obs, 0.7, memo=True)
-        assert table.phase_at_branches(e, obs, 0.7, memo=True) is phase
+    for e, op in table.ops.items():
+        phase = op.phase(0.7, obs)
+        assert op.phase(0.7, obs) is phase
         assert not phase.flags.writeable
         with pytest.raises(ValueError):
             phase[0, 0] = 0.0
-        fresh = table.phase_at_branches(e, obs, 0.7)
-        assert fresh is not phase and fresh.flags.writeable
-        assert np.array_equal(fresh, phase)
-        for key in ((other, 0.7), (obs, 0.7000000000000001), (obs, -0.7)):
-            assert table.phase_at_branches(e, *key, memo=True) is not phase
+        assert phase.tobytes() == fresh_phase(e, op, 0.7, obs).tobytes()
+        for r, g in ((0.7, other), (0.7000000000000001, obs), (-0.7, obs)):
+            assert op.phase(r, g) is not phase
         # r is kept to the bit: at -0.0 the imaginary zeros where g > 0 are -0.0
-        pos = table.phase_at_branches(e, obs, 0.0, memo=True)
-        neg = table.phase_at_branches(e, obs, -0.0, memo=True)
-        assert neg.tobytes() == table.phase_at_branches(e, obs, -0.0).tobytes() != pos.tobytes()
+        pos, neg = op.phase(0.0, obs), op.phase(-0.0, obs)
+        assert neg.tobytes() == fresh_phase(e, op, -0.0, obs).tobytes() != pos.tobytes()
