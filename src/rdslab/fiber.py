@@ -8,9 +8,10 @@ a base point x depends only on its symbol at coordinate 0:
 so branches are enumerable per symbol while the conformal data downstream
 still depends on infinitely many coordinates.  `_lift`, behind `map_lift`
 and `apply_map_symbol`, is the only place this formula is written.  This
-module holds the maps and their inverse branches, Birkhoff sums, grid-sampled
-functions with periodic interpolation, the alpha-variation, and the positive
-cone calculus.
+module holds the maps and their inverse branches, the one forward-orbit sum
+`forward_phase_sum` (Birkhoff sums are its unit-weight case), grid-sampled
+functions with periodic interpolation, and the alpha-variation and positive
+cone scans, which share one scan plan.
 """
 
 from __future__ import annotations
@@ -340,15 +341,22 @@ def default_observable(spec: SystemSpec) -> SystemObservable:
     return SystemObservable(spec)
 
 
-def birkhoff_sum(spec: SystemSpec, h, x: BasePoint, z, n: int):
-    """S_n h = sum_{j<n} h over the forward orbit of (x, z); S_0 = 0."""
+def forward_phase_sum(spec: SystemSpec, symbols, z: np.ndarray, r_sequence, observable) -> np.ndarray:
+    """sum_j r_j g(T^j z) in closed form (no grids), step j by the map of symbols[j]:
+    one symbol, or an array of symbols with one entry per entry of z."""
     z = np.asarray(z, dtype=np.float64)
     total = np.zeros_like(z)
-    y = x
-    for _ in range(int(n)):
-        total = total + h.values_for_symbol(y.symbol(0), z)
-        z = apply_map(spec, y, z)
-        y = y.shift_by(1)
+    for e, r in zip(symbols, r_sequence):
+        total = total + r * observable.values_for_symbol(e, z)
+        z = apply_map_symbol(spec, e, z)
+    return total
+
+
+def birkhoff_sum(spec: SystemSpec, h, x: BasePoint, z, n: int):
+    """S_n h = sum_{j<n} h over the forward orbit of (x, z); S_0 = 0: the forward
+    phase sum with unit weights (1.0 * v is v), on n symbols read in one call."""
+    n = int(n)
+    total = forward_phase_sum(spec, x.symbols(0, n), z, [1.0] * n, h)
     return float(total) if total.ndim == 0 else total
 
 
@@ -426,32 +434,16 @@ class GridFunction:
         return cls(np.asarray(f(z)), interp=interp, fiber=fiber)
 
 
-def _shift_windows(vals: np.ndarray, reach: float):
-    """Every grid pair within `reach` as one (kmax, n) view: row k - 1 holds
-    vals[(i + k) % n] at column i, k = 1..kmax = min(floor(reach n), n // 2).
-    Also returns the pair distance of each row."""
-    n = len(vals)
-    dists = _shift_dists(n, reach)
-    ext = np.concatenate([vals, vals[:len(dists)]])
-    return np.lib.stride_tricks.sliding_window_view(ext, n)[1:], dists
-
-
-def _shift_dists(n: int, reach: float) -> list:
-    """Distance k / n of each shift k = 1..min(floor(reach n), n // 2) (k <= n // 2)."""
-    kmax = min(int(np.floor(reach * n)), n // 2)
-    return (np.arange(1, kmax + 1) / n).tolist()
-
-
 @lru_cache(maxsize=16)
 def _scan_plan(n: int, eta: float, alpha: float) -> tuple:
-    """What variation_alpha's scan of n-point rows needs besides the row, read-only:
-    kmax; the shifts 1..kmax and their dist^alpha; the gather indices i + k
-    (rows k, columns i) and dist^alpha of the powers of two k <= kmax; the bit
-    table (shift x power: the power is in the shift's binary expansion); which
-    shifts have more than one bit; and the columns 0..n-1."""
-    dists = _shift_dists(n, eta)
-    kmax = len(dists)
-    scale = np.array([dist**alpha for dist in dists])
+    """What a scan of n-point rows over grid pairs within eta needs besides the row,
+    read-only: kmax = min(floor(eta n), n // 2); the shifts 1..kmax and their
+    dist^alpha; the gather indices i + k (rows k, columns i) and dist^alpha of
+    the powers of two k <= kmax; the bit table (shift x power: the power is in
+    the shift's binary expansion); which shifts have more than one bit; and the
+    columns 0..n-1.  Shift k is ext[k + cols], ext the row and its first kmax."""
+    kmax = min(int(np.floor(eta * n)), n // 2)
+    scale = np.array([dist**alpha for dist in (np.arange(1, kmax + 1) / n).tolist()])
     powers = 1 << np.arange(kmax.bit_length())
     ks = np.arange(1, kmax + 1)
     bits = (ks[:, None] & powers) != 0
@@ -583,8 +575,9 @@ def cone_check(
     if abs(mass - 1.0) > mass_tol:
         return ConeCertificate(False, "mass", None, abs(mass - 1.0), mass)
 
-    windows, dists = _shift_windows(vals, holder.xi)
-    bound = np.array([np.exp(s * Q * dist**holder.alpha) for dist in dists])[:, None]
+    kmax, ks, dist_a, *_, grid = _scan_plan(n, float(holder.xi), float(holder.alpha))
+    windows = np.concatenate([vals, vals[:kmax]])[ks[:, None] + grid]
+    bound = np.exp(s * Q * dist_a)[:, None]
     # rows 2k - 2 and 2k - 1 scan shift k both ways; ties go to the first row, then node
     margins = np.stack([vals - bound * windows, windows - bound * vals], axis=1).reshape(-1, n)
     cols = margins.argmax(axis=1)
@@ -600,7 +593,8 @@ def cone_check(
 def cone_oscillation(u, eta: float) -> float:
     """max |u(y) - u(y')| over grid pairs with 0 < dist <= eta (no normalization)."""
     vals = u.values if isinstance(u, GridFunction) else np.asarray(u)
-    windows, _ = _shift_windows(vals, eta)
+    kmax, ks, *_, cols = _scan_plan(len(vals), float(eta), 1.0)
+    windows = np.concatenate([vals, vals[:kmax]])[ks[:, None] + cols]
     return max([0.0, *np.abs(vals - windows).max(axis=1).tolist()])
 
 

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import rng
 from .base import sample_seeds, symbols_for_seeds
-from .fiber import GridFunction, _map_step
+from .fiber import GridFunction, _map_step, forward_phase_sum
 from .thermo import ConformalWindow, Lab, _mu_rows
-from .transfer import forward_phase_sum, transfer_iterate
+from .transfer import transfer_iterate
 
 SIGMA2_FLOOR = 1e-3
 

@@ -224,11 +224,11 @@ class ConformalWindow:
 class Lab:
     """Operator table plus conformal windows along orbits.
 
-    Every conformal value is read from a `ConformalWindow` built from the
-    request alone, with pullback depth pullback_depth + 1 at the highest
-    level read.  Windows are memoized by the full request (points, forward
-    levels, rho depth, nu levels, lowest lambda level), so each value is a
-    pure function of (spec, grid, depth, request) whatever was asked before.
+    Every conformal value is read from a `ConformalWindow` built afresh for
+    each request from the request alone, with pullback depth
+    pullback_depth + 1 at the highest level read.  The Lab holds no window,
+    so each value is a pure function of (spec, grid, depth, request) whatever
+    was asked before, and a window lives as long as its caller keeps it.
     """
 
     def __init__(self, spec: SystemSpec, n_points: int = 1024, interp: str = "cubic",
@@ -240,7 +240,6 @@ class Lab:
         self.pullback_depth = int(pullback_depth)
         self.depth_max = int(depth_max)
         self.duality_tol = float(duality_tol)
-        self._windows = {}
 
     @property
     def n_points(self) -> int:
@@ -261,18 +260,13 @@ class Lab:
         function pushed `rho_depth` steps (default pullback_depth).  Symbols
         come from BasePoint.symbols, so pinned overrides hold.
         """
-        K = self.pullback_depth
+        K, fwd = self.pullback_depth, int(fwd)
         rho_depth = K if rho_depth is None else int(rho_depth)
-        key = (tuple(xs), int(fwd), rho_depth, tuple(sorted(set(int(j) for j in nu_levels))),
-               int(lam_lo))
-        win = self._windows.get(key)
-        if win is None:
-            lo = min(key[3] + (0, -rho_depth, key[4]))
-            symbols = np.stack([x.symbols(lo, key[1] + K + 1) for x in key[0]])
-            win = ConformalWindow(self.table, symbols, lo, fwd=key[1], depth=K + 1,
-                                  nu_levels=key[3], rho_depth=rho_depth, lam_lo=key[4])
-            self._windows[key] = win
-        return win
+        nu_levels = [int(j) for j in nu_levels]
+        lo = min(nu_levels + [0, -rho_depth, int(lam_lo)])
+        symbols = np.stack([x.symbols(lo, fwd + K + 1) for x in xs])
+        return ConformalWindow(self.table, symbols, lo, fwd=fwd, depth=K + 1,
+                               nu_levels=nu_levels, rho_depth=rho_depth, lam_lo=lam_lo)
 
     def ensure_chain(self, x: BasePoint, lo: int, hi: int) -> ConformalWindow:
         """The one-point window holding nu and lambda on the fibers shift(x, j), j in [lo, hi]."""
@@ -301,10 +295,12 @@ class Lab:
         return FiberMeasure(self.window((x,)).mu_weights()[0], fiber=x)
 
     def duality_residual(self, x: BasePoint, u_values: np.ndarray) -> float:
-        """|nu_{shift x}(L_x u) - lambda_x nu_x(u)|, the defining identity of (nu, lambda)."""
-        lhs = self.nu(x.shift_by(1)).integrate(self.table.op(x.symbol(0)).apply(u_values))
-        rhs = self.lam(x) * self.nu(x).integrate(u_values)
-        return float(abs(lhs - rhs))
+        """max |nu_{shift x}(L_x u) - lambda_x nu_x(u)| over u, one function or a stack
+        of rows: the defining identity of (nu, lambda), with each window built once."""
+        us = np.atleast_2d(u_values)
+        lhs = self.table.op(x.symbol(0)).apply_batch(us) @ self.nu(x.shift_by(1)).weights
+        rhs = self.lam(x) * (us @ self.nu(x).weights)
+        return float(np.max(np.abs(lhs - rhs)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ branch points, and the periodic interpolation stencil.  A SymbolOperator
 holds that one weighted matrix, read row-wise by `apply*` and through one
 held transposed view by `adjoint*`, plus the unweighted stencils of each
 branch for the perturbed operator L_r u = L(e^{i r g} u), called with r and
-g: the operator computes each phase exp(i r g) at its branch points once
+g: the operator forms each weight e^phi exp(i r g) at its branch points once
 and holds it.  A large batch is multiplied in row tiles of about TILE_BYTES
 of output, each written into a C-ordered result while it is still in cache;
 a batch of one tile is multiplied whole.  Every row gets the same bits
@@ -25,8 +25,8 @@ from .base import BasePoint
 from .fiber import (
     GridFunction,
     SystemSpec,
-    apply_map_symbol,
     alpha_norm,
+    forward_phase_sum,
     interp_order,
     interp_stencil,
     inverse_branches_symbol,
@@ -54,7 +54,7 @@ class SymbolOperator:
     kernel, and `adjoint*` by `matrix_t`, its transpose: a CSC view of the
     same arrays, built once here.  `branch_interp[b]` (CSR, target-major)
     holds the unweighted stencils of branch b, which `apply_perturbed*`
-    weights by e^phi times `phase(r, observable)`.  A batch method returns
+    weights by `perturbed_weights(r, observable)`.  A batch method returns
     `(A @ rows.T).T` for its structure A.  A single-vector call is row 0 of
     its batch method on a one-row batch, so both give the same bits.  The
     benchmark tracer's hooks read `matrix`, `matrix_t` and `branch_interp_t`.
@@ -65,9 +65,11 @@ class SymbolOperator:
     values in both cases, so it has the same bits, but the result's memory
     layout depends on the batch size: callers must not rely on it.
 
-    `phase` alone computes exp(i r g), and holds each phase read-only per
-    (observable, r to the bit): the held phases grow with the number of
-    distinct (observable, r) that the operator's `Lab` is asked for.
+    `perturbed_weights` alone forms e^phi exp(i r g) at the branch points
+    (`phi_weights` times the phase), and holds each product read-only per
+    (observable, r to the bit): the held products grow with the number of
+    distinct (observable, r) that the operator's `Lab` is asked for, and are
+    never released.
     """
 
     def __init__(self, spec: SystemSpec, e: int, n_points: int, interp: str,
@@ -90,7 +92,7 @@ class SymbolOperator:
             sp.csr_matrix((wts[:, b * n:(b + 1) * n].ravel(),
                            (targets.ravel(), idx[:, b * n:(b + 1) * n].ravel())), shape=(n, n))
             for b in range(d)]
-        self._phases = {}
+        self._weights = {}
 
     @property
     def branch_interp_t(self) -> list:
@@ -106,15 +108,16 @@ class SymbolOperator:
         """L(e^{i r g} u) for the observable g."""
         return self.apply_perturbed_batch(u[None, :], r, observable)[0]
 
-    def phase(self, r: float, observable) -> np.ndarray:
-        """exp(i r g) at `branch_points`, shape (d, n); the same read-only array on every repeat."""
+    def perturbed_weights(self, r: float, observable) -> np.ndarray:
+        """e^phi exp(i r g) at `branch_points`, shape (d, n); the same read-only
+        array on every repeat."""
         key = (observable, float(r).hex())
-        phase = self._phases.get(key)
-        if phase is None:
-            phase = self._phases[key] = np.exp(
+        weights = self._weights.get(key)
+        if weights is None:
+            weights = self._weights[key] = self.phi_weights * np.exp(
                 1j * r * observable.values_for_symbol(self.symbol, self.branch_points))
-            phase.flags.writeable = False
-        return phase
+            weights.flags.writeable = False
+        return weights
 
     def adjoint(self, omega: np.ndarray) -> np.ndarray:
         """L^T acting on quadrature weights (the measure pullback step)."""
@@ -132,7 +135,7 @@ class SymbolOperator:
 
     def apply_perturbed_batch(self, us: np.ndarray, r: float, observable) -> np.ndarray:
         """Rows of L(e^{i r g} u)."""
-        weights = self.phi_weights * self.phase(r, observable)
+        weights = self.perturbed_weights(r, observable)
 
         def product(rows):
             out = None  # weighted branch products, summed in branch order in place
@@ -271,17 +274,6 @@ def projection_Q(u: GridFunction, nu, rho_target: GridFunction) -> GridFunction:
     w = np.asarray(getattr(nu, "weights", nu), dtype=np.float64)
     mass = w @ u.values
     return GridFunction(mass * rho_target.values, interp=u.interp, fiber=rho_target.fiber)
-
-
-def forward_phase_sum(spec: SystemSpec, symbols, z: np.ndarray, r_sequence, observable) -> np.ndarray:
-    """sum_j r_j g(T^j z) in closed form (no grids), step j by the map of symbols[j]:
-    one symbol, or an array of symbols with one entry per entry of z."""
-    z = np.asarray(z, dtype=np.float64)
-    total = np.zeros_like(z)
-    for e, r in zip(symbols, r_sequence):
-        total = total + r * observable.values_for_symbol(e, z)
-        z = apply_map_symbol(spec, e, z)
-    return total
 
 
 def chain_error_budget(n_points: int, depth: int, interp: str) -> float:

@@ -83,12 +83,11 @@ def test_criterion_01_oracle_equivalence(gibbs_lab):
 
 def test_criterion_02_conformality_and_fixed_point(gibbs_lab):
     lab = gibbs_lab
-    us = random_smooth_functions(lab.n_points, 50, seed=SEED)
+    us = np.stack([u.values for u in random_smooth_functions(lab.n_points, 50, seed=SEED)])
     worst_duality = 0.0
     for i in range(20):
         x = sample_base(lab.spec.base, SEED, i)
-        for u in us:
-            worst_duality = max(worst_duality, lab.duality_residual(x, u.values))
+        worst_duality = max(worst_duality, lab.duality_residual(x, us))
     assert worst_duality <= 1e-6
     worst_fp, worst_mass = 0.0, 0.0
     for i in range(5):

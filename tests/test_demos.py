@@ -1,4 +1,5 @@
-"""The demos are run by hand, so no other test sees them break: check what they call."""
+"""The demos run as a CI step, outside pytest: check here what they call, so a
+renamed or re-signed rdslab name fails tier-1 too."""
 
 import ast
 import importlib

@@ -14,6 +14,7 @@ from rdslab.fiber import (
     cone_embed,
     cone_oscillation,
     cone_variation_bound,
+    forward_phase_sum,
     inverse_branches,
     inverse_branches_symbol,
     map_derivative_symbol,
@@ -86,6 +87,19 @@ def test_birkhoff_sum_examples():
     spec_const = rl.gibbs_system(obs_offset=(0.2, 0.2), obs_amplitude=0.0)
     g = rl.default_observable(spec_const)
     assert birkhoff_sum(spec_const, g, sample_base(spec_const.base, 5, 0), 0.77, 5) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("spec", [rl.make_system(), rl.gibbs_system()], ids=["default", "gibbs"])
+def test_birkhoff_sum_is_the_unit_weight_forward_phase_sum(spec):
+    g = rl.default_observable(spec)
+    for seed in range(3):
+        x = sample_base(spec.base, seed, 0).with_overrides({2: 1})
+        for z in (0.3, np.linspace(0.0, 1.0, 17, endpoint=False)):
+            for n in (0, 1, 2, 9, 40):
+                got = birkhoff_sum(spec, g, x, z, n)
+                want = forward_phase_sum(spec, x.symbols(0, n), z, [1.0] * n, g)
+                assert type(got) is (float if np.ndim(z) == 0 else np.ndarray)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_variation_constant_zero():

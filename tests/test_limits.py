@@ -6,7 +6,12 @@ import pytest
 import rdslab as rl
 from rdslab import limits, rng
 from rdslab.base import BasePoint, sample_base
-from rdslab.fiber import CoboundaryObservable, ScaledObservable, SystemObservable
+from rdslab.fiber import (
+    CoboundaryObservable,
+    ScaledObservable,
+    SystemObservable,
+    forward_phase_sum,
+)
 from rdslab.limits import (
     COVARIANCE_CHUNK,
     JITTER_SCALE,
@@ -27,7 +32,6 @@ from rdslab.limits import (
     sigma2_estimate,
 )
 from rdslab.thermo import gap_estimate, random_smooth_functions
-from rdslab.transfer import forward_phase_sum
 
 TWO_PI = 2 * np.pi
 

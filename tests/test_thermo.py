@@ -1,4 +1,6 @@
 import functools
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -194,6 +196,10 @@ def test_lab_values_do_not_depend_on_earlier_calls():
     assert np.array_equal(fresh.rho(y).values, used.rho(y).values)
     assert np.array_equal(fresh.nu(y).weights, used.nu(y).weights)
     assert fresh.lam(y) == used.lam(y)
+    # the lab holds no window: one its caller drops is freed
+    held = weakref.ref(used.window((y,)))
+    gc.collect()
+    assert held() is None
 
 
 @given(

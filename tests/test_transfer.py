@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import rdslab as rl
 from rdslab import rng, transfer
 from rdslab.base import BasePoint, sample_base
-from rdslab.fiber import GridFunction, alpha_norm, interp_stencil
+from rdslab.fiber import GridFunction, alpha_norm, birkhoff_sum, interp_stencil
 from rdslab.thermo import pullback_sweep, random_smooth_functions
 from rdslab.transfer import (
     TransferError,
@@ -123,15 +123,21 @@ def test_grid_matches_oracle_single_step(gibbs_lab):
     assert np.max(np.abs(grid - oracle)) < 1e-10
 
 
-def test_duality_identity(gibbs_lab):
+def test_duality_identity(gibbs_lab, monkeypatch):
     lab = gibbs_lab
     worst = 0.0
-    us = random_smooth_functions(lab.n_points, 100, seed=21)
+    us = np.stack([u.values for u in random_smooth_functions(lab.n_points, 100, seed=21)])
     for i in range(20):
         x = sample_base(lab.spec.base, 22, i)
-        for u in us[: 100 if i == 0 else 5]:
-            worst = max(worst, lab.duality_residual(x, u.values))
+        worst = max(worst, lab.duality_residual(x, us[: 100 if i == 0 else 5]))
     assert worst <= 1e-6
+    # a stack of rows gives the largest of its rows' residuals: with lambda off by
+    # 1%, each row's residual is 1% of lambda_x |nu_x(u)|
+    lam = lab.lam(x)
+    monkeypatch.setattr(lab, "lam", lambda y: 1.01 * lam)
+    rows = [lab.duality_residual(x, u) for u in us[:5]]
+    assert max(rows) > 1.5 * min(rows) > 0.0
+    assert lab.duality_residual(x, us[:5]) == pytest.approx(max(rows), rel=1e-9)
 
 
 def test_chain_identity_base_cases(gibbs_lab):
@@ -312,8 +318,8 @@ def test_perturbed_batch_is_the_branch_sum_and_leaves_rows_alone(small_tables, s
                 us = us + 1j * gen.uniform(-1.0, 1.0, us.shape)
             before = us.copy()
             obs = rl.default_observable(table.spec)
-            phase = op.phase(0.7, obs)
-            ref = sum((op.phi_weights[b] * phase[b])[None, :] * (us @ s_t)
+            weights = op.perturbed_weights(0.7, obs)
+            ref = sum(weights[b][None, :] * (us @ s_t)
                       for b, s_t in enumerate(op.branch_interp_t))
             out = op.apply_perturbed_batch(us, 0.7, obs)
             assert np.array_equal(out, ref)
@@ -341,7 +347,7 @@ def batch_cases(table, e, us, structures):
     matrix_t, stencils_t = structures
     obs = rl.default_observable(table.spec)
     perturbed = None
-    for w, st_t in zip(op.phi_weights * op.phase(0.7, obs), stencils_t):
+    for w, st_t in zip(op.perturbed_weights(0.7, obs), stencils_t):
         p = w * (st_t.T @ us.T).T
         perturbed = p if perturbed is None else perturbed + p
     return [(op.adjoint_batch, (us,), (op.matrix.T @ us.T).T),
@@ -517,14 +523,17 @@ def test_iterate_and_sweep_read_their_symbols_once(small_tables, monkeypatch):
             calls.clear()
             transfer_iterate(table, x, u, n, **kw)
             assert len(calls) == 1
+        calls.clear()
+        birkhoff_sum(table.spec, obs, x, 0.3, n)
+        assert len(calls) == 1
     for start, stop in ((1, 0), (6, 0), (9, -4)):
         calls.clear()
         assert len(list(pullback_sweep(table, x, start, stop))) == start - stop
         assert len(calls) == 1
 
 
-def fresh_phase(e, op, r, obs):
-    return np.exp(1j * r * obs.values_for_symbol(e, op.branch_points))
+def fresh_weights(e, op, r, obs):
+    return op.phi_weights * np.exp(1j * r * obs.values_for_symbol(e, op.branch_points))
 
 
 def test_memoized_phase_is_shared_and_read_only():
@@ -532,14 +541,18 @@ def test_memoized_phase_is_shared_and_read_only():
     table = rl.OperatorTable(spec, 64)
     obs, other = rl.default_observable(spec), rl.default_observable(spec)
     for e, op in table.ops.items():
-        phase = op.phase(0.7, obs)
-        assert op.phase(0.7, obs) is phase
-        assert not phase.flags.writeable
+        weights = op.perturbed_weights(0.7, obs)
+        assert op.perturbed_weights(0.7, obs) is weights
+        assert not weights.flags.writeable
         with pytest.raises(ValueError):
-            phase[0, 0] = 0.0
-        assert phase.tobytes() == fresh_phase(e, op, 0.7, obs).tobytes()
+            weights[0, 0] = 0.0
+        assert weights.tobytes() == fresh_weights(e, op, 0.7, obs).tobytes()
         for r, g in ((0.7, other), (0.7000000000000001, obs), (-0.7, obs)):
-            assert op.phase(r, g) is not phase
-        # r is kept to the bit: at -0.0 the imaginary zeros where g > 0 are -0.0
-        pos, neg = op.phase(0.0, obs), op.phase(-0.0, obs)
-        assert neg.tobytes() == fresh_phase(e, op, -0.0, obs).tobytes() != pos.tobytes()
+            assert op.perturbed_weights(r, g) is not weights
+        # r is kept to the bit, so -0.0 and 0.0 are held apart; the complex product
+        # with e^phi turns the phase's -0.0 imaginary zeros into 0.0, so both
+        # hold the bytes of their own fresh product, which agree
+        pos, neg = op.perturbed_weights(0.0, obs), op.perturbed_weights(-0.0, obs)
+        assert neg is not pos
+        assert neg.tobytes() == fresh_weights(e, op, -0.0, obs).tobytes()
+        assert pos.tobytes() == fresh_weights(e, op, 0.0, obs).tobytes()
