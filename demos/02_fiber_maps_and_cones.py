@@ -32,15 +32,18 @@ print(f"\ngrid 1-variation of cos(2 pi z): {variation_alpha(u, 1.0, 0.5):.4f} "
 # cone embedding: any positive Hölder function lands in the unit cone
 hp = spec.holder
 lab = rl.Lab(spec, n_points=n, pullback_depth=30)
-nu = lab.nu(x)
+win = lab.ensure_chain(x, 0, 0)  # nu and lambda at x
+nu = rl.FiberMeasure(win.nu_snap[0][0], fiber=x)
 h = cone_embed(rl.GridFunction(np.exp(0.4 * np.sin(2 * np.pi * nodes))), nu, hp)
 cert = cone_check(h, s=1.0, nu=nu, holder=hp)
 print(f"embedded function passes the cone check: {cert.ok}")
 
-# and normalized transfer images stay in the cone (cone invariance)
+# and normalized transfer images stay in the cone (cone invariance); each
+# orbit point's window gives lambda there and nu for the step into it
 cur = h
 for j in range(6):
     cur = rl.transfer_apply(lab.table, x.shift_by(j), cur, kind="normalized",
-                            lam=lab.lam(x.shift_by(j)))
-    cert = cone_check(cur, 1.0, lab.nu(x.shift_by(j + 1)), hp, mass_tol=1e-6)
+                            lam=float(win.lam_at(0)[0]))
+    win = lab.ensure_chain(x.shift_by(j + 1), 0, 0)
+    cert = cone_check(cur, 1.0, rl.FiberMeasure(win.nu_snap[0][0]), hp, mass_tol=1e-6)
     print(f"  L_0^{j+1} image in cone: {cert.ok}")

@@ -29,7 +29,6 @@ rho = dens.rho.values
 print(f"rho range: [{rho.min():.4f}, {rho.max():.4f}]")
 print(f"fixed-point residual |L_0 rho - rho o shift|: {dens.fixed_point_residual:.2e}")
 print(f"Cesaro cross-check gap: {dens.cesaro_gap:.2e}")
-print(f"nu(rho) - 1: {dens.nu_mass_residual:.2e}")
 
 print("\nlambda chain along the orbit:", np.round(lab.lambda_chain(x, 8), 6))
 
@@ -44,5 +43,6 @@ print("mean log residual per n:", [f"{v:.1f}" for v in fit.mean_log_residuals[:1
 deg = rl.Lab(rl.gibbs_system(branch_count=(2, 2), potential_amp=(0.0, 0.0)),
              n_points=1024, pullback_depth=40)
 x0 = rl.sample_base(deg.spec.base, 42, 0)
-print(f"\ndegenerate doubling system: lambda = {deg.lam(x0)} (exactly 2), "
+lam0 = deg.ensure_chain(x0, 0, 0).lam_at(0)[0]
+print(f"\ndegenerate doubling system: lambda = {lam0} (exactly 2), "
       f"max|rho - 1| = {np.max(np.abs(deg.rho(x0).values - 1)):.1e}")

@@ -572,7 +572,7 @@ class VarianceReport:
         return {k: v for k, v in asdict(self).items() if k not in ("sums", "g_means")}
 
 
-def sigma2_estimate(lab: Lab, g=None, M: int = 16, n_base_samples: int = 800,
+def sigma2_estimate(lab: Lab, g=None, M: int = 12, n_base_samples: int = 600,
                     n_var: int = 10_000, trials: int = 2000, seed: int = 42,
                     tail_tol: float = 1e-4, m_max: int = 48,
                     sample_depth: int = 24, threads: int = 1) -> VarianceReport:

@@ -6,9 +6,11 @@ future; the normalizer of each pullback step is the eigenvalue lambda at
 that fiber.  Invariant densities rho_x are pushforwards of the constant
 function from `pullback_depth` steps behind.  A ConformalWindow computes
 all three for a block of base points with one grouped sweep; a Lab bundles
-the operator table with windows built per request, and the module-level
-operations implement the pullback diagnostics, density construction,
-spectral-gap estimation, and base-regularity checks.
+the operator table with windows built per request, so a point's nu and
+lambda are read from its `Lab.ensure_chain` window and a batch's from one
+`Lab.window`.  The module-level operations implement the pullback
+diagnostics, density construction, spectral-gap estimation, and
+base-regularity checks.
 """
 
 from __future__ import annotations
@@ -226,9 +228,11 @@ class Lab:
 
     Every conformal value is read from a `ConformalWindow` built afresh for
     each request from the request alone, with pullback depth
-    pullback_depth + 1 at the highest level read.  The Lab holds no window,
-    so each value is a pure function of (spec, grid, depth, request) whatever
-    was asked before, and a window lives as long as its caller keeps it.
+    pullback_depth + 1 at the highest level read: `ensure_chain` for the
+    nu and lambda of one point, `window` for a batch of points and for
+    mu = rho nu (`mu_weights`).  The Lab holds no window, so each value is a
+    pure function of (spec, grid, depth, request) whatever was asked before,
+    and a window lives as long as its caller keeps it.
     """
 
     def __init__(self, spec: SystemSpec, n_points: int = 1024, interp: str = "cubic",
@@ -269,14 +273,12 @@ class Lab:
                                nu_levels=nu_levels, rho_depth=rho_depth, lam_lo=lam_lo)
 
     def ensure_chain(self, x: BasePoint, lo: int, hi: int) -> ConformalWindow:
-        """The one-point window holding nu and lambda on the fibers shift(x, j), j in [lo, hi]."""
+        """The one-point window holding nu and lambda on the fibers shift(x, j), j in [lo, hi].
+
+        The point reads: nu at level j is `win.nu_snap[j][0]` and lambda is
+        `win.lam_at(j)[0]`; `ensure_chain(x, 0, 0)` holds both at x itself.
+        """
         return self.window((x,), fwd=max(hi, 0), nu_levels=range(lo, hi + 1))
-
-    def nu(self, x: BasePoint) -> FiberMeasure:
-        return FiberMeasure(self.ensure_chain(x, 0, 0).nu_snap[0][0], fiber=x)
-
-    def lam(self, x: BasePoint) -> float:
-        return float(self.ensure_chain(x, 0, 0).lam_at(0)[0])
 
     def lambda_chain(self, x: BasePoint, n: int) -> np.ndarray:
         """[lambda_x, lambda_{shift x}, ..., lambda_{shift^{n-1} x}]."""
@@ -290,16 +292,14 @@ class Lab:
         return GridFunction(self.window((x,), rho_depth=depth).rho_snap[0][0],
                             interp=self.interp, fiber=x)
 
-    def mu(self, x: BasePoint) -> FiberMeasure:
-        """Invariant fiber measure mu_x = rho_x nu_x (renormalized)."""
-        return FiberMeasure(self.window((x,)).mu_weights()[0], fiber=x)
-
     def duality_residual(self, x: BasePoint, u_values: np.ndarray) -> float:
         """max |nu_{shift x}(L_x u) - lambda_x nu_x(u)| over u, one function or a stack
-        of rows: the defining identity of (nu, lambda), with each window built once."""
+        of rows: the defining identity of (nu, lambda), from x's window and shift x's."""
         us = np.atleast_2d(u_values)
-        lhs = self.table.op(x.symbol(0)).apply_batch(us) @ self.nu(x.shift_by(1)).weights
-        rhs = self.lam(x) * (us @ self.nu(x).weights)
+        here, there = self.ensure_chain(x, 0, 0), self.ensure_chain(x.shift_by(1), 0, 0)
+        nu_x, nu_next = (FiberMeasure(w.nu_snap[0][0]).weights for w in (here, there))
+        lhs = self.table.op(x.symbol(0)).apply_batch(us) @ nu_next
+        rhs = float(here.lam_at(0)[0]) * (us @ nu_x)
         return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -400,7 +400,6 @@ class DensityReport:
     depth_used: int
     cesaro_gap: float
     fixed_point_residual: float
-    nu_mass_residual: float
 
 
 def invariant_density(lab: Lab, x: BasePoint, depth: int | None = None) -> DensityReport:
@@ -408,12 +407,10 @@ def invariant_density(lab: Lab, x: BasePoint, depth: int | None = None) -> Densi
 
     The Cesaro gap and the fixed-point residual compare independently built
     objects: the fixed-point residual compares L_0 rho_x with the rho of the
-    image fiber's own window (its own depth-K pushforward).  The nu-mass
-    residual does not: nu_x is the window's own nu_0, which rho was scaled
-    against so that nu_0(rho_0) = 1, so it measures rounding only.
+    image fiber's own window (its own depth-K pushforward).
     """
     K = lab.pullback_depth if depth is None else int(depth)
-    win = lab.window((x,), rho_depth=K, lam_lo=-(K - 1))
+    win = lab.window((x,), rho_depth=K, nu_levels=(), lam_lo=-(K - 1))
     rho = GridFunction(win.rho_snap[0][0], interp=lab.interp, fiber=x)
     acc = np.ones((1, lab.n_points))
     for j in range(-(K - 1), 0):
@@ -424,8 +421,7 @@ def invariant_density(lab: Lab, x: BasePoint, depth: int | None = None) -> Densi
     rho_next = lab.rho(x.shift_by(1), K)
     pushed = transfer_apply(lab.table, x, rho, kind="normalized", lam=float(win.lam_at(0)[0]))
     fixed_point = float(np.max(np.abs(pushed.values - rho_next.values)))
-    nu_mass = abs(FiberMeasure(win.nu_snap[0][0], fiber=x).integrate(rho) - 1.0)
-    return DensityReport(rho, K, cesaro_gap, fixed_point, float(nu_mass))
+    return DensityReport(rho, K, cesaro_gap, fixed_point)
 
 
 @dataclass

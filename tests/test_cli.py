@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import rdslab.cli as cli
 import rdslab.config as config_module
 from rdslab import limits
+from rdslab.thermo import Lab
 from rdslab.config import (
     DEFAULTS,
     Choice,
@@ -334,6 +335,35 @@ def test_default_config_hash_is_pinned():
     # every report written so far echoes this config: a change to a default breaks its replay
     assert config_hash(load_config(None)) == (
         "83f717f0dfcef0a5490403fc0dceca03f6df1b0b1213ed88eb28c580d1ebd6cb")
+
+
+# each library parameter whose default stands for a config leaf
+LIBRARY_DEFAULTS = [
+    *[(Lab.__init__, name, f"numerics.{name}") for name in
+      ("n_points", "interp", "pullback_depth", "depth_max", "duality_tol", "newton_tol")],
+    (limits.sigma2_estimate, "M", "statistics.m"),
+    (limits.sigma2_estimate, "n_base_samples", "statistics.n_base_samples"),
+    (limits.sigma2_estimate, "n_var", "statistics.n"),
+    (limits.sigma2_estimate, "trials", "statistics.trials"),
+    (limits.sigma2_estimate, "tail_tol", "statistics.tail_tol"),
+    (limits.sigma2_estimate, "m_max", "statistics.m_max"),
+    (limits.sigma2_estimate, "sample_depth", "numerics.sample_depth"),
+    (limits.lil_probe, "n_max", "experiment.lil.n_max"),
+    (limits.lil_probe, "trials", "experiment.lil.trials"),
+    (limits.coboundary_check, "n_list", "experiment.coboundary.n_list"),
+    (limits.coboundary_check, "trials", "experiment.coboundary.trials"),
+]
+
+
+@pytest.mark.parametrize("fn, name, path", LIBRARY_DEFAULTS,
+                         ids=[f"{fn.__qualname__}.{name}" for fn, name, _ in LIBRARY_DEFAULTS])
+def test_library_defaults_are_the_config_defaults(fn, name, path):
+    # a library call with its defaults runs the default config's experiment
+    rule = DEFAULTS
+    for key in path.split("."):
+        rule = rule[key]
+    default = inspect.signature(fn).parameters[name].default
+    assert (list(default) if isinstance(default, tuple) else default) == rule.default
 
 
 def test_config_hash_sensitivity():

@@ -376,14 +376,16 @@ def test_cone_invariance_under_normalized_iterates(gibbs_lab):
     n = lab.n_points
     for i, u in enumerate(random_smooth_functions(n, 6, seed=33, positive=True)):
         x = sample_base(lab.spec.base, 1234, i)
-        nu_x = lab.nu(x)
+        win = lab.ensure_chain(x, 0, 0)  # one window per orbit point
+        nu_x = rl.FiberMeasure(win.nu_snap[0][0], fiber=x)
         h = cone_embed(u, nu_x, hp)
         assert cone_check(h, 1.0, nu_x, hp).ok
         cur = h
         for j in range(4):
             cur = rl.transfer_apply(lab.table, x.shift_by(j), cur, kind="normalized",
-                                    lam=lab.lam(x.shift_by(j)))
-            cert = cone_check(cur, 1.0, lab.nu(x.shift_by(j + 1)), hp, mass_tol=1e-6)
+                                    lam=float(win.lam_at(0)[0]))
+            win = lab.ensure_chain(x.shift_by(j + 1), 0, 0)
+            cert = cone_check(cur, 1.0, rl.FiberMeasure(win.nu_snap[0][0]), hp, mass_tol=1e-6)
             assert cert.ok, (i, j, cert)
 
 

@@ -643,7 +643,7 @@ def test_perturbed_integral_normalization_at_zero_frequency(stats_lab):
         chain = rl.transfer_iterate(lab.table, y, u, 5, kind="perturbed",
                                     lambda_chain=lab.lambda_chain(y, 5),
                                     r_sequence=(0.0,) * 5, observable=lab.observable)
-        val = lab.nu(x).integrate(chain.values)
+        val = rl.FiberMeasure(lab.ensure_chain(x, 0, 0).nu_snap[0][0]).integrate(chain.values)
         assert abs(val - 1.0) <= 1e-9
 
 

@@ -43,9 +43,10 @@ def test_fiber_measure_normalization_and_negativity():
 def test_degenerate_closed_forms(degenerate_lab):
     lab = degenerate_lab
     x = sample_base(lab.spec.base, 42, 0)
-    assert abs(lab.lam(x) - 2.0) <= 1e-10
+    win = lab.ensure_chain(x, 0, 0)
+    assert abs(win.lam_at(0)[0] - 2.0) <= 1e-10
     assert np.max(np.abs(lab.rho(x).values - 1.0)) <= 1e-10
-    assert np.max(np.abs(lab.nu(x).weights - 1.0 / lab.n_points)) <= 1e-10
+    assert np.max(np.abs(win.nu_snap[0][0] - 1.0 / lab.n_points)) <= 1e-10
 
 
 def test_constant_potential_scales_lambda():
@@ -55,7 +56,8 @@ def test_constant_potential_scales_lambda():
     spec = rl.make_system(branch_count=(2, 2), nonlinearity=(0.0, 0.0), potential_t=t)
     lab = rl.Lab(spec, n_points=256, pullback_depth=16)
     x = sample_base(spec.base, 1, 0)
-    assert lab.lam(x) == pytest.approx(2.0 * np.exp(-t * np.log(2.0)), abs=1e-10)
+    lam = lab.ensure_chain(x, 0, 0).lam_at(0)[0]
+    assert lam == pytest.approx(2.0 * np.exp(-t * np.log(2.0)), abs=1e-10)
 
 
 def test_pullback_depth_stability(gibbs_lab):
@@ -87,7 +89,6 @@ def test_invariant_density_report(gibbs_lab):
     x = sample_base(lab.spec.base, 42, 5)
     rep = invariant_density(lab, x, depth=30)
     assert rep.fixed_point_residual <= 1e-6
-    assert rep.nu_mass_residual <= 1e-8
     assert rep.cesaro_gap < 1e-5
 
 
@@ -159,17 +160,18 @@ def test_regularity_decay_with_depth(gibbs_lab):
 def test_mu_is_probability(gibbs_lab):
     lab = gibbs_lab
     x = sample_base(lab.spec.base, 10, 0)
-    mu = lab.mu(x)
-    assert mu.mass() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(mu.weights >= 0)
+    mu = lab.window((x,)).mu_weights()[0]
+    assert mu.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(mu >= 0)
 
 
 def test_statistics_system_closed_forms(stats_lab):
     # geometric potential: lambda = 1 and nu = Lebesgue (up to stencil quadrature)
     lab = stats_lab
     x = sample_base(lab.spec.base, 42, 0)
-    assert lab.lam(x) == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(lab.nu(x).weights - 1.0 / lab.n_points)) < 1e-5
+    win = lab.ensure_chain(x, 0, 0)
+    assert win.lam_at(0)[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(win.nu_snap[0][0] - 1.0 / lab.n_points)) < 1e-5
 
 
 def test_pullback_nonconvergence_flag(gibbs_lab):
@@ -193,9 +195,10 @@ def test_lab_values_do_not_depend_on_earlier_calls():
     x = sample_base(spec.base, 42, 0)
     used.ensure_chain(x.shift_by(-5), 0, 10)
     y = x.shift_by(1)
-    assert np.array_equal(fresh.rho(y).values, used.rho(y).values)
-    assert np.array_equal(fresh.nu(y).weights, used.nu(y).weights)
-    assert fresh.lam(y) == used.lam(y)
+    new, old = (lab.ensure_chain(y, 0, 0) for lab in (fresh, used))
+    assert np.array_equal(new.nu_snap[0], old.nu_snap[0])
+    assert np.array_equal(new.lam_at(0), old.lam_at(0))
+    assert np.array_equal(new.rho_snap[0], old.rho_snap[0])
     # the lab holds no window: one its caller drops is freed
     held = weakref.ref(used.window((y,)))
     gc.collect()
@@ -413,11 +416,12 @@ def test_thermo_sweeps_the_depth_k_pullback_once(monkeypatch):
     assert (x, lab.pullback_depth + 1, 0) in sweeps
     before = len(sweeps)
     dens = invariant_density(lab, x)
-    assert len(sweeps) == before  # the nu-mass residual reads its window's nu_0
+    assert len(sweeps) == before  # the density reads its windows only
     assert len(set(sweeps)) == len(sweeps)
     alone = invariant_density(fresh_lab(), x)
     assert len(sweeps) == before  # no pullback on a fresh lab either
-    assert dens.nu_mass_residual == alone.nu_mass_residual
+    assert np.array_equal(dens.rho.values, alone.rho.values)
+    assert dens.fixed_point_residual == alone.fixed_point_residual
     assert np.array_equal(pull.nu.weights, conformal_pullback(fresh_lab(), x, n_probe=5).nu.weights)
 
 

@@ -8,7 +8,7 @@ import rdslab as rl
 from rdslab import rng, transfer
 from rdslab.base import BasePoint, sample_base
 from rdslab.fiber import GridFunction, alpha_norm, birkhoff_sum, interp_stencil
-from rdslab.thermo import pullback_sweep, random_smooth_functions
+from rdslab.thermo import ConformalWindow, pullback_sweep, random_smooth_functions
 from rdslab.transfer import (
     TransferError,
     chain_error_budget,
@@ -131,10 +131,21 @@ def test_duality_identity(gibbs_lab, monkeypatch):
         x = sample_base(lab.spec.base, 22, i)
         worst = max(worst, lab.duality_residual(x, us[: 100 if i == 0 else 5]))
     assert worst <= 1e-6
+    # nu_x and lambda_x come from x's window, nu_{shift x} from its own
+    built = []
+    init = ConformalWindow.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConformalWindow, "__init__", counting)
+    lab.duality_residual(x, us[:5])
+    assert len(built) == 2
     # a stack of rows gives the largest of its rows' residuals: with lambda off by
     # 1%, each row's residual is 1% of lambda_x |nu_x(u)|
-    lam = lab.lam(x)
-    monkeypatch.setattr(lab, "lam", lambda y: 1.01 * lam)
+    lam_at = ConformalWindow.lam_at
+    monkeypatch.setattr(ConformalWindow, "lam_at", lambda self, j: 1.01 * lam_at(self, j))
     rows = [lab.duality_residual(x, u) for u in us[:5]]
     assert max(rows) > 1.5 * min(rows) > 0.0
     assert lab.duality_residual(x, us[:5]) == pytest.approx(max(rows), rel=1e-9)
@@ -161,13 +172,13 @@ def test_chain_identity_random_draws(gibbs_lab):
 def test_projection_q_examples(gibbs_lab):
     lab = gibbs_lab
     x = sample_base(lab.spec.base, 17, 0)
-    nu = lab.nu(x)
+    nu = lab.ensure_chain(x, 0, 0).nu_snap[0][0]
     rho3 = lab.rho(x.shift_by(3))
     one = GridFunction(np.ones(lab.n_points))
     q_one = projection_Q(one, nu, rho3)
     assert np.allclose(q_one.values, rho3.values, atol=1e-12)
     u0 = GridFunction(np.cos(TWO_PI * np.arange(lab.n_points) / lab.n_points))
-    centered = GridFunction(u0.values - nu.integrate(u0.values))
+    centered = GridFunction(u0.values - nu @ u0.values)
     assert np.max(np.abs(projection_Q(centered, nu, rho3).values)) < 1e-12
     # u = rho: mu_x is a probability measure, so Q^n rho = rho at the target
     q_rho = projection_Q(lab.rho(x), nu, rho3)
