@@ -42,8 +42,7 @@ print(f"embedded function passes the cone check: {cert.ok}")
 # orbit point's window gives lambda there and nu for the step into it
 cur = h
 for j in range(6):
-    cur = rl.transfer_apply(lab.table, x.shift_by(j), cur, kind="normalized",
-                            lam=float(win.lam_at(0)[0]))
+    cur = rl.transfer_apply(lab.table, x.shift_by(j), cur, lam=float(win.lam_at(0)[0]))
     win = lab.ensure_chain(x.shift_by(j + 1), 0, 0)
     cert = cone_check(cur, 1.0, rl.FiberMeasure(win.nu_snap[0][0]), hp, mass_tol=1e-6)
     print(f"  L_0^{j+1} image in cone: {cert.ok}")

@@ -264,25 +264,16 @@ def base_correlation_check(
     return CorrelationReport(rows, float(np.exp(intercept)), float(np.exp(slope)), False, len(usable))
 
 
-def pinned_pair(
-    spec: BaseMeasureSpec,
-    master_seed: int,
-    pair_id: int,
-    depth: int,
-    future: int | None = None,
-) -> tuple:
-    """Two independent base points forced to agree on coordinates [-depth, future].
+def pinned_pair(spec: BaseMeasureSpec, master_seed: int, pair_id: int, depth: int) -> tuple:
+    """Two independent base points forced to agree on coordinates [-depth, depth].
 
-    `future` defaults to `depth` (symmetric window).  Agreement on forward
-    coordinates matters because conformal data depends on forward symbols;
-    see the natural-extension metric, whose level -n coordinate carries the
-    whole forward ray.
+    Agreement on forward coordinates matters because conformal data depends
+    on forward symbols; see the natural-extension metric, whose level -n
+    coordinate carries the whole forward ray.
     """
-    if future is None:
-        future = depth
     x = sample_base(spec, master_seed, 2 * pair_id)
     y = sample_base(spec, master_seed, 2 * pair_id + 1)
-    pins = {i: x.symbol(i) for i in range(-int(depth), int(future) + 1)}
+    pins = {i: x.symbol(i) for i in range(-int(depth), int(depth) + 1)}
     return x, y.with_overrides(pins)
 
 

@@ -254,13 +254,13 @@ def map_derivative_symbol(spec: SystemSpec, e: int, z):
     return spec.branch_count[e] + spec.nonlinearity[e] * np.cos(TWO_PI * np.asarray(z))
 
 
-def inverse_branches_symbol(spec: SystemSpec, e: int, w, newton_tol=1e-13, max_iter=60) -> np.ndarray:
+def inverse_branches_symbol(spec: SystemSpec, e: int, w, newton_tol=1e-13) -> np.ndarray:
     """All d(e) preimages of each w under the symbol-e map; shape (d, len(w)).
 
-    Branch j solves map_lift(z) = w + j.  For eps = 0 the
-    closed form (w + j)/d is returned; otherwise Newton from that starting
-    point, with a hard error if the residual tolerance is not met (impossible
-    under the expansion invariant, kept as a tripwire).
+    Branch j solves map_lift(z) = w + j.  For eps = 0 the closed form
+    (w + j)/d is returned; otherwise at most 60 Newton steps from that
+    starting point, with a hard error if the residual tolerance is not met
+    (impossible under the expansion invariant, kept as a tripwire).
     """
     w = np.atleast_1d(np.asarray(w, dtype=np.float64))
     d = spec.branch_count[e]
@@ -268,7 +268,7 @@ def inverse_branches_symbol(spec: SystemSpec, e: int, w, newton_tol=1e-13, max_i
     z = targets / d
     if spec.nonlinearity[e] == 0.0:
         return z
-    for _ in range(max_iter):
+    for _ in range(60):
         f = map_lift(spec, e, z) - targets
         if np.max(np.abs(f)) <= newton_tol:
             break
@@ -281,9 +281,9 @@ def inverse_branches_symbol(spec: SystemSpec, e: int, w, newton_tol=1e-13, max_i
     return np.clip(z, 0.0, np.nextafter(1.0, 0.0)) % 1.0
 
 
-def inverse_branches(spec: SystemSpec, x: BasePoint, w, newton_tol=1e-13) -> np.ndarray:
+def inverse_branches(spec: SystemSpec, x: BasePoint, w) -> np.ndarray:
     """Ascending preimages of w in the fiber over x."""
-    out = inverse_branches_symbol(spec, x.symbol(0), w, newton_tol=newton_tol)
+    out = inverse_branches_symbol(spec, x.symbol(0), w)
     return out[:, 0] if np.isscalar(w) or np.ndim(w) == 0 else out
 
 
@@ -429,9 +429,9 @@ class GridFunction:
         return GridFunction(values, interp=self.interp, fiber=self.fiber)
 
     @classmethod
-    def from_callable(cls, f, n_points: int, interp: str = "cubic", fiber=None) -> "GridFunction":
+    def from_callable(cls, f, n_points: int, interp: str = "cubic") -> "GridFunction":
         z = np.arange(n_points) / n_points
-        return cls(np.asarray(f(z)), interp=interp, fiber=fiber)
+        return cls(np.asarray(f(z)), interp=interp)
 
 
 @lru_cache(maxsize=16)
@@ -552,19 +552,19 @@ def cone_check(
     holder: HolderParams,
     Q=None,
     mass_tol: float = 1e-7,
-    rel_tol: float = 1e-11,
 ) -> ConeCertificate:
     """Membership test for the cone with parameter s >= 1.
 
     Checks h >= 0, |nu(h) - 1| <= mass_tol, and the oscillation bound
-    h(w1) <= exp(s Q dist^alpha) h(w2) over every grid pair within xi.  On
+    h(w1) <= exp(s Q dist^alpha) h(w2) over every grid pair within xi; the
+    sign and oscillation checks allow a slack of 1e-11 max(sup |h|, 1).  On
     failure the maximally violating pair is returned as a certificate.
     """
     vals = np.asarray(h.values, dtype=np.float64)
     n = len(vals)
     Q = holder.Q_tilde if Q is None else float(Q)
     scale = float(np.max(np.abs(vals))) if n else 0.0
-    slack = rel_tol * max(scale, 1.0)
+    slack = 1e-11 * max(scale, 1.0)
 
     imin = int(np.argmin(vals))
     if vals[imin] < -slack:

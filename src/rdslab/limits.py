@@ -72,17 +72,16 @@ class OrbitEnsemble(ConformalWindow):
         cells = np.minimum((cdf < u[:, None]).sum(axis=1), n - 1)
         return (cells + jit) / n
 
-    def chain_perturbed(self, rows: np.ndarray, start: int, r_per_level, observable=None) -> np.ndarray:
+    def chain_perturbed(self, rows: np.ndarray, start: int, r_per_level) -> np.ndarray:
         """Row-wise perturbed operator chain over levels start, start+1, ...
 
-        r_per_level lists one frequency per level; zero entries fall back to
-        the plain normalized step, which keeps real rows real (no copy is made
-        up front).  The observable defaults to the lab's.
+        r_per_level lists one frequency per level for the lab's observable;
+        zero entries fall back to the plain normalized step, which keeps real
+        rows real (no copy is made up front).
         """
-        g = observable if observable is not None else self.lab.observable
         out = rows
         for i, r in enumerate(r_per_level):
-            out = self.transport(out, start + i, r, g)
+            out = self.transport(out, start + i, r, self.lab.observable)
         return out
 
 
@@ -235,9 +234,9 @@ class EncodingResult:
 
 
 def encoding_check(lab: Lab, r_sequence, n_base_samples: int, seed: int,
-                   sample_depth: int = 24, observable=None,
-                   epsilon0: float = 1.0) -> EncodingResult:
-    """Both routes of the characteristic-function identity, on shared samples.
+                   sample_depth: int = 24, epsilon0: float = 1.0) -> EncodingResult:
+    """Both routes of the characteristic-function identity of the lab's
+    observable g, on shared samples.
 
     lhs: Monte Carlo of e^{i sum r_j g o T^j} over orbits started from the
     invariant fiber measures.  rhs: per-sample operator chain applied to the
@@ -245,7 +244,7 @@ def encoding_check(lab: Lab, r_sequence, n_base_samples: int, seed: int,
     the conditional mean of the lhs equals the rhs, so the difference is
     mean-zero and tested against 4x its own standard error.
     """
-    g = observable if observable is not None else lab.observable
+    g = lab.observable
     r_sequence = tuple(float(r) for r in r_sequence)
     if any(abs(r) > epsilon0 for r in r_sequence):
         raise LimitsError("|r_j| must stay within epsilon0")
@@ -255,7 +254,7 @@ def encoding_check(lab: Lab, r_sequence, n_base_samples: int, seed: int,
     phase = forward_phase_sum(lab.spec, [ens.symbol(j) for j in range(n)], ens.sample_z(),
                               r_sequence, g)
     lhs_t = np.exp(1j * phase)
-    rows = ens.chain_perturbed(ens.rho_snap[0], 0, r_sequence, observable=g)
+    rows = ens.chain_perturbed(ens.rho_snap[0], 0, r_sequence)
     rhs_t = ens.fiber_integral(n, rows)
     diff = lhs_t - rhs_t
     se = _complex_se(diff)
@@ -438,9 +437,8 @@ def assumption6_check(lab: Lab, n_list, r_draws: int, base_pairs, seed: int,
 
         def f_value(i, rs):
             u = GridFunction(rho[i].astype(complex), interp=lab.interp, fiber=starts[i])
-            chain = transfer_iterate(lab.table, starts[i], u, n, kind="perturbed",
-                                     lambda_chain=chains[i], r_sequence=rs[:n],
-                                     observable=lab.observable)
+            chain = transfer_iterate(lab.table, starts[i], u, n, chains[i], rs[:n],
+                                     lab.observable)
             return complex(nu[i] @ chain.values)
 
         for di, rs in enumerate(draws):
@@ -704,7 +702,6 @@ class LilResult:
     trajectories: np.ndarray  # (len(checkpoints), trials) per-trial running maxima
     terminal_values: list
     median_terminal: float
-    monotone: bool
     sigma_used: float
     orbit_bias_warning: bool = False
 
@@ -768,9 +765,8 @@ def lil_probe(lab: Lab, g=None, n_max: int = 100_000, trials: int = 200, seed: i
                         running_stat=stat, threads=threads)
     med_traj = [float(np.median(row)) for row in trajectories]
     terminal = running.tolist()
-    monotone = bool(np.all(np.diff(trajectories, axis=0) >= -1e-15))
     return LilResult(checkpoints, med_traj, trajectories, terminal,
-                     float(np.median(running)), bool(monotone), sigma,
+                     float(np.median(running)), sigma,
                      orbit_bias_warning=not lab.spec.has_geometric_potential)
 
 

@@ -60,13 +60,16 @@ class FiberMeasure:
 
 
 def pullback_sweep(table: OperatorTable, x: BasePoint, start: int, stop: int):
-    """Adjoint pullback along the orbit of x, from level `start` down to `stop`.
+    """Adjoint pullback along the orbit of x from level `start` down to `stop` < start.
 
-    Yields (level j, lambda_at_j, weights_at_j).  The weights entering level j
-    are normalized, so lambda_at_j is exactly the mass created by one adjoint
+    Starts from normalized Lebesgue weights at level `start` and returns
+    (weights, lambda) at level `stop`.  The weights entering each level are
+    normalized, so lambda is exactly the mass created by the last adjoint
     step: the discrete version of nu_{shift x}(L_x 1).  The symbols of the
     levels swept are read with one `x.symbols` call.
     """
+    if stop >= start:
+        raise ThermoError(f"no level to sweep from {start} down to {stop}")
     n = table.n_points
     omega = np.full(n, 1.0 / n)
     syms = x.symbols(stop, start).tolist()
@@ -76,7 +79,7 @@ def pullback_sweep(table: OperatorTable, x: BasePoint, start: int, stop: int):
         if not np.isfinite(lam) or lam <= 0:
             raise ThermoError(f"degenerate pullback normalizer at level {j}")
         omega = w / lam
-        yield j, lam, omega
+    return omega, lam
 
 
 def _mu_rows(nu: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -317,13 +320,6 @@ class PullbackReport:
     converged: bool
 
 
-def _pullback_at_depth(lab: Lab, x: BasePoint, depth: int):
-    """(nu weights, lambda) at x from one depth-`depth` single-vector sweep."""
-    for _, lam, omega in pullback_sweep(lab.table, x, depth + 1, 0):
-        pass  # the sweep ends at level 0
-    return omega, lam
-
-
 def random_smooth_functions(n_points: int, count: int, seed: int, interp: str = "cubic",
                             positive: bool = False) -> list:
     """Battery of random low-frequency trigonometric test functions."""
@@ -380,12 +376,12 @@ def conformal_pullback(lab: Lab, x: BasePoint, depth: int | None = None,
     probes = np.stack([p.values for p in random_smooth_functions(lab.n_points, n_probe, seed)])
     pushed = lab.table.op(x.symbol(0)).apply_batch(probes)
     while True:
-        omega, lam = _pullback_at_depth(lab, x, K)
-        _, lam_prev = _pullback_at_depth(lab, x, K - 2)
+        omega, lam = pullback_sweep(lab.table, x, K + 1, 0)
+        _, lam_prev = pullback_sweep(lab.table, x, K - 1, 0)
         delta = abs(lam - lam_prev)
         nu_x = FiberMeasure(omega, fiber=x)
         # duality against a fresh pullback at the image fiber
-        omega_next, _ = _pullback_at_depth(lab, x.shift_by(1), K)
+        omega_next, _ = pullback_sweep(lab.table, x.shift_by(1), K + 1, 0)
         nu_next = FiberMeasure(omega_next, fiber=x.shift_by(1))
         duality = max(abs(nu_next.integrate(lp) - lam * nu_x.integrate(p))
                       for lp, p in zip(pushed, probes))
@@ -419,7 +415,7 @@ def invariant_density(lab: Lab, x: BasePoint, depth: int | None = None) -> Densi
     cesaro_gap = float(np.max(np.abs(rho.values - cesaro)))
 
     rho_next = lab.rho(x.shift_by(1), K)
-    pushed = transfer_apply(lab.table, x, rho, kind="normalized", lam=float(win.lam_at(0)[0]))
+    pushed = transfer_apply(lab.table, x, rho, lam=float(win.lam_at(0)[0]))
     fixed_point = float(np.max(np.abs(pushed.values - rho_next.values)))
     return DensityReport(rho, K, cesaro_gap, fixed_point)
 
@@ -438,18 +434,18 @@ class GapFit:
         return asdict(self)
 
 
-def gap_estimate(lab: Lab, x_samples, u_samples, n_range, noise_floor: float | None = None) -> GapFit:
+def gap_estimate(lab: Lab, x_samples, u_samples, n_range) -> GapFit:
     """Fit of log ||L_0^n u - Q^n u||_inf against n over (x, u) instances.
 
     Per instance the residual is computed by transporting w = u - nu(u) rho
     with normalized steps (Q^n u = nu(u) * transported rho), normalized by the
     grid alpha-norm of u.  The fitted line is the per-n mean of log residuals
     across instances, which is the drift of the per-orbit contraction walk;
-    entries below the noise floor are excluded.  If nothing is measurable the
-    gap is reported as too strong to measure at this resolution.
+    entries at or below the noise floor 100 eps are excluded.  If nothing is
+    measurable the gap is reported as too strong to measure at this resolution.
     """
     hp = lab.spec.holder
-    floor = 100 * np.finfo(float).eps if noise_floor is None else noise_floor
+    floor = 100 * np.finfo(float).eps
     n_list = sorted(int(n) for n in n_range)
     n_max = n_list[-1]
     win = lab.window(x_samples, fwd=n_max - 1)
@@ -505,15 +501,16 @@ def regularity_pairs(spec: BaseMeasureSpec, seed: int, depths, reps: int = 2) ->
     return pairs
 
 
-def regularity_check(lab: Lab, base_pairs, n_list, beta_grid=None) -> RegularityReport:
+def regularity_check(lab: Lab, base_pairs, n_list) -> RegularityReport:
     """Hölder ratio tables for lambda, rho and L_0^n 1 over pinned base pairs.
 
-    For each candidate beta the ratio |difference| / d^beta is regressed
-    against log(1/d); beta counts as bounded when the growth slope is <= 0.05.
+    For each candidate beta in 0.1, 0.2, ..., 1.0 the ratio |difference| /
+    d^beta is regressed against log(1/d); beta counts as bounded when the
+    growth slope is <= 0.05.
     The fitted beta per quantity is the regression slope of log(difference)
     against log(distance), reported without asserting a theoretical value.
     """
-    beta_grid = np.round(np.arange(0.1, 1.01, 0.1), 2) if beta_grid is None else np.asarray(beta_grid)
+    beta_grid = np.round(np.arange(0.1, 1.01, 0.1), 2)
     pairs = [(x, y, int(depth), base_distance(x, y)) for x, y, depth in base_pairs]
     pairs = [p for p in pairs if p[3] > 0]
     depths = [p[2] for p in pairs]

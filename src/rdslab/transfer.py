@@ -13,7 +13,9 @@ a batch of one tile is multiplied whole.  Every row gets the same bits
 either way, but the memory layout of a batch result differs between the
 two, so callers must not rely on it.  Orbit iterates are step-wise
 compositions (cost n * N * deg); the depth-n preimage tree (cost N * deg^n)
-is kept only as the ground-truth oracle.
+is kept only as the ground-truth oracle.  Both work out each step from their
+arguments: the raw operator L with no lambda chain, L / lambda with one, and
+the perturbed L_r / lambda with a frequency sequence r as well.
 """
 
 from __future__ import annotations
@@ -181,44 +183,42 @@ class OperatorTable:
         return np.arange(self.n_points) / self.n_points
 
 
-def _step(table: OperatorTable, e: int, vals: np.ndarray, kind, lam, r, observable) -> np.ndarray:
-    """Values of one transfer step of `kind` by the operator of symbol e."""
-    op = table.op(e)
-    if kind == "raw":
-        return op.apply(vals)
-    if kind == "normalized":
-        return op.apply(vals) / lam
-    if kind == "perturbed":
-        return op.apply_perturbed(vals, r, observable) / lam
-    raise TransferError(f"unknown kind {kind!r}")
-
-
-def transfer_apply(table: OperatorTable, x: BasePoint, u: GridFunction, kind="raw",
-                   lam=None, r=0.0, observable=None) -> GridFunction:
-    """One transfer step from the fiber over x to the fiber over shift(x, 1)."""
-    if u.fiber is not None and u.fiber != x:
-        raise TransferError("grid function lives on a different fiber")
-    vals = _step(table, x.symbol(0), u.values, kind, lam, r, observable)
-    return GridFunction(vals, interp=u.interp, fiber=x.shift_by(1) if u.fiber is not None else None)
-
-
-def transfer_iterate(table: OperatorTable, x: BasePoint, u: GridFunction, n: int, kind="raw",
-                     lambda_chain=None, r_sequence=None, observable=None) -> GridFunction:
-    """n-fold orbit composition; normalized/perturbed divide by the lambda chain.
-
-    Bit-equal to n composed `transfer_apply` steps along the orbit of x, with
-    the same errors: the n symbols are read with one `x.symbols` call, the
-    fiber is checked once, the steps share `transfer_apply`'s `_step`, and
-    one GridFunction is built at the end (n <= 0 returns u itself).
-    """
-    if kind in ("normalized", "perturbed"):
-        if lambda_chain is None or len(lambda_chain) < n:
-            raise TransferError("lambda_chain of length n required")
-    if kind == "perturbed":
-        if r_sequence is None or len(r_sequence) != n:
+def _check_chain(n: int, lambda_chain, r_sequence, observable):
+    """The argument checks shared by `transfer_iterate` and `oracle_transfer`."""
+    if (lambda_chain is not None or r_sequence is not None) and \
+            (lambda_chain is None or len(lambda_chain) < n):
+        raise TransferError("lambda_chain of length n required")
+    if r_sequence is not None:
+        if len(r_sequence) != n:
             raise TransferError("r_sequence must have length n")
         if observable is None:
-            raise TransferError("perturbed kind requires the observable")
+            raise TransferError("r_sequence requires the observable")
+
+
+def transfer_apply(table: OperatorTable, x: BasePoint, u: GridFunction, lam=None, r=None,
+                   observable=None) -> GridFunction:
+    """One transfer step from the fiber over x to the fiber over shift(x, 1).
+
+    `transfer_iterate` at n = 1 with lambda_chain (lam,) and r_sequence (r,):
+    L_x u with no lam, L_x u / lam with one, L_x(e^{i r g} u) / lam with r too.
+    """
+    return transfer_iterate(table, x, u, 1, None if lam is None else (lam,),
+                            None if r is None else (r,), observable)
+
+
+def transfer_iterate(table: OperatorTable, x: BasePoint, u: GridFunction, n: int,
+                     lambda_chain=None, r_sequence=None, observable=None) -> GridFunction:
+    """n-fold orbit composition, each step worked out from the arguments.
+
+    Step j is the operator L_j of the symbol of shift^j(x): raw L_j u with no
+    lambda_chain, normalized L_j u / lambda_chain[j] with one, and perturbed
+    L_j(e^{i r_j g} u) / lambda_chain[j] with an r_sequence as well, which
+    also needs the observable g.  An r_sequence of zeros still takes the
+    perturbed route, whose bits differ from the normalized one's.  The n
+    symbols are read with one `x.symbols` call, the fiber is checked once,
+    and one GridFunction is built at the end (n <= 0 returns u itself).
+    """
+    _check_chain(n, lambda_chain, r_sequence, observable)
     syms = x.symbols(0, int(n)).tolist()
     if not syms:
         return u
@@ -226,23 +226,27 @@ def transfer_iterate(table: OperatorTable, x: BasePoint, u: GridFunction, n: int
         raise TransferError("grid function lives on a different fiber")
     vals = u.values
     for j, e in enumerate(syms):
-        vals = _step(table, e, vals, kind,
-                     None if kind == "raw" else lambda_chain[j],
-                     0.0 if r_sequence is None else r_sequence[j], observable)
+        op = table.op(e)
+        vals = op.apply(vals) if r_sequence is None else op.apply_perturbed(vals, r_sequence[j], observable)
+        if lambda_chain is not None:
+            vals = vals / lambda_chain[j]
     return GridFunction(vals, interp=u.interp,
                         fiber=x.shift_by(len(syms)) if u.fiber is not None else None)
 
 
-def oracle_transfer(spec: SystemSpec, x: BasePoint, u, n: int, w, kind="raw",
-                    lambda_chain=None, r_sequence=None, observable=None,
-                    branch_budget: int = 10**6, newton_tol: float = 1e-13):
+def oracle_transfer(spec: SystemSpec, x: BasePoint, u, n: int, w, lambda_chain=None,
+                    r_sequence=None, observable=None, branch_budget: int = 10**6):
     """Exact (L^n u)(w) by full preimage-tree enumeration, no grids.
 
-    u must be evaluable at arbitrary points (a callable or a GridFunction,
-    whose interpolation then defines the function being transported).  The
-    enumeration carries Birkhoff sums of the potential, and of r_j g along
-    the forward path for the perturbed kind.
+    The operator is worked out from the arguments as in `transfer_iterate`:
+    raw with no lambda_chain, divided by the chain's product with one, and
+    perturbed by e^{i sum r_j g o T^j} along each forward path with an
+    r_sequence as well.  u must be evaluable at arbitrary points (a callable
+    or a GridFunction, whose interpolation then defines the function being
+    transported).  The enumeration carries Birkhoff sums of the potential,
+    and of r_j g for the perturbed operator.
     """
+    _check_chain(n, lambda_chain, r_sequence, observable)
     pts = np.atleast_1d(np.asarray(w, dtype=np.float64))
     m0 = len(pts)
     s_phi = np.zeros(m0)
@@ -253,18 +257,18 @@ def oracle_transfer(spec: SystemSpec, x: BasePoint, u, n: int, w, kind="raw",
         total_branches *= spec.branch_count[e]
         if total_branches > branch_budget:
             raise TransferError(f"preimage tree exceeds budget at depth {n - j} ({total_branches} branches)")
-        z = inverse_branches_symbol(spec, e, pts, newton_tol=newton_tol)
+        z = inverse_branches_symbol(spec, e, pts)
         s_phi = (s_phi[None, :] + potential_values(spec, e, z)).ravel()
-        if kind == "perturbed":
+        if r_sequence is not None:
             s_g = (s_g[None, :] + r_sequence[j] * observable.values_for_symbol(e, z)).ravel()
         pts = z.ravel()
     uv = u(pts)
     weights = np.exp(s_phi)
     leaves = uv * weights
-    if kind == "perturbed":
+    if r_sequence is not None:
         leaves = leaves * np.exp(1j * s_g)
     per_w = leaves.reshape(-1, m0).sum(axis=0)
-    if kind in ("normalized", "perturbed"):
+    if lambda_chain is not None:
         per_w = per_w / np.prod(np.asarray(lambda_chain[:n], dtype=np.float64))
     return per_w[0] if np.ndim(w) == 0 else per_w
 
@@ -287,59 +291,56 @@ def chain_error_budget(n_points: int, depth: int, interp: str) -> float:
     return 200.0 * depth * (64.0 / n_points) ** interp_order(interp)
 
 
-def perturbed_chain_identity_check(lab, x: BasePoint, u, r_sequence, observable=None,
-                                   method: str = "oracle", n_probes: int = 16) -> float:
+def perturbed_chain_identity_check(lab, x: BasePoint, u, r_sequence,
+                                   method: str = "oracle") -> float:
     """Max discrepancy between the composed perturbed chain and its closed form.
 
     Both sides of
 
         L_{r_{n-1}} o ... o L_{r_0} (u)  =  L_0^n( e^{i sum r_j g o T^j} u )
 
-    share one lambda chain, so the identity is exact modulo discretization.
-    method="oracle" evaluates both sides by preimage-tree enumeration at
-    probe points (discrepancy is pure floating-point rearrangement);
+    share one lambda chain, so the identity is exact modulo discretization;
+    g is the lab's observable.  method="oracle" evaluates both sides by
+    preimage-tree enumeration at 16 probe points (discrepancy is pure floating-point rearrangement);
     method="grid" compares the two step-wise grid routes, whose discrepancy
     is bounded by chain_error_budget.
     """
     spec = lab.spec
-    obs = observable if observable is not None else lab.observable
+    obs = lab.observable
     n = len(r_sequence)
     chain = lab.lambda_chain(x, n)
     syms = x.symbols(0, n)
     if method == "oracle":
         # golden-ratio probe points: deterministic and equidistributed
-        probes = np.sort((np.arange(1, n_probes + 1) * 0.6180339887498949) % 1.0)
+        probes = np.sort((np.arange(1, 17) * 0.6180339887498949) % 1.0)
         if not callable(u):
             raise TransferError("oracle method needs an evaluable function")
         f = u
-        lhs = oracle_transfer(spec, x, f, n, probes, kind="perturbed",
-                              lambda_chain=chain, r_sequence=r_sequence, observable=obs)
+        lhs = oracle_transfer(spec, x, f, n, probes, chain, r_sequence, obs)
 
         def modulated(z):
             return np.exp(1j * forward_phase_sum(spec, syms, z, r_sequence, obs)) * f(z)
 
-        rhs = oracle_transfer(spec, x, modulated, n, probes, kind="normalized", lambda_chain=chain)
+        rhs = oracle_transfer(spec, x, modulated, n, probes, chain)
         return float(np.max(np.abs(lhs - rhs)))
     if method == "grid":
         if not isinstance(u, GridFunction):
             raise TransferError("grid method needs a GridFunction")
-        lhs = transfer_iterate(lab.table, x, u, n, kind="perturbed",
-                               lambda_chain=chain, r_sequence=r_sequence, observable=obs)
+        lhs = transfer_iterate(lab.table, x, u, n, chain, r_sequence, obs)
         nodes = lab.table.nodes()
         phase = forward_phase_sum(spec, syms, nodes, r_sequence, obs)
         v0 = GridFunction(np.exp(1j * phase) * u.values, interp=u.interp, fiber=u.fiber)
-        rhs = transfer_iterate(lab.table, x, v0, n, kind="normalized", lambda_chain=chain)
+        rhs = transfer_iterate(lab.table, x, v0, n, chain)
         return float(np.max(np.abs(lhs.values - rhs.values)))
     raise TransferError(f"unknown method {method!r}")
 
 
-def operator_norm_bounds_check(lab, x_samples, r_grid, n_max: int, seed: int = 0,
-                               functions_per_sample: int = 2) -> dict:
+def operator_norm_bounds_check(lab, x_samples, r_grid, n_max: int, seed: int = 0) -> dict:
     """Empirical uniform bounds for the perturbed iterates.
 
     For every sampled x, r in r_grid and n <= n_max, measures
     ||L_r^n f||_inf / ||f||_inf on f = 1 and ||L_r^n h||_alpha / ||h||_alpha
-    on random smooth h, and fits the growth slope of the per-n envelopes.
+    on two random smooth h per x, and fits the growth slope of the per-n envelopes.
     Contract: both envelopes stay bounded (log-slope <= 0.01).
     """
     from . import rng as _rng
@@ -348,12 +349,12 @@ def operator_norm_bounds_check(lab, x_samples, r_grid, n_max: int, seed: int = 0
     nodes = lab.table.nodes()
     gen = _rng.generator(seed, 0x0B0D)
     xs = list(x_samples)
-    per_x = 1 + functions_per_sample
+    per_x = 3
     # rows x-major: per x the constant function, then its random smooth functions
     fs = []
     for _ in xs:
         fs.append(np.ones_like(nodes))
-        for _ in range(functions_per_sample):
+        for _ in range(per_x - 1):
             a = gen.normal(size=3) * [0.5, 0.3, 0.2]
             b = gen.normal(size=3) * [0.5, 0.3, 0.2]
             vals = np.ones_like(nodes)

@@ -169,8 +169,7 @@ def test_criterion_07_cone_suite(gibbs_lab):
         assert variation_alpha(h, hp.alpha, hp.eta) <= cone_ratio_bound(hp, 1.0, h.sup_norm()) + 1e-8
         cur = h
         for j in range(8):
-            cur = transfer_apply(lab.table, x.shift_by(j), cur, kind="normalized",
-                                 lam=float(win.lam_at(0)[0]))
+            cur = transfer_apply(lab.table, x.shift_by(j), cur, lam=float(win.lam_at(0)[0]))
             win = lab.ensure_chain(x.shift_by(j + 1), 0, 0)
             cert = cone_check(cur, 1.0, rl.FiberMeasure(win.nu_snap[0][0]), hp, mass_tol=1e-6)
             assert cert.ok, (i, j, cert)

@@ -382,8 +382,7 @@ def test_cone_invariance_under_normalized_iterates(gibbs_lab):
         assert cone_check(h, 1.0, nu_x, hp).ok
         cur = h
         for j in range(4):
-            cur = rl.transfer_apply(lab.table, x.shift_by(j), cur, kind="normalized",
-                                    lam=float(win.lam_at(0)[0]))
+            cur = rl.transfer_apply(lab.table, x.shift_by(j), cur, lam=float(win.lam_at(0)[0]))
             win = lab.ensure_chain(x.shift_by(j + 1), 0, 0)
             cert = cone_check(cur, 1.0, rl.FiberMeasure(win.nu_snap[0][0]), hp, mass_tol=1e-6)
             assert cert.ok, (i, j, cert)

@@ -360,7 +360,7 @@ def test_clt_small_run_consistency(stats_lab):
 
 def test_lil_probe_shapes_and_monotonicity(stats_lab):
     res = lil_probe(stats_lab, None, n_max=3000, trials=60, seed=19)
-    assert res.monotone
+    assert np.all(np.diff(res.trajectories, axis=0) >= 0)
     assert res.trajectories.shape == (len(res.checkpoints), 60)
     assert len(res.median_trajectory) == len(res.checkpoints)
 
@@ -369,7 +369,7 @@ def test_lil_default_median_smoke(stats_lab):
     # the iterated-logarithm normalization converges only logarithmically:
     # qualitative window, not a tolerance claim
     res = lil_probe(stats_lab, None, n_max=100_000, trials=200, seed=42)
-    assert res.monotone
+    assert np.all(np.diff(res.trajectories, axis=0) >= 0)
     assert 0.5 <= res.median_terminal <= 1.5
 
 
@@ -640,8 +640,7 @@ def test_perturbed_integral_normalization_at_zero_frequency(stats_lab):
         x = sample_base(lab.spec.base, 30, i)
         y = x.shift_by(-5)
         u = rl.GridFunction(lab.rho(y).values.astype(complex), fiber=y)
-        chain = rl.transfer_iterate(lab.table, y, u, 5, kind="perturbed",
-                                    lambda_chain=lab.lambda_chain(y, 5),
+        chain = rl.transfer_iterate(lab.table, y, u, 5, lambda_chain=lab.lambda_chain(y, 5),
                                     r_sequence=(0.0,) * 5, observable=lab.observable)
         val = rl.FiberMeasure(lab.ensure_chain(x, 0, 0).nu_snap[0][0]).integrate(chain.values)
         assert abs(val - 1.0) <= 1e-9

@@ -85,10 +85,9 @@ def test_perturbed_with_zero_r_equals_normalized(gibbs_lab):
     x = sample_base(lab.spec.base, 4, 0)
     u = random_smooth_functions(lab.n_points, 1, seed=5)[0]
     chain = lab.lambda_chain(x, 3)
-    a = transfer_iterate(lab.table, x, u, 3, kind="normalized", lambda_chain=chain)
+    a = transfer_iterate(lab.table, x, u, 3, lambda_chain=chain)
     b = transfer_iterate(lab.table, x, GridFunction(u.values.astype(complex)), 3,
-                         kind="perturbed", lambda_chain=chain, r_sequence=(0.0, 0.0, 0.0),
-                         observable=lab.observable)
+                         lambda_chain=chain, r_sequence=(0.0, 0.0, 0.0), observable=lab.observable)
     # equal up to round-off: complex and real matvec accumulation differ by ulps
     assert np.max(np.abs(b.values.real - a.values)) <= 1e-13
     assert np.all(b.values.imag == 0.0)
@@ -195,7 +194,7 @@ def test_gap_inequality_fit(gibbs_lab):
     assert fit.measurable and fit.kappa < 1.0 and fit.r_squared >= 0.98
 
 
-def single_step_envelopes(lab, xs, r_grid, n_max, seed, functions_per_sample=2):
+def single_step_envelopes(lab, xs, r_grid, n_max, seed):
     """Sup and alpha envelopes of operator_norm_bounds_check, one transfer_apply at a time."""
     hp = lab.spec.holder
     nodes = lab.table.nodes()
@@ -203,7 +202,7 @@ def single_step_envelopes(lab, xs, r_grid, n_max, seed, functions_per_sample=2):
     sup_env, alpha_env = np.zeros(n_max), np.zeros(n_max)
     for x in xs:
         fs = [np.ones_like(nodes)]
-        for _ in range(functions_per_sample):
+        for _ in range(2):
             a = gen.normal(size=3) * [0.5, 0.3, 0.2]
             b = gen.normal(size=3) * [0.5, 0.3, 0.2]
             vals = np.ones_like(nodes)
@@ -216,8 +215,8 @@ def single_step_envelopes(lab, xs, r_grid, n_max, seed, functions_per_sample=2):
             for f in fs:
                 cur = GridFunction(f.astype(complex))
                 for n in range(1, n_max + 1):
-                    cur = transfer_apply(lab.table, x.shift_by(n - 1), cur, kind="perturbed",
-                                         lam=chain[n - 1], r=r, observable=lab.observable)
+                    cur = transfer_apply(lab.table, x.shift_by(n - 1), cur, lam=chain[n - 1],
+                                         r=r, observable=lab.observable)
                     sup_env[n - 1] = max(sup_env[n - 1], cur.sup_norm() / np.max(np.abs(f)))
                     alpha_env[n - 1] = max(alpha_env[n - 1], alpha_norm(cur, hp.alpha, hp.eta)
                                            / alpha_norm(f, hp.alpha, hp.eta))
@@ -254,8 +253,7 @@ def test_operator_norm_constant_potential():
     lab = rl.Lab(spec, n_points=256, pullback_depth=16)
     x = sample_base(spec.base, 1, 0)
     chain = lab.lambda_chain(x, 6)
-    out = transfer_iterate(lab.table, x, GridFunction(np.ones(256)), 6,
-                           kind="normalized", lambda_chain=chain)
+    out = transfer_iterate(lab.table, x, GridFunction(np.ones(256)), 6, lambda_chain=chain)
     assert np.max(np.abs(out.values - 1.0)) < 1e-10  # L0 1 = 1 when rho = 1
 
 
@@ -452,24 +450,32 @@ def test_stencil_returns_node_values_exactly(log2_n, kind, seed):
     assert np.array_equal(GridFunction(values, interp=kind)(np.arange(n) / n), values)
 
 
-def composed_steps(table, x, u, n, kind="raw", lambda_chain=None, r_sequence=None,
-                   observable=None):
-    """transfer_iterate as n composed transfer_apply steps along the orbit, with its argument checks."""
-    if kind in ("normalized", "perturbed"):
-        if lambda_chain is None or len(lambda_chain) < n:
-            raise TransferError("lambda_chain of length n required")
-    if kind == "perturbed":
-        if r_sequence is None or len(r_sequence) != n:
+def composed_steps(table, x, u, n, lambda_chain=None, r_sequence=None, observable=None):
+    """transfer_iterate as n operator steps along the orbit, one symbol read per step,
+    with its argument checks."""
+    if (lambda_chain is not None or r_sequence is not None) and \
+            (lambda_chain is None or len(lambda_chain) < n):
+        raise TransferError("lambda_chain of length n required")
+    if r_sequence is not None:
+        if len(r_sequence) != n:
             raise TransferError("r_sequence must have length n")
         if observable is None:
-            raise TransferError("perturbed kind requires the observable")
-    out, y = u, x
+            raise TransferError("r_sequence requires the observable")
+    if n <= 0:
+        return u
+    if u.fiber is not None and u.fiber != x:
+        raise TransferError("grid function lives on a different fiber")
+    vals, y = u.values, x
     for j in range(n):
-        out = transfer_apply(table, y, out, kind=kind,
-                             lam=None if kind == "raw" else lambda_chain[j],
-                             r=0.0 if r_sequence is None else r_sequence[j], observable=observable)
+        op = table.op(y.symbol(0))
+        if r_sequence is not None:
+            vals = op.apply_perturbed(vals, r_sequence[j], observable) / lambda_chain[j]
+        elif lambda_chain is not None:
+            vals = op.apply(vals) / lambda_chain[j]
+        else:
+            vals = op.apply(vals)
         y = y.shift_by(1)
-    return out
+    return GridFunction(vals, interp=u.interp, fiber=y if u.fiber is not None else None)
 
 
 def outcome(f, *args, **kwargs):
@@ -483,7 +489,8 @@ def outcome(f, *args, **kwargs):
        kind=st.sampled_from(["raw", "normalized", "perturbed"]), complex_u=st.booleans(),
        n=st.integers(0, 6), pins=st.dictionaries(st.integers(-2, 8), st.integers(0, 1), max_size=4),
        on_fiber=st.booleans(),
-       fault=st.sampled_from([None, "wrong fiber", "short chain", "unknown kind"]))
+       fault=st.sampled_from([None, "wrong fiber", "short chain", "r without chain",
+                              "r without observable"]))
 def test_iterate_is_the_composed_steps(small_tables, seed, table_i, kind, complex_u, n, pins,
                                        on_fiber, fault):
     table = small_tables[table_i]
@@ -494,20 +501,27 @@ def test_iterate_is_the_composed_steps(small_tables, seed, table_i, kind, comple
         vals = vals + 1j * gen.uniform(-1.0, 1.0, table.n_points)
     fiber = x if on_fiber else None
     chain = gen.uniform(0.5, 3.0, n + 1)
-    kw = dict(kind=kind, lambda_chain=None if kind == "raw" else chain,
-              r_sequence=tuple(gen.uniform(-1.0, 1.0, n)) if kind == "perturbed" else None,
+    rs = tuple(gen.uniform(-1.0, 1.0, n))
+    kw = dict(lambda_chain=None if kind == "raw" else chain,
+              r_sequence=rs if kind == "perturbed" else None,
               observable=rl.default_observable(table.spec))
     if fault == "wrong fiber":
         fiber = x.shift_by(1)
     elif fault == "short chain":
         kw["lambda_chain"] = chain[:max(n - 1, 0)]
-    elif fault == "unknown kind":
-        kw.update(kind="upward", lambda_chain=chain)
+    elif fault == "r without chain":
+        kw.update(lambda_chain=None, r_sequence=rs)
+    elif fault == "r without observable":
+        kw.update(lambda_chain=chain, r_sequence=rs, observable=None)
     u = GridFunction(vals, interp=table.interp, fiber=fiber)
     got = outcome(transfer_iterate, table, x, u, n, **kw)
     want = outcome(composed_steps, table, x, u, n, **kw)
+    if fault in ("r without chain", "r without observable"):
+        assert isinstance(want, str)
     if isinstance(want, str):
         assert got == want
+        if fault != "wrong fiber":  # the oracle reads its arguments the same way
+            assert outcome(oracle_transfer, table.spec, x, u, n, 0.3, **kw) == want
         return
     assert isinstance(got, GridFunction)
     assert got.values.dtype == want.values.dtype
@@ -529,8 +543,7 @@ def test_iterate_and_sweep_read_their_symbols_once(small_tables, monkeypatch):
     monkeypatch.setattr(BasePoint, "symbols", spy)
     u = GridFunction(np.ones(table.n_points), interp=table.interp, fiber=x)
     for n in range(1, 7):
-        for kw in (dict(), dict(kind="perturbed", lambda_chain=np.ones(n),
-                                r_sequence=(0.3,) * n, observable=obs)):
+        for kw in (dict(), dict(lambda_chain=np.ones(n), r_sequence=(0.3,) * n, observable=obs)):
             calls.clear()
             transfer_iterate(table, x, u, n, **kw)
             assert len(calls) == 1
@@ -539,7 +552,7 @@ def test_iterate_and_sweep_read_their_symbols_once(small_tables, monkeypatch):
         assert len(calls) == 1
     for start, stop in ((1, 0), (6, 0), (9, -4)):
         calls.clear()
-        assert len(list(pullback_sweep(table, x, start, stop))) == start - stop
+        pullback_sweep(table, x, start, stop)
         assert len(calls) == 1
 
 
