@@ -36,7 +36,8 @@ for row in ch.rows[:5]:
 
 var = sigma2_estimate(lab, None, M=12, n_base_samples=600, n_var=10_000,
                       trials=2000, seed=42)
-print(f"\nsigma^2: covariance series {var.sigma2_series:.4f} +- {var.sigma2_series_se:.4f}")
+print(f"\nsigma^2: covariance series {var.sigma2_series:.4f} +- {var.sigma2_series_se:.4f}"
+      f" ({var.series_route} route)")
 print(f"         direct Var(S_n)/n  {var.sigma2_mc:.4f} +- {var.sigma2_mc_se:.4f}")
 print(f"         agreement: {var.agreement} (M = {var.m_used}, tail {var.tail_bound:.1e})")
 

@@ -5,7 +5,8 @@ covariance series and its asymptotic variance, CLT and iterated-logarithm
 probes, and the degenerate coboundary alternative.  All Monte Carlo here
 runs on an OrbitEnsemble: a conformal window over a batch of i.i.d. base
 points, with fiber states drawn from the invariant fiber measures by CDF
-inversion.
+inversion; with the geometric potential the covariance series and mu(g) are
+exact sparse products of the annealed operator instead (`annealed.py`).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import rng
+from .annealed import AnnealedOperator, geometric_remainder
 from .base import sample_seeds, symbols_for_seeds
 from .fiber import GridFunction, _map_step, forward_phase_sum
 from .thermo import ConformalWindow, Lab, _mu_rows
@@ -95,12 +97,10 @@ ORBIT_CHUNK = 500
 COVARIANCE_CHUNK = 256
 # Cells (steps x trials) per block of symbols, jitter and saved states: a block
 # runs max(1, ORBIT_BLOCK // width) steps, so its buffers keep one size at every
-# width (a fixed 128 steps left cache above width ~1000).  On the clt pass
-# (width 2000), 16k, 32k and 64k cells took 3.18, 3.11 and 3.34 s (best of 5);
-# the benchmark's clt wall_s medians of 3 rounds, 2.80, 2.93 and 2.87 s, sat
-# within the runs' spread.  32k also takes the fewest page faults: 9.5k minor
-# faults a pass against 92k at 16k (a float block is then 128 KiB, glibc's
-# default mmap threshold) and 98k for the old 128-step chunks of 500.
+# width.  On the clt pass (width 2000), 16k, 32k and 64k cells took 3.18, 3.11
+# and 3.34 s (best of 5), and 32k takes the fewest page faults: 9.5k minor faults
+# a pass against 92k at 16k (a float block is then 128 KiB, glibc's default mmap
+# threshold).
 ORBIT_BLOCK = 32_000
 
 
@@ -334,9 +334,7 @@ def condition_h_check(lab: Lab, config: BlockConfig, k_list, n_base_samples: int
     its chain ends, inner = b_n for the first blocks and b_last + k for the
     others.  Each nu snapshot is dropped once read.
     """
-    b = config.boundaries
-    r = config.frequencies
-    nb, mb = config.n, config.m
+    b, r, nb, mb = config.boundaries, config.frequencies, config.n, config.m
 
     r_first = [0.0] * b[0] + [r[j] for j in range(nb) for _ in range(b[j], b[j + 1])]
     r_second = [r[j] for j in range(nb, nb + mb) for _ in range(b[j], b[j + 1])]
@@ -376,9 +374,8 @@ def condition_h_check(lab: Lab, config: BlockConfig, k_list, n_base_samples: int
               if row.operator_term > max(2.0 * row.operator_se, 1e-12)]
     if len(usable) < 2:
         return CondHResult(rows, float("nan"), float("nan"), True, n_base_samples)
-    ks = np.array([p[0] for p in usable], dtype=float)
-    ys = np.log([p[1] for p in usable])
-    slope, intercept = np.polyfit(ks, ys, 1)
+    ks, terms = np.array(usable).T
+    slope, intercept = np.polyfit(ks, np.log(terms), 1)
     return CondHResult(rows, float(-slope), float(np.exp(intercept)), False, n_base_samples)
 
 
@@ -422,44 +419,41 @@ def assumption6_check(lab: Lab, n_list, r_draws: int, base_pairs, seed: int,
 
     records = []
     pooled = []
-    for n in n_list:
-        anchored = []
-        for x, y, margin in base_pairs:
-            lo, hi = -n - int(margin), int(margin) + 1
-            pins = dict(zip(range(lo, hi), x.symbols(lo, hi).tolist()))
-            anchored.append((x, y.with_overrides(pins), int(margin)))
-        # one window over the chain starts n fibers behind both points of every
-        # pair: rho at level 0, the lambda chain, and nu at level n (at x itself)
-        starts = [p.shift_by(-n) for x, y, _ in anchored for p in (x, y)]
-        win = lab.window(starts, fwd=n, nu_levels=(n,))
-        rho, nu = win.rho_snap[0], win.nu_snap[n]
-        chains = np.stack([win.lam_at(j) for j in range(n)], axis=1)
+    with lab.table.scoped_weights():  # each draw's phases serve every n and pair
+        for n in n_list:
+            anchored = []
+            for x, y, margin in base_pairs:
+                lo, hi = -n - int(margin), int(margin) + 1
+                pins = dict(zip(range(lo, hi), x.symbols(lo, hi).tolist()))
+                anchored.append((x, y.with_overrides(pins), int(margin)))
+            # one window over the chain starts n fibers behind both points of every
+            # pair: rho at level 0, the lambda chain, and nu at level n (at x itself)
+            starts = [p.shift_by(-n) for x, y, _ in anchored for p in (x, y)]
+            win = lab.window(starts, fwd=n, nu_levels=(n,))
+            rho, nu = win.rho_snap[0], win.nu_snap[n]
+            chains = np.stack([win.lam_at(j) for j in range(n)], axis=1)
 
-        def f_value(i, rs):
-            u = GridFunction(rho[i].astype(complex), interp=lab.interp, fiber=starts[i])
-            chain = transfer_iterate(lab.table, starts[i], u, n, chains[i], rs[:n],
-                                     lab.observable)
-            return complex(nu[i] @ chain.values)
+            def f_value(i, rs):
+                u = GridFunction(rho[i].astype(complex), interp=lab.interp, fiber=starts[i])
+                chain = transfer_iterate(lab.table, starts[i], u, n, chains[i], rs[:n],
+                                         lab.observable)
+                return complex(nu[i] @ chain.values)
 
-        for di, rs in enumerate(draws):
-            sup = 0.0
-            pair_stats = []
-            for pi, (x, y, margin) in enumerate(anchored):
-                fx = f_value(2 * pi, rs)
-                fy = f_value(2 * pi + 1, rs)
-                d = 2.0 ** (-margin)
-                sup = max(sup, abs(fx), abs(fy))
-                pair_stats.append((d, abs(fx - fy)))
-                if abs(fx - fy) > 1e-13:
-                    pooled.append((np.log(d), np.log(abs(fx - fy))))
-            records.append({"n": int(n), "draw": di, "sup": float(sup), "pairs": pair_stats})
+            for di, rs in enumerate(draws):
+                sup, pair_stats = 0.0, []
+                for pi, (x, y, margin) in enumerate(anchored):
+                    fx = f_value(2 * pi, rs)
+                    fy = f_value(2 * pi + 1, rs)
+                    d = 2.0 ** (-margin)
+                    sup = max(sup, abs(fx), abs(fy))
+                    pair_stats.append((d, abs(fx - fy)))
+                    if abs(fx - fy) > 1e-13:
+                        pooled.append((np.log(d), np.log(abs(fx - fy))))
+                records.append({"n": int(n), "draw": di, "sup": float(sup), "pairs": pair_stats})
 
-    distinct = len(set(p[0] for p in pooled))
-    if len(pooled) >= 3 and distinct >= 3:
-        a = np.array(pooled)
-        beta = float(np.polyfit(a[:, 0], a[:, 1], 1)[0])
-    else:
-        beta = 1.0
+    beta = 1.0
+    if len(pooled) >= 3 and len(set(p[0] for p in pooled)) >= 3:
+        beta = float(np.polyfit(*np.array(pooled).T, 1)[0])
     beta = float(min(max(beta, 0.05), 1.0))
 
     for rec in records:
@@ -472,11 +466,8 @@ def assumption6_check(lab: Lab, n_list, r_draws: int, base_pairs, seed: int,
     for n in n_list:
         norms = [rec["holder_norm"] for rec in records if rec["n"] == n]
         by_n[n] = {"max": float(max(norms)), "min": float(min(norms))}
-    if len(n_list) >= 2:
-        growth = float(np.polyfit(np.array(n_list, dtype=float),
-                                  np.log([by_n[n]["max"] for n in n_list]), 1)[0])
-    else:
-        growth = 0.0
+    growth = 0.0 if len(n_list) < 2 else float(np.polyfit(
+        np.array(n_list, dtype=float), np.log([by_n[n]["max"] for n in n_list]), 1)[0])
     return Assumption6Result(beta, records, by_n, growth, bool(growth <= 0.05))
 
 
@@ -489,27 +480,50 @@ class CovarianceRow:
     m: int
     operator_route: float
     operator_se: float
-    fiber_part: float
+    fiber_part: float  # route A's split of s_m; NaN on the annealed route
     base_part: float
 
 
 @dataclass
 class CovarianceResult:
     rows: list
-    g_means: np.ndarray  # route A's mu_x(g) at level 0, one per base sample
+    mu: float  # mu(g) and its standard error, 0 on the annealed route
+    mu_se: float
+    route: str  # "annealed" or "ensemble" (route A)
+    tail: float  # the route's bound on the lags past M, which sigma2 holds to tail_tol
 
 
 def covariance_sequence(lab: Lab, g, M: int, n_base_samples: int, seed: int,
                         sample_depth: int = 24) -> CovarianceResult:
-    """s_m = Cov(g, g o T^m) for m = 0..M by the operator route.
+    """s_m = Cov(g, g o T^m) for m = 0..M, and mu(g).
 
-    Per base sample, nu_{m}(g * L_0^m(g centered * rho)) plus the empirical
-    base covariance of G(x) = mu_x(g); the fiber part is quadrature-exact per
-    sample; the chain and rho go up the levels together, and each nu snapshot
-    is released once read.  The per-lag cross-check against stationary orbit
-    products lives in tests/test_limits.py::test_covariance_routes_agree.
+    With the geometric potential both are exact sparse products of the
+    annealed operator (`annealed.py`), with standard error 0, and the tail is
+    the geometric remainder of the last two lags; otherwise route A
+    (`ensemble_covariances`) estimates them.
     """
     g = g if g is not None else lab.observable
+    if not lab.spec.has_geometric_potential:
+        return ensemble_covariances(lab, g, M, n_base_samples, seed, sample_depth)
+    op = AnnealedOperator(lab.table)
+    s = [v for _, v in zip(range(int(M) + 1), op.lags(g))]
+    rows = [CovarianceRow(m, v, 0.0, np.nan, np.nan) for m, v in enumerate(s)]
+    return CovarianceResult(rows, op.mean(g), 0.0, "annealed", geometric_remainder(s[-2:]))
+
+
+def ensemble_covariances(lab: Lab, g, M: int, n_base_samples: int, seed: int,
+                         sample_depth: int = 24) -> CovarianceResult:
+    """Route A: s_m for m = 0..M and mu(g) from chunks of base samples, for any potential.
+
+    Per base sample, nu_{m}(g * L_0^m(g centered * rho)) plus the empirical
+    base covariance of G(x) = mu_x(g), whose level-0 mean is mu(g); the fiber
+    part is quadrature-exact per sample; the chain and rho go up the levels
+    together, and each nu snapshot is released once read.  s_M has a Monte
+    Carlo floor, so the tail is the fiber part of s_M plus the geometric
+    extrapolation fitted to the base parts above 2 standard errors.  The
+    per-lag cross-check against orbit products is
+    tests/test_limits.py::test_covariance_routes_agree.
+    """
     M = int(M)
     nodes = np.arange(lab.n_points) / lab.n_points
 
@@ -533,16 +547,32 @@ def covariance_sequence(lab: Lab, g, M: int, n_base_samples: int, seed: int,
     g0 = np.array(gm_all[0])
     rows = []
     for m in range(M + 1):
-        fiber = np.array(fiber_terms[m])
-        gm = np.array(gm_all[m])
-        gc0, gcm = g0 - g0.mean(), gm - gm.mean()
-        base_prod = gc0 * gcm
+        fiber, gm = np.array(fiber_terms[m]), np.array(gm_all[m])
+        base_prod = (g0 - g0.mean()) * (gm - gm.mean())
         base = float(base_prod.mean())
-        op_vals = fiber + base_prod
-        s_a = float(fiber.mean() + base)
-        se_a = float(op_vals.std(ddof=1) / np.sqrt(len(op_vals)))
-        rows.append(CovarianceRow(m, s_a, se_a, float(fiber.mean()), base))
-    return CovarianceResult(rows, g0)
+        se_a = float((fiber + base_prod).std(ddof=1) / np.sqrt(len(fiber)))
+        rows.append(CovarianceRow(m, float(fiber.mean() + base), se_a, float(fiber.mean()), base))
+    fiber_pts = [(r.m, abs(r.fiber_part)) for r in rows if r.m >= 1 and abs(r.fiber_part) > 1e-13]
+    base_pts = [(r.m, abs(r.base_part)) for r in rows
+                if r.m >= 1 and abs(r.base_part) > 2.0 * r.operator_se]
+    fiber_tail, fiber_rate = _geometric_tail(fiber_pts[-6:], M)
+    base_tail, _ = _geometric_tail(base_pts[-6:], M, fallback_rate=fiber_rate)
+    return CovarianceResult(rows, float(g0.mean()), float(g0.std(ddof=1) / np.sqrt(len(g0))),
+                            "ensemble", fiber_tail + base_tail)
+
+
+def _geometric_tail(points, at_m, fallback_rate=None):
+    """(value, rate): the decay fitted to points (m, value > noise), extrapolated to at_m."""
+    if not points:
+        return 0.0, fallback_rate
+    if len(points) == 1:
+        m0, v0 = points[0]
+        rate = 0.5 if fallback_rate is None else fallback_rate
+        return float(v0 * rate ** (at_m - m0)), rate
+    a = np.array(points, dtype=float)
+    sl, ic = np.polyfit(a[:, 0], np.log(a[:, 1]), 1)
+    rate = float(np.exp(min(sl, -1e-3)))
+    return float(np.exp(ic) * rate**at_m), rate
 
 
 @dataclass
@@ -560,14 +590,15 @@ class VarianceReport:
     n_var: int
     trials: int
     mu_estimate: float
-    # per-trial S_n of the direct pass and route A's per-sample mu_x(g), which
-    # clt_test reads; neither is part of the report results
+    series_route: str
+    # the direct pass's S_n and the series' mu(g), read by clt_test, not reported
     sums: np.ndarray
-    g_means: np.ndarray
+    g_mean: float
+    g_mean_se: float
     orbit_bias_warning: bool = False
 
     def as_dict(self):
-        return {k: v for k, v in asdict(self).items() if k not in ("sums", "g_means")}
+        return {k: v for k, v in asdict(self).items() if k not in ("sums", "g_mean", "g_mean_se")}
 
 
 def sigma2_estimate(lab: Lab, g=None, M: int = 12, n_base_samples: int = 600,
@@ -576,43 +607,19 @@ def sigma2_estimate(lab: Lab, g=None, M: int = 12, n_base_samples: int = 600,
                     sample_depth: int = 24, threads: int = 1) -> VarianceReport:
     """sigma^2 by the covariance series, cross-validated against Var(S_n)/n.
 
-    The series is s_0 + 2 sum_{m>=1} s_m from the operator route.  Truncation
-    is adaptive: M grows until the noise-free fiber component of s_M and the
-    fitted geometric extrapolation of the base component both drop below
-    tail_tol (the raw s_M estimate carries an irreducible Monte Carlo floor,
-    so it cannot certify the tail by itself).  Agreement requires
-    |series - direct| <= max(5% of series, 4 combined standard errors).
+    The series is s_0 + 2 sum_{m>=1} s_m from `covariance_sequence`, on the
+    route named by `series_route`.  Truncation is adaptive: M grows, up to
+    m_max, until the route's tail bound drops below tail_tol; the exact lags
+    grow by one, and route A is rebuilt at M grown by half.  Agreement
+    requires |series - direct| <= max(5% of series, 4 combined standard errors).
     """
     g = g if g is not None else lab.observable
-
-    def geometric_tail(points, at_m, fallback_rate=None):
-        # points: (m, value) with value > noise; extrapolate the fitted decay to at_m
-        if not points:
-            return 0.0, fallback_rate
-        if len(points) == 1:
-            m0, v0 = points[0]
-            rate = 0.5 if fallback_rate is None else fallback_rate
-            return float(v0 * rate ** (at_m - m0)), rate
-        a = np.array(points, dtype=float)
-        sl, ic = np.polyfit(a[:, 0], np.log(a[:, 1]), 1)
-        rate = float(np.exp(min(sl, -1e-3)))
-        return float(np.exp(ic) * rate**at_m), rate
-
     M_cur = int(M)
     while True:
         cov = covariance_sequence(lab, g, M_cur, n_base_samples, seed, sample_depth=sample_depth)
-        # fiber component is quadrature-precise; base component has an MC floor,
-        # so only entries above 2 standard errors certify its decay
-        fiber_pts = [(r.m, abs(r.fiber_part)) for r in cov.rows
-                     if r.m >= 1 and abs(r.fiber_part) > 1e-13]
-        base_pts = [(r.m, abs(r.base_part)) for r in cov.rows
-                    if r.m >= 1 and abs(r.base_part) > 2.0 * r.operator_se]
-        fiber_tail, fiber_rate = geometric_tail(fiber_pts[-6:], M_cur)
-        base_tail, _ = geometric_tail(base_pts[-6:], M_cur, fallback_rate=fiber_rate)
-        tail = fiber_tail + base_tail
-        if tail < tail_tol or M_cur >= m_max:
+        if cov.tail < tail_tol or M_cur >= m_max:
             break
-        M_cur = min(m_max, int(np.ceil(M_cur * 1.5)))
+        M_cur = M_cur + 1 if cov.route == "annealed" else min(m_max, int(np.ceil(M_cur * 1.5)))
     s = np.array([r.operator_route for r in cov.rows])
     ses = np.array([r.operator_se for r in cov.rows])
     sigma2_series = float(s[0] + 2.0 * s[1:].sum())
@@ -627,10 +634,9 @@ def sigma2_estimate(lab: Lab, g=None, M: int = 12, n_base_samples: int = 600,
     tol = max(0.05 * abs(sigma2_series), 4.0 * np.sqrt(series_se**2 + mc_se**2))
     return VarianceReport(
         s.tolist(), ses.tolist(), sigma2_series, series_se, sigma2_mc, mc_se,
-        M_cur, float(tail), bool(tail < tail_tol), bool(diff <= tol),
-        int(n_var), int(trials), float(sn.mean() / n_var), sn, cov.g_means,
-        orbit_bias_warning=not lab.spec.has_geometric_potential,
-    )
+        M_cur, float(cov.tail), bool(cov.tail < tail_tol), bool(diff <= tol),
+        int(n_var), int(trials), float(sn.mean() / n_var), cov.route, sn, cov.mu, cov.mu_se,
+        orbit_bias_warning=not lab.spec.has_geometric_potential)
 
 
 # ---------------------------------------------------------------------------
@@ -665,19 +671,17 @@ def clt_test(var: VarianceReport) -> CltResult:
 
     The sums S_n are the report's own direct Var(S_n)/n pass and sigma^2 is
     its covariance series.  Centering uses the pooled orbit mean (std err
-    sigma/sqrt(n * trials)), cross-checked against the thermo route, the mean
-    of route A's per-sample mu_x(g), within 4 combined standard errors.  At or
-    below the declared sigma^2 floor the caller is directed to the coboundary
-    check.
+    sigma/sqrt(n * trials)), cross-checked against the covariance route's
+    mu(g) (exact on the annealed route) within 4 combined standard errors.
+    At or below the declared sigma^2 floor the caller is directed to the
+    coboundary check.
 
     sigma2's agreement check and this KS test read the same sums; each keeps
-    its sample size and its null hypothesis.  The series comes from route A's
-    ensembles (streams 100+), independent of the orbit pass (stream 29).
+    its sample size and its null hypothesis.  The series reads no orbit pass.
     """
     import scipy.stats  # loaded here: at module level it slows every subcommand's start-up
     sn, n, trials, sigma2 = var.sums, var.n_var, var.trials, var.sigma2_series
-    mu_thermo = float(var.g_means.mean())
-    mu_thermo_se = float(var.g_means.std(ddof=1) / np.sqrt(len(var.g_means)))
+    mu_thermo, mu_thermo_se = var.g_mean, var.g_mean_se
     mu_orbit = float(sn.mean() / n)
     mu_orbit_se = float(sn.std(ddof=1) / (n * np.sqrt(trials)))
     consistent = abs(mu_orbit - mu_thermo) <= 4.0 * np.sqrt(mu_orbit_se**2 + mu_thermo_se**2) + 1e-12
@@ -763,10 +767,8 @@ def lil_probe(lab: Lab, g=None, n_max: int = 100_000, trials: int = 200, seed: i
 
     orbit_birkhoff_sums(lab, g, [n_max], trials, seed, stream=31, sample_depth=sample_depth,
                         running_stat=stat, threads=threads)
-    med_traj = [float(np.median(row)) for row in trajectories]
-    terminal = running.tolist()
-    return LilResult(checkpoints, med_traj, trajectories, terminal,
-                     float(np.median(running)), sigma,
+    return LilResult(checkpoints, [float(np.median(row)) for row in trajectories], trajectories,
+                     running.tolist(), float(np.median(running)), sigma,
                      orbit_bias_warning=not lab.spec.has_geometric_potential)
 
 
@@ -802,11 +804,9 @@ def coboundary_check(lab: Lab, g=None, n_list=(100, 1000, 10_000), trials: int =
     times, sums = orbit_birkhoff_sums(lab, g, n_list, trials, seed, stream=37,
                                       sample_depth=sample_depth, threads=threads)
     mu = float(sums[-1].mean() / times[-1])
-    l2, quarter = [], []
-    for t, row in zip(times, sums):
-        centered = row - t * mu
-        l2.append(float(np.sqrt(np.mean(centered**2))))
-        quarter.append(float(np.max(np.abs(centered)) / t**0.25))
+    centered = [row - t * mu for t, row in zip(times, sums)]
+    l2 = [float(np.sqrt(np.mean(c**2))) for c in centered]
+    quarter = [float(np.max(np.abs(c)) / t**0.25) for t, c in zip(times, centered)]
     slope = float(np.polyfit(np.log(times), np.log(np.maximum(l2, 1e-30)), 1)[0])
     if slope <= 0.1:
         verdict = "coboundary-consistent"

@@ -20,6 +20,8 @@ the perturbed L_r / lambda with a frequency sequence r as well.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -70,8 +72,8 @@ class SymbolOperator:
     `perturbed_weights` alone forms e^phi exp(i r g) at the branch points
     (`phi_weights` times the phase), and holds each product read-only per
     (observable, r to the bit): the held products grow with the number of
-    distinct (observable, r) that the operator's `Lab` is asked for, and are
-    never released.
+    distinct (observable, r) that the operator's `Lab` is asked for, and only
+    `OperatorTable.scoped_weights` releases them.
     """
 
     def __init__(self, spec: SystemSpec, e: int, n_points: int, interp: str,
@@ -181,6 +183,17 @@ class OperatorTable:
 
     def nodes(self) -> np.ndarray:
         return np.arange(self.n_points) / self.n_points
+
+    @contextmanager
+    def scoped_weights(self):
+        """Release, when the block ends, the perturbed weights its operators formed inside it."""
+        held = {e: set(op._weights) for e, op in self.ops.items()}
+        try:
+            yield
+        finally:
+            for e, op in self.ops.items():
+                for key in op._weights.keys() - held[e]:
+                    del op._weights[key]
 
 
 def _check_chain(n: int, lambda_chain, r_sequence, observable):

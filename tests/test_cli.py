@@ -439,14 +439,15 @@ def test_clt_computes_no_orbit_sums_twice(monkeypatch):
 
 
 def test_sigma2_growing_truncation_runs_one_orbit_pass(monkeypatch):
-    # M grows 4 -> 6 -> 9 here, and the covariance series is recomputed at
-    # each M without any orbit pass of its own
+    # a non-geometric potential takes route A: M grows 4 -> 6 -> 9 here, and
+    # the covariance series is recomputed at each M without any orbit pass of its own
     calls = record_orbit_calls(monkeypatch)
     config = apply_overrides(resolve_config({}), [
         "numerics.n_points=128", "numerics.pullback_depth=16", "statistics.m=4",
         "statistics.m_max=9", "statistics.tail_tol=1e-12", "statistics.trials=200",
-        "statistics.n=1000", "statistics.n_base_samples=200"])
+        "statistics.n=1000", "statistics.n_base_samples=200", "system.potential_amp=[0.1,0.15]"])
     results = cli.build_report("sigma2", config)[0]["results"]
+    assert results["series_route"] == "ensemble"
     assert results["m_used"] > 4
     assert len(calls) == 1
 
@@ -459,8 +460,8 @@ def test_sigma2_and_clt_results_keep_their_keys(monkeypatch):
     results = cli.build_report("all", small_config())[0]["results"]
     assert set(results["sigma2"]["results"]) == {
         "agreement", "m_used", "mu_estimate", "n_var", "orbit_bias_warning", "s_std_errs",
-        "s_values", "sigma2_mc", "sigma2_mc_se", "sigma2_series", "sigma2_series_se",
-        "tail_bound", "tail_ok", "trials"}
+        "s_values", "series_route", "sigma2_mc", "sigma2_mc_se", "sigma2_series",
+        "sigma2_series_se", "tail_bound", "tail_ok", "trials"}
     assert set(results["clt"]["results"]) == {
         "centering_consistent", "ks_stat", "mu_orbit", "mu_orbit_se", "mu_thermo",
         "mu_thermo_se", "n", "orbit_bias_warning", "p_value", "sample_mean", "sample_skew",

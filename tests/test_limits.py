@@ -27,6 +27,7 @@ from rdslab.limits import (
     condition_h_check,
     covariance_sequence,
     encoding_check,
+    ensemble_covariances,
     lil_probe,
     orbit_birkhoff_sums,
     sigma2_estimate,
@@ -247,7 +248,7 @@ def reference_route_a(lab, g, M, n_base_samples, seed, sample_depth):
 
 def test_covariance_route_a_bit_equal_to_per_level_reference(small_stats_lab):
     lab, M, n = small_stats_lab, 5, COVARIANCE_CHUNK + 40  # two chunks
-    cov = covariance_sequence(lab, None, M, n, seed=29, sample_depth=6)
+    cov = ensemble_covariances(lab, lab.observable, M, n, seed=29, sample_depth=6)
     ref = reference_route_a(lab, lab.observable, M, n, 29, 6)
     for row, ref_row in zip(cov.rows, ref):
         got = [row.operator_route, row.operator_se, row.fiber_part, row.base_part]
@@ -256,9 +257,11 @@ def test_covariance_route_a_bit_equal_to_per_level_reference(small_stats_lab):
 
 def test_covariance_constant_observable(stats_lab):
     g = constant_observable(stats_lab.spec, 0.8)
-    cov = covariance_sequence(stats_lab, g, 4, 150, seed=8)
-    for row in cov.rows:
-        assert abs(row.operator_route) <= 1e-10
+    for route in (covariance_sequence, ensemble_covariances):  # annealed, then route A
+        cov = route(stats_lab, g, 4, 150, seed=8)
+        for row in cov.rows:
+            assert abs(row.operator_route) <= 1e-10
+        assert cov.mu == pytest.approx(0.8, abs=1e-10)
 
 
 def orbit_route(lab, g, M, trials, seed):
@@ -279,7 +282,7 @@ def routes_agree(rows, orbit):
 
 def test_covariance_routes_agree(stats_lab):
     g = stats_lab.observable
-    cov = covariance_sequence(stats_lab, g, 8, 400, seed=9)
+    cov = ensemble_covariances(stats_lab, g, 8, 400, seed=9)
     orbit = orbit_route(stats_lab, g, 8, 2000, seed=9)
     assert cov.rows[0].operator_route > 0  # s_0 = Var(g) >= 0
     assert all(routes_agree(cov.rows, orbit)), (cov.rows, orbit)
@@ -655,9 +658,34 @@ def test_assumption6_modulus_bound(stats_lab):
         assert rec["sup"] <= 1.0 + 1e-6  # characteristic functionals have modulus <= 1
 
 
+def test_assumption6_releases_the_phases_it_formed(monkeypatch):
+    from rdslab.thermo import regularity_pairs
+    from rdslab.transfer import SymbolOperator
+
+    lab = rl.Lab(rl.make_system(), n_points=128, pullback_depth=16)
+    pairs = regularity_pairs(lab.spec.base, 7, [2, 4], 1)
+    kept = lab.table.op(0).perturbed_weights(0.25, lab.observable)  # held before the check
+    most = []
+    real = SymbolOperator.perturbed_weights
+
+    def counting(op, r, observable):
+        out = real(op, r, observable)
+        most.append(sum(len(o._weights) for o in lab.table.ops.values()))
+        return out
+
+    monkeypatch.setattr(SymbolOperator, "perturbed_weights", counting)
+    first = rl.assumption6_check(lab, [2, 4], 2, pairs, 7).as_dict()
+    assert max(most) > 1  # the check formed phases of its own ...
+    assert [list(op._weights) for op in lab.table.ops.values()] == [
+        [(lab.observable, (0.25).hex())], []]  # ... and released them all
+    assert lab.table.op(0).perturbed_weights(0.25, lab.observable) is kept
+    # a second call forms them again, with the same bits
+    assert rl.assumption6_check(lab, [2, 4], 2, pairs, 7).as_dict() == first
+
+
 def test_covariance_decay_dominance(stats_lab):
-    # |s_m| decays at least geometrically down to the Monte Carlo floor
-    cov = covariance_sequence(stats_lab, None, 10, 400, seed=26)
+    # route A's |s_m| decays at least geometrically down to the Monte Carlo floor
+    cov = ensemble_covariances(stats_lab, stats_lab.observable, 10, 400, seed=26)
     s = [abs(r.operator_route) for r in cov.rows]
     se = [r.operator_se for r in cov.rows]
     for m in range(1, len(s)):
