@@ -492,6 +492,11 @@ class CovarianceResult:
     route: str  # "annealed" or "ensemble" (route A)
     tail: float  # the route's bound on the lags past M, which sigma2 holds to tail_tol
 
+    def sigma2(self) -> float:
+        """The series s_0 + 2 sum_{m=1..M} s_m."""
+        s = np.array([r.operator_route for r in self.rows])
+        return float(s[0] + 2.0 * s[1:].sum())
+
 
 def covariance_sequence(lab: Lab, g, M: int, n_base_samples: int, seed: int,
                         sample_depth: int = 24) -> CovarianceResult:
@@ -601,28 +606,37 @@ class VarianceReport:
         return {k: v for k, v in asdict(self).items() if k not in ("sums", "g_mean", "g_mean_se")}
 
 
+def truncated_covariances(lab: Lab, g=None, M: int = 12, n_base_samples: int = 600,
+                          seed: int = 42, tail_tol: float = 1e-4, m_max: int = 48,
+                          sample_depth: int = 24) -> CovarianceResult:
+    """`covariance_sequence` at the first M whose tail bound is below tail_tol, or at m_max.
+
+    The exact lags grow M by one, and route A is rebuilt at M grown by half.
+    """
+    M = int(M)
+    while True:
+        cov = covariance_sequence(lab, g, M, n_base_samples, seed, sample_depth=sample_depth)
+        if cov.tail < tail_tol or M >= m_max:
+            return cov
+        M = M + 1 if cov.route == "annealed" else min(m_max, int(np.ceil(M * 1.5)))
+
+
 def sigma2_estimate(lab: Lab, g=None, M: int = 12, n_base_samples: int = 600,
                     n_var: int = 10_000, trials: int = 2000, seed: int = 42,
                     tail_tol: float = 1e-4, m_max: int = 48,
                     sample_depth: int = 24, threads: int = 1) -> VarianceReport:
     """sigma^2 by the covariance series, cross-validated against Var(S_n)/n.
 
-    The series is s_0 + 2 sum_{m>=1} s_m from `covariance_sequence`, on the
-    route named by `series_route`.  Truncation is adaptive: M grows, up to
-    m_max, until the route's tail bound drops below tail_tol; the exact lags
-    grow by one, and route A is rebuilt at M grown by half.  Agreement
+    The series is s_0 + 2 sum_{m>=1} s_m from `truncated_covariances`, on
+    the route named by `series_route`, truncated adaptively: M grows, up to
+    m_max, until the route's tail bound drops below tail_tol.  Agreement
     requires |series - direct| <= max(5% of series, 4 combined standard errors).
     """
     g = g if g is not None else lab.observable
-    M_cur = int(M)
-    while True:
-        cov = covariance_sequence(lab, g, M_cur, n_base_samples, seed, sample_depth=sample_depth)
-        if cov.tail < tail_tol or M_cur >= m_max:
-            break
-        M_cur = M_cur + 1 if cov.route == "annealed" else min(m_max, int(np.ceil(M_cur * 1.5)))
+    cov = truncated_covariances(lab, g, M, n_base_samples, seed, tail_tol, m_max, sample_depth)
     s = np.array([r.operator_route for r in cov.rows])
     ses = np.array([r.operator_se for r in cov.rows])
-    sigma2_series = float(s[0] + 2.0 * s[1:].sum())
+    sigma2_series = cov.sigma2()
     series_se = float(np.sqrt(ses[0] ** 2 + 4.0 * (ses[1:] ** 2).sum()))
 
     _, sums = orbit_birkhoff_sums(lab, g, [n_var], trials, seed, stream=29,
@@ -634,7 +648,7 @@ def sigma2_estimate(lab: Lab, g=None, M: int = 12, n_base_samples: int = 600,
     tol = max(0.05 * abs(sigma2_series), 4.0 * np.sqrt(series_se**2 + mc_se**2))
     return VarianceReport(
         s.tolist(), ses.tolist(), sigma2_series, series_se, sigma2_mc, mc_se,
-        M_cur, float(cov.tail), bool(cov.tail < tail_tol), bool(diff <= tol),
+        len(cov.rows) - 1, float(cov.tail), bool(cov.tail < tail_tol), bool(diff <= tol),
         int(n_var), int(trials), float(sn.mean() / n_var), cov.route, sn, cov.mu, cov.mu_se,
         orbit_bias_warning=not lab.spec.has_geometric_potential)
 
@@ -666,6 +680,76 @@ class CltResult:
         return {k: v for k, v in asdict(self).items() if k != "samples"}
 
 
+def _durbin_cdf(n: int, d: float) -> float:
+    """P(D_n < d) for the two-sided one-sample KS statistic D_n, exactly.
+
+    Durbin's matrix, evaluated as in Marsaglia, Tsang and Wang, "Evaluating
+    Kolmogorov's distribution", J. Stat. Softw. 8 (2003): with k = ceil(n d),
+    h = k - n d and m = 2k - 1, H[i, j] = 1/(i - j + 1)! where i - j + 1 >= 0,
+    its first column less h^(i+1)/(i+1)! and its last row less h^(m-j)/(m-j)!,
+    and P = n!/n^n (H^n)[k, k].  Row k of H^n comes from repeated squaring;
+    every product and n!/n^n keep a power-of-two exponent apart, and 1/j! is
+    formed by division, so nothing overflows at any n or m.  D_n >= 1/(2n)
+    always, and at n d = 1/2 the matrix is [0].
+    """
+    k = int(np.ceil(n * d))
+    h, m = k - n * d, 2 * k - 1
+    lag = np.arange(m)[:, None] - np.arange(m) + 1
+    H = (lag >= 0) * 1.0
+    hp = h ** np.arange(1, m + 1)
+    H[:, 0] -= hp
+    H[-1] -= hp[::-1]
+    H[-1, 0] += max(2.0 * h - 1.0, 0.0) ** m
+    H *= np.cumprod(np.r_[1.0, 1.0 / np.arange(1, m + 1)])[np.maximum(lag, 0)]  # 1/lag!
+
+    def scaled(a, e):  # a / 2^c, its entries below 1 in size, and e + c
+        c = int(np.frexp(np.abs(a).max())[1])
+        return np.ldexp(a, -c), e + c
+
+    row, e, sq, se, rest = np.eye(m)[k - 1], 0, H, 0, n
+    while True:
+        if rest & 1:
+            row, e = scaled(row @ sq, e + se)
+        rest >>= 1
+        if not rest:
+            break
+        sq, se = scaled(sq @ sq, 2 * se)
+    mant, exps = np.frexp(np.arange(1, n + 1) / n)  # n!/n^n = prod_i i/n
+    p, e = row[k - 1], e + int(exps.sum())
+    for block in np.array_split(mant, -(-n // 512)):  # a block's product is at least 2^-512
+        p, c = np.frexp(p * np.prod(block))
+        e += int(c)
+    return float(np.ldexp(p, e))
+
+
+def _ks_normal(samples: np.ndarray, sigma: float) -> tuple:
+    """(D, p): the two-sided one-sample KS test of samples against N(0, sigma^2).
+
+    D is computed as scipy.stats.kstest does, with its bits.  p is scipy's
+    min(1, 2 smirnov(n, D)) where n D^2 >= 2.2 (>= 4 for n <= 140), and one
+    less the exact Durbin CDF elsewhere, where scipy uses the Pomeranz
+    recursion or the Pelz-Good approximation.
+    """
+    from scipy.special import ndtr, smirnov  # scipy.stats would add ~50 MB and 0.8 s to the process
+
+    n = len(samples)
+    cdf = ndtr(np.sort(samples) / sigma)
+    d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
+    d_minus = np.max(cdf - np.arange(0.0, n) / n)
+    d = float(d_plus if d_plus > d_minus else d_minus)
+    if n * d * d >= (4.0 if n <= 140 else 2.2):
+        return d, min(1.0, 2.0 * float(smirnov(n, d)))
+    return d, 1.0 - _durbin_cdf(n, d)
+
+
+def _skew(x: np.ndarray) -> float:
+    """m3 / m2^1.5 of the biased central moments; NaN where m2 is zero to rounding."""
+    mean = x.mean()
+    dev = x - mean
+    m2, m3 = np.mean(dev**2), np.mean(dev**2 * dev)
+    return float(m3 / m2**1.5) if m2 > (np.finfo(float).eps * mean) ** 2 else float("nan")
+
+
 def clt_test(var: VarianceReport) -> CltResult:
     """KS test of (S_n - n mu)/sqrt(n) against N(0, sigma^2), read from a sigma2 report.
 
@@ -673,13 +757,13 @@ def clt_test(var: VarianceReport) -> CltResult:
     its covariance series.  Centering uses the pooled orbit mean (std err
     sigma/sqrt(n * trials)), cross-checked against the covariance route's
     mu(g) (exact on the annealed route) within 4 combined standard errors.
+    The p-value is exact (`_ks_normal`), and no part of scipy.stats loads.
     At or below the declared sigma^2 floor the caller is directed to the
     coboundary check.
 
     sigma2's agreement check and this KS test read the same sums; each keeps
     its sample size and its null hypothesis.  The series reads no orbit pass.
     """
-    import scipy.stats  # loaded here: at module level it slows every subcommand's start-up
     sn, n, trials, sigma2 = var.sums, var.n_var, var.trials, var.sigma2_series
     mu_thermo, mu_thermo_se = var.g_mean, var.g_mean_se
     mu_orbit = float(sn.mean() / n)
@@ -690,12 +774,10 @@ def clt_test(var: VarianceReport) -> CltResult:
     if sigma2 <= SIGMA2_FLOOR:
         status, ks_stat, p_value = "degenerate: use coboundary_check", float("nan"), float("nan")
     else:
-        ks = scipy.stats.kstest(samples, "norm", args=(0.0, np.sqrt(sigma2)))
-        status, ks_stat, p_value = "ok", float(ks.statistic), float(ks.pvalue)
+        status, (ks_stat, p_value) = "ok", _ks_normal(samples, np.sqrt(sigma2))
     return CltResult(status, ks_stat, p_value, float(sigma2), n, trials,
-                     float(samples.mean()), float(samples.var(ddof=1)),
-                     float(scipy.stats.skew(samples)), mu_orbit, mu_orbit_se,
-                     mu_thermo, mu_thermo_se, bool(consistent),
+                     float(samples.mean()), float(samples.var(ddof=1)), _skew(samples),
+                     mu_orbit, mu_orbit_se, mu_thermo, mu_thermo_se, bool(consistent),
                      orbit_bias_warning=var.orbit_bias_warning, samples=samples)
 
 
@@ -707,6 +789,8 @@ class LilResult:
     terminal_values: list
     median_terminal: float
     sigma_used: float
+    mu_used: float
+    centering: str  # "annealed" (exact mu and sigma^2) or "pilot" (a first orbit pass)
     orbit_bias_warning: bool = False
 
     def as_dict(self):
@@ -729,20 +813,26 @@ def lil_probe(lab: Lab, g=None, n_max: int = 100_000, trials: int = 200, seed: i
 
     A smoke test: the iterated-logarithm normalization converges only
     logarithmically, so the qualitative contract is a median terminal value
-    in [0.5, 1.5], not a tolerance claim.  Two passes over identical streams:
-    the first estimates mu (and sigma if not given), the second accumulates
-    the running maxima, one orbit block at a time, and records them at
-    geometric checkpoints.
+    in [0.5, 1.5], not a tolerance claim.  One orbit pass accumulates the
+    running maxima, one orbit block at a time, and records them at geometric
+    checkpoints.  With the geometric potential mu and sigma^2 are the exact
+    mu(g) and covariance series of the annealed operator, as the theorem's
+    statistic has them (`truncated_covariances` with its defaults, which
+    are sigma2_estimate's); otherwise a pilot pass over the same streams
+    estimates them first.  A given sigma2 takes precedence.
     """
     if n_max < 100:
         raise LimitsError("n_max must be at least 100")
     g = g if g is not None else lab.observable
-    _, sums = orbit_birkhoff_sums(lab, g, [n_max], trials, seed, stream=31,
-                                  sample_depth=sample_depth, threads=threads)
-    sn = sums[0]
-    mu = float(sn.mean() / n_max)
-    if sigma2 is None:
-        sigma2 = float(sn.var(ddof=1) / n_max)
+    if lab.spec.has_geometric_potential:
+        cov = truncated_covariances(lab, g)
+        mu, centering = cov.mu, "annealed"
+        sigma2 = cov.sigma2() if sigma2 is None else sigma2
+    else:
+        _, sums = orbit_birkhoff_sums(lab, g, [n_max], trials, seed, stream=31,
+                                      sample_depth=sample_depth, threads=threads)
+        mu, centering = float(sums[0].mean() / n_max), "pilot"
+        sigma2 = float(sums[0].var(ddof=1) / n_max) if sigma2 is None else sigma2
     sigma = float(np.sqrt(max(sigma2, 1e-30)))
 
     checkpoints = sorted(set(np.unique(np.geomspace(10, n_max, 25).astype(int)).tolist()))
@@ -768,7 +858,7 @@ def lil_probe(lab: Lab, g=None, n_max: int = 100_000, trials: int = 200, seed: i
     orbit_birkhoff_sums(lab, g, [n_max], trials, seed, stream=31, sample_depth=sample_depth,
                         running_stat=stat, threads=threads)
     return LilResult(checkpoints, [float(np.median(row)) for row in trajectories], trajectories,
-                     running.tolist(), float(np.median(running)), sigma,
+                     running.tolist(), float(np.median(running)), sigma, mu, centering,
                      orbit_bias_warning=not lab.spec.has_geometric_potential)
 
 

@@ -348,6 +348,12 @@ LIBRARY_DEFAULTS = [
     (limits.sigma2_estimate, "tail_tol", "statistics.tail_tol"),
     (limits.sigma2_estimate, "m_max", "statistics.m_max"),
     (limits.sigma2_estimate, "sample_depth", "numerics.sample_depth"),
+    # lil_probe's exact sigma^2 is truncated by these defaults
+    (limits.truncated_covariances, "M", "statistics.m"),
+    (limits.truncated_covariances, "n_base_samples", "statistics.n_base_samples"),
+    (limits.truncated_covariances, "tail_tol", "statistics.tail_tol"),
+    (limits.truncated_covariances, "m_max", "statistics.m_max"),
+    (limits.truncated_covariances, "sample_depth", "numerics.sample_depth"),
     (limits.lil_probe, "n_max", "experiment.lil.n_max"),
     (limits.lil_probe, "trials", "experiment.lil.trials"),
     (limits.coboundary_check, "n_list", "experiment.coboundary.n_list"),
@@ -588,16 +594,15 @@ import json, sys
 import rdslab.cli as cli
 from rdslab.config import apply_overrides, resolve_config
 cfg = apply_overrides(resolve_config({}), json.loads(sys.argv[1]))
-for sub in ("thermo", "gap", "encoding"):
+for sub in ("thermo", "gap", "encoding", "clt", "lil"):
     cli.build_report(sub, cfg, threads=1)
-assert "scipy.stats" not in sys.modules, "scipy.stats was loaded before clt ran"
-cli.build_report("clt", cfg, threads=1)
-assert "scipy.stats" in sys.modules, "clt ran without scipy.stats"
+    assert "scipy.stats" not in sys.modules, f"{sub} loaded scipy.stats"
 """
 
 
-def test_only_clt_loads_scipy_stats():
-    # a fresh interpreter: this process already holds scipy.stats
+def test_no_subcommand_loads_scipy_stats():
+    # a fresh interpreter: this process already holds scipy.stats.  clt's KS test
+    # and lil's exact centering run here; test_imports.py covers the rest statically
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}

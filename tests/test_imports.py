@@ -1,9 +1,12 @@
 """Import policy and a dead-code lint over rdslab's modules, read with `ast`.
 
-Modules import no scipy submodule but scipy.sparse at load time: scipy.stats
-alone takes most of a second to import, and every subcommand pays for what
-its modules import.  This checks direct imports only; the fresh-interpreter
-test in test_cli.py catches a heavy module pulled in transitively.
+Modules import no scipy submodule but scipy.sparse at load time, and no
+module imports scipy.stats at all, not even inside a function: scipy.stats
+alone adds about 50 MB and most of a second to a process, and every
+subcommand pays for what its modules import.  `limits` takes the KS test's
+normal CDF and Smirnov tail from scipy.special, inside the function that runs
+the test.  These check direct imports only; the fresh-interpreter test in
+test_cli.py catches a heavy module pulled in transitively.
 
 Every module-level import is used in its module (`__init__.py`, whose imports
 are re-exports, and `from __future__` aside), and every module-level private
@@ -36,6 +39,18 @@ def test_no_scipy_submodule_but_sparse_at_module_level():
              for line, module in load_time_imports(ast.parse(path.read_text()))
              if module.startswith("scipy.") and module != "scipy.sparse"]
     assert not found, "import these inside the functions that use them: " + ", ".join(found)
+
+
+def test_no_module_imports_scipy_stats():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                     [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+                     if isinstance(node, ast.ImportFrom) and node.module else [])
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name == "scipy.stats" or name.startswith("scipy.stats.")]
+    assert not found, "scipy.stats imported at " + ", ".join(found)
 
 
 def module_level_bindings(node):

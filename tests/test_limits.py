@@ -349,7 +349,8 @@ def test_clt_zero_observable(stats_lab):
     res = clt_test(var)
     assert res.status.startswith("degenerate")
     assert res.sample_var == pytest.approx(0.0, abs=1e-20)
-    assert not hasattr(limits, "scipy")  # clt_test imports scipy.stats for both branches
+    assert np.isnan(res.sample_skew)  # the moments of all-zero samples carry no skew
+    assert not hasattr(limits, "scipy")  # _ks_normal imports scipy.special where it runs
 
 
 def test_clt_small_run_consistency(stats_lab):
@@ -359,6 +360,79 @@ def test_clt_small_run_consistency(stats_lab):
     assert res.status == "ok"
     assert res.p_value > 0.01
     assert res.centering_consistent  # Birkhoff consistency of the sampler
+
+
+def ks_draws(count, seed):
+    """(n, samples, sigma): n log-uniform on 2..20000, both ends included, and
+    N(0, 1) samples tested against N(0, sigma^2) with sigma misstated by 0.8-1.2."""
+    gen = np.random.default_rng(seed)
+    for i in range(count):
+        n = (2, 20_000)[i] if i < 2 else int(np.exp(gen.uniform(np.log(2), np.log(20_000))))
+        yield n, gen.standard_normal(n), float(gen.uniform(0.8, 1.2))
+
+
+def test_ks_statistic_and_p_value_match_scipy():
+    import scipy.stats
+
+    regions = {"smirnov": 0, "exact n <= 140": 0, "pelz-good": 0}
+    for n, x, sigma in ks_draws(160, 29):
+        d, p = limits._ks_normal(x, sigma)
+        ref = scipy.stats.kstest(x, "norm", args=(0.0, sigma))
+        assert d == ref.statistic, (n, sigma)
+        if n * d * d >= (4.0 if n <= 140 else 2.2):  # scipy's own 2 smirnov(n, D)
+            regions["smirnov"] += 1
+            assert p == ref.pvalue, (n, sigma)
+        elif n <= 140:  # scipy is exact here too: Durbin's matrix or the Pomeranz recursion
+            regions["exact n <= 140"] += 1
+            assert abs(p - ref.pvalue) <= 1e-10, (n, sigma)
+        else:  # scipy approximates by Pelz-Good
+            regions["pelz-good"] += 1
+            assert abs(p - ref.pvalue) <= 5e-6, (n, sigma)
+    assert min(regions.values()) >= 10, regions  # 44, 67 and 49 of the 160 draws
+
+
+def test_durbin_cdf_is_scipys_exact_evaluation():
+    # scipy evaluates Durbin's matrix itself (in part in extended precision) but
+    # switches to Pelz-Good above n = 140; compare with its exact routine directly
+    from scipy.stats._ksstats import _kolmogn_DMTW
+
+    for n in (141, 500, 2000, 20_000):
+        for x in (0.6, 1.0, 1.4):  # sqrt(n) D across the body of the distribution
+            d = x / np.sqrt(n)
+            assert abs(limits._durbin_cdf(n, d) - float(_kolmogn_DMTW(n, d))) <= 1e-11, (n, x)
+    assert limits._durbin_cdf(10, 0.05) == 0.0  # D_n >= 1/(2n) always
+
+
+def test_ks_catches_a_misstated_sigma2():
+    # planted defect: sigma^2 misstated by 30% either way, against the true sigma^2
+    x = np.random.default_rng(0).standard_normal(2000)
+    assert limits._ks_normal(x, 1.0)[1] > 0.01
+    for factor in (0.7, 1.3):
+        assert limits._ks_normal(x, np.sqrt(factor))[1] < 0.01, factor
+
+
+def test_ks_at_n_20000_takes_under_50_ms():
+    import time
+
+    x = np.random.default_rng(1).standard_normal(20_000)
+    d, _ = limits._ks_normal(x, 1.0)
+    assert 20_000 * d * d < 2.2  # the p-value comes from Durbin's matrix
+    best = float("inf")
+    for _ in range(5):
+        t0 = time.perf_counter()
+        limits._ks_normal(x, 1.0)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.05, best
+
+
+def test_sample_skew_matches_scipy():
+    import scipy.stats
+
+    gen = np.random.default_rng(5)
+    for x in (gen.standard_normal(2000), gen.exponential(size=500) + 1e3,
+              -gen.gamma(0.5, size=7), np.array([1.0, 2.0, 3.0, 10.0])):
+        assert limits._skew(x) == pytest.approx(float(scipy.stats.skew(x)), rel=1e-12)
+    assert np.isnan(limits._skew(np.full(9, 4.2)))  # scipy's rule: m2 zero to rounding
 
 
 def test_lil_probe_shapes_and_monotonicity(stats_lab):
@@ -401,9 +475,7 @@ def test_lil_block_stat_matches_per_step_running_max(small_stats_lab):
 
     orbit_birkhoff_sums(lab, lab.observable, [n_max], trials, seed, stream=31, sample_depth=6,
                         running_stat=keep)
-    mu = float(path[-1].mean() / n_max)
-    sigma = float(np.sqrt(max(float(path[-1].var(ddof=1) / n_max), 1e-30)))
-    assert sigma == res.sigma_used
+    mu, sigma = res.mu_used, res.sigma_used
     running, traj = np.zeros(trials), []
     for t in range(1, n_max + 1):
         if t >= 10:
@@ -413,6 +485,24 @@ def test_lil_block_stat_matches_per_step_running_max(small_stats_lab):
             traj.append(running.copy())
     assert np.array_equal(res.trajectories, np.array(traj))
     assert res.terminal_values == running.tolist()
+
+
+def test_lil_centering_follows_the_potential(small_stats_lab, small_gibbs_lab):
+    # geometric potential: one pass, centred and normalised by the exact mu(g) and sigma^2
+    lab, n_max, trials, seed = small_stats_lab, 300, 40, 8
+    cov = limits.truncated_covariances(lab)
+    res = lil_probe(lab, n_max=n_max, trials=trials, seed=seed, sample_depth=6)
+    assert (res.centering, res.mu_used) == ("annealed", cov.mu)
+    assert res.sigma_used == np.sqrt(cov.sigma2())
+    assert lil_probe(lab, n_max=n_max, trials=trials, seed=seed, sample_depth=6,
+                     sigma2=2.0).sigma_used == np.sqrt(2.0)  # a given sigma2 takes precedence
+    # any other potential: a pilot pass over the same streams estimates both
+    lab = small_gibbs_lab
+    res = lil_probe(lab, n_max=n_max, trials=trials, seed=seed, sample_depth=6)
+    _, sums = orbit_birkhoff_sums(lab, lab.observable, [n_max], trials, seed, stream=31,
+                                  sample_depth=6)
+    assert (res.centering, res.mu_used) == ("pilot", float(sums[0].mean() / n_max))
+    assert res.sigma_used == float(np.sqrt(sums[0].var(ddof=1) / n_max))
 
 
 def test_lil_denominators_are_the_scalar_expression():
