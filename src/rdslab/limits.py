@@ -476,17 +476,9 @@ def assumption6_check(lab: Lab, n_list, r_draws: int, base_pairs, seed: int,
 
 
 @dataclass
-class CovarianceRow:
-    m: int
-    operator_route: float
-    operator_se: float
-    fiber_part: float  # route A's split of s_m; NaN on the annealed route
-    base_part: float
-
-
-@dataclass
 class CovarianceResult:
-    rows: list
+    s: np.ndarray  # s_m = Cov(g, g o T^m) for m = 0..M
+    se: np.ndarray  # their standard errors, 0 on the annealed route
     mu: float  # mu(g) and its standard error, 0 on the annealed route
     mu_se: float
     route: str  # "annealed" or "ensemble" (route A)
@@ -494,26 +486,37 @@ class CovarianceResult:
 
     def sigma2(self) -> float:
         """The series s_0 + 2 sum_{m=1..M} s_m."""
-        s = np.array([r.operator_route for r in self.rows])
-        return float(s[0] + 2.0 * s[1:].sum())
+        return float(self.s[0] + 2.0 * self.s[1:].sum())
 
 
-def covariance_sequence(lab: Lab, g, M: int, n_base_samples: int, seed: int,
+def covariance_sequence(lab: Lab, g=None, M: int = 12, n_base_samples: int = 600,
+                        seed: int = 42, tail_tol: float = 1e-4, m_max: int = 48,
                         sample_depth: int = 24) -> CovarianceResult:
-    """s_m = Cov(g, g o T^m) for m = 0..M, and mu(g).
+    """s_m = Cov(g, g o T^m) for m = 0..M, and mu(g), at the first M from the
+    given one whose tail bound is below tail_tol, or at m_max.
 
     With the geometric potential both are exact sparse products of the
-    annealed operator (`annealed.py`), with standard error 0, and the tail is
-    the geometric remainder of the last two lags; otherwise route A
-    (`ensemble_covariances`) estimates them.
+    annealed operator (`annealed.py`), with standard error 0: one operator
+    serves every lag, M grows by one, and the tail is the geometric
+    remainder of the last two lags.  Otherwise route A
+    (`ensemble_covariances`) estimates them and is rebuilt at M grown by half.
     """
     g = g if g is not None else lab.observable
+    M = int(M)
     if not lab.spec.has_geometric_potential:
-        return ensemble_covariances(lab, g, M, n_base_samples, seed, sample_depth)
+        while True:
+            cov = ensemble_covariances(lab, g, M, n_base_samples, seed, sample_depth)
+            if cov.tail < tail_tol or M >= m_max:
+                return cov
+            M = min(m_max, int(np.ceil(M * 1.5)))
     op = AnnealedOperator(lab.table)
-    s = [v for _, v in zip(range(int(M) + 1), op.lags(g))]
-    rows = [CovarianceRow(m, v, 0.0, np.nan, np.nan) for m, v in enumerate(s)]
-    return CovarianceResult(rows, op.mean(g), 0.0, "annealed", geometric_remainder(s[-2:]))
+    lags = op.lags(g)
+    s = [next(lags) for _ in range(M + 1)]
+    tail = geometric_remainder(s[-2:])
+    while not (tail < tail_tol) and len(s) <= m_max:  # a NaN tail grows M to m_max
+        s.append(next(lags))
+        tail = geometric_remainder(s[-2:])
+    return CovarianceResult(np.array(s), np.zeros(len(s)), op.mean(g), 0.0, "annealed", tail)
 
 
 def ensemble_covariances(lab: Lab, g, M: int, n_base_samples: int, seed: int,
@@ -550,19 +553,19 @@ def ensemble_covariances(lab: Lab, g, M: int, n_base_samples: int, seed: int,
                 u, rho = ens.transport(u, m), ens.transport(rho, m)
 
     g0 = np.array(gm_all[0])
-    rows = []
+    s, se, fiber_part, base_part = (np.empty(M + 1) for _ in range(4))
     for m in range(M + 1):
         fiber, gm = np.array(fiber_terms[m]), np.array(gm_all[m])
         base_prod = (g0 - g0.mean()) * (gm - gm.mean())
-        base = float(base_prod.mean())
-        se_a = float((fiber + base_prod).std(ddof=1) / np.sqrt(len(fiber)))
-        rows.append(CovarianceRow(m, float(fiber.mean() + base), se_a, float(fiber.mean()), base))
-    fiber_pts = [(r.m, abs(r.fiber_part)) for r in rows if r.m >= 1 and abs(r.fiber_part) > 1e-13]
-    base_pts = [(r.m, abs(r.base_part)) for r in rows
-                if r.m >= 1 and abs(r.base_part) > 2.0 * r.operator_se]
+        fiber_part[m], base_part[m] = fiber.mean(), base_prod.mean()
+        s[m] = fiber_part[m] + base_part[m]
+        se[m] = (fiber + base_prod).std(ddof=1) / np.sqrt(len(fiber))
+    fiber_pts = [(m, abs(fiber_part[m])) for m in range(1, M + 1) if abs(fiber_part[m]) > 1e-13]
+    base_pts = [(m, abs(base_part[m])) for m in range(1, M + 1)
+                if abs(base_part[m]) > 2.0 * se[m]]
     fiber_tail, fiber_rate = _geometric_tail(fiber_pts[-6:], M)
     base_tail, _ = _geometric_tail(base_pts[-6:], M, fallback_rate=fiber_rate)
-    return CovarianceResult(rows, float(g0.mean()), float(g0.std(ddof=1) / np.sqrt(len(g0))),
+    return CovarianceResult(s, se, float(g0.mean()), float(g0.std(ddof=1) / np.sqrt(len(g0))),
                             "ensemble", fiber_tail + base_tail)
 
 
@@ -606,38 +609,21 @@ class VarianceReport:
         return {k: v for k, v in asdict(self).items() if k not in ("sums", "g_mean", "g_mean_se")}
 
 
-def truncated_covariances(lab: Lab, g=None, M: int = 12, n_base_samples: int = 600,
-                          seed: int = 42, tail_tol: float = 1e-4, m_max: int = 48,
-                          sample_depth: int = 24) -> CovarianceResult:
-    """`covariance_sequence` at the first M whose tail bound is below tail_tol, or at m_max.
-
-    The exact lags grow M by one, and route A is rebuilt at M grown by half.
-    """
-    M = int(M)
-    while True:
-        cov = covariance_sequence(lab, g, M, n_base_samples, seed, sample_depth=sample_depth)
-        if cov.tail < tail_tol or M >= m_max:
-            return cov
-        M = M + 1 if cov.route == "annealed" else min(m_max, int(np.ceil(M * 1.5)))
-
-
 def sigma2_estimate(lab: Lab, g=None, M: int = 12, n_base_samples: int = 600,
                     n_var: int = 10_000, trials: int = 2000, seed: int = 42,
                     tail_tol: float = 1e-4, m_max: int = 48,
                     sample_depth: int = 24, threads: int = 1) -> VarianceReport:
     """sigma^2 by the covariance series, cross-validated against Var(S_n)/n.
 
-    The series is s_0 + 2 sum_{m>=1} s_m from `truncated_covariances`, on
+    The series is s_0 + 2 sum_{m>=1} s_m from `covariance_sequence`, on
     the route named by `series_route`, truncated adaptively: M grows, up to
     m_max, until the route's tail bound drops below tail_tol.  Agreement
     requires |series - direct| <= max(5% of series, 4 combined standard errors).
     """
     g = g if g is not None else lab.observable
-    cov = truncated_covariances(lab, g, M, n_base_samples, seed, tail_tol, m_max, sample_depth)
-    s = np.array([r.operator_route for r in cov.rows])
-    ses = np.array([r.operator_se for r in cov.rows])
+    cov = covariance_sequence(lab, g, M, n_base_samples, seed, tail_tol, m_max, sample_depth)
     sigma2_series = cov.sigma2()
-    series_se = float(np.sqrt(ses[0] ** 2 + 4.0 * (ses[1:] ** 2).sum()))
+    series_se = float(np.sqrt(cov.se[0] ** 2 + 4.0 * (cov.se[1:] ** 2).sum()))
 
     _, sums = orbit_birkhoff_sums(lab, g, [n_var], trials, seed, stream=29,
                                   sample_depth=sample_depth, threads=threads)
@@ -647,8 +633,8 @@ def sigma2_estimate(lab: Lab, g=None, M: int = 12, n_base_samples: int = 600,
     diff = abs(sigma2_series - sigma2_mc)
     tol = max(0.05 * abs(sigma2_series), 4.0 * np.sqrt(series_se**2 + mc_se**2))
     return VarianceReport(
-        s.tolist(), ses.tolist(), sigma2_series, series_se, sigma2_mc, mc_se,
-        len(cov.rows) - 1, float(cov.tail), bool(cov.tail < tail_tol), bool(diff <= tol),
+        cov.s.tolist(), cov.se.tolist(), sigma2_series, series_se, sigma2_mc, mc_se,
+        len(cov.s) - 1, float(cov.tail), bool(cov.tail < tail_tol), bool(diff <= tol),
         int(n_var), int(trials), float(sn.mean() / n_var), cov.route, sn, cov.mu, cov.mu_se,
         orbit_bias_warning=not lab.spec.has_geometric_potential)
 
@@ -817,7 +803,7 @@ def lil_probe(lab: Lab, g=None, n_max: int = 100_000, trials: int = 200, seed: i
     running maxima, one orbit block at a time, and records them at geometric
     checkpoints.  With the geometric potential mu and sigma^2 are the exact
     mu(g) and covariance series of the annealed operator, as the theorem's
-    statistic has them (`truncated_covariances` with its defaults, which
+    statistic has them (`covariance_sequence` with its defaults, which
     are sigma2_estimate's); otherwise a pilot pass over the same streams
     estimates them first.  A given sigma2 takes precedence.
     """
@@ -825,7 +811,7 @@ def lil_probe(lab: Lab, g=None, n_max: int = 100_000, trials: int = 200, seed: i
         raise LimitsError("n_max must be at least 100")
     g = g if g is not None else lab.observable
     if lab.spec.has_geometric_potential:
-        cov = truncated_covariances(lab, g)
+        cov = covariance_sequence(lab, g)
         mu, centering = cov.mu, "annealed"
         sigma2 = cov.sigma2() if sigma2 is None else sigma2
     else:

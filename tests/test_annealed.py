@@ -59,15 +59,14 @@ def test_affine_variant_gives_the_closed_form():
     closed = sum(pe * (o * o + amp * amp / 2) for pe, o in zip(p, off)) - mu**2
     assert closed == pytest.approx(0.5225, abs=1e-15)
     cov = covariance_sequence(lab, None, 12, 0, seed=0)
-    s = [row.operator_route for row in cov.rows]
+    s = cov.s
     assert cov.route == "annealed" and cov.mu == pytest.approx(mu, abs=1e-14)
     assert s[0] + 2.0 * sum(s[1:]) == pytest.approx(closed, abs=1e-12)
     assert max(abs(v) for v in s[1:]) <= 1e-15
 
 
 def lags_agree(exact, route_a, bias=0.0):
-    return [abs(e.operator_route + bias * a.operator_se - a.operator_route) <= 4.0 * a.operator_se
-            for e, a in zip(exact.rows, route_a.rows)]
+    return [abs(e + bias * se - a) <= 4.0 * se for e, a, se in zip(exact.s, route_a.s, route_a.se)]
 
 
 def test_exact_lags_agree_with_route_a(small_stats_lab):
@@ -75,11 +74,35 @@ def test_exact_lags_agree_with_route_a(small_stats_lab):
     exact = covariance_sequence(lab, None, 8, 400, seed=9)
     route_a = ensemble_covariances(lab, lab.observable, 8, 400, seed=9)
     assert exact.route == "annealed" and route_a.route == "ensemble"
-    assert all(row.operator_se == 0.0 for row in exact.rows) and exact.mu_se == 0.0
+    assert np.all(exact.se == 0.0) and exact.mu_se == 0.0
     assert all(lags_agree(exact, route_a))
     assert abs(exact.mu - route_a.mu) <= 4.0 * route_a.mu_se
     # the check has teeth: a bias of 6 standard errors fails every lag
     assert not any(lags_agree(exact, route_a, bias=6.0))
+
+
+def test_exact_route_grows_M_on_one_operator(small_stats_lab, monkeypatch):
+    # a tail_tol below the default reach grows M one lag at a time, every lag drawn
+    # from one operator, and stops at the first M whose remainder is below it
+    lab = small_stats_lab
+    built = []
+
+    class Spy(AnnealedOperator):
+        def __init__(self, table):
+            built.append(table)
+            super().__init__(table)
+
+    monkeypatch.setattr(limits, "AnnealedOperator", Spy)
+    cov = covariance_sequence(lab, tail_tol=1e-30)
+    M = len(cov.s) - 1
+    assert len(built) == 1 and 12 + 2 < M < 48
+    assert cov.tail < 1e-30 <= geometric_remainder(cov.s[-3:-1])
+    lags = list(islice(AnnealedOperator(lab.table).lags(lab.observable), M + 1))
+    assert np.array_equal(cov.s, lags)
+    # ... or at m_max, with the remainder still above tail_tol
+    capped = covariance_sequence(lab, tail_tol=1e-30, m_max=M - 2)
+    assert len(built) == 2 and not capped.tail < 1e-30
+    assert np.array_equal(capped.s, lags[:M - 1])
 
 
 def test_series_fields_do_not_depend_on_the_seed(small_stats_lab):

@@ -348,12 +348,11 @@ LIBRARY_DEFAULTS = [
     (limits.sigma2_estimate, "tail_tol", "statistics.tail_tol"),
     (limits.sigma2_estimate, "m_max", "statistics.m_max"),
     (limits.sigma2_estimate, "sample_depth", "numerics.sample_depth"),
-    # lil_probe's exact sigma^2 is truncated by these defaults
-    (limits.truncated_covariances, "M", "statistics.m"),
-    (limits.truncated_covariances, "n_base_samples", "statistics.n_base_samples"),
-    (limits.truncated_covariances, "tail_tol", "statistics.tail_tol"),
-    (limits.truncated_covariances, "m_max", "statistics.m_max"),
-    (limits.truncated_covariances, "sample_depth", "numerics.sample_depth"),
+    (limits.covariance_sequence, "M", "statistics.m"),
+    (limits.covariance_sequence, "n_base_samples", "statistics.n_base_samples"),
+    (limits.covariance_sequence, "tail_tol", "statistics.tail_tol"),
+    (limits.covariance_sequence, "m_max", "statistics.m_max"),
+    (limits.covariance_sequence, "sample_depth", "numerics.sample_depth"),
     (limits.lil_probe, "n_max", "experiment.lil.n_max"),
     (limits.lil_probe, "trials", "experiment.lil.trials"),
     (limits.coboundary_check, "n_list", "experiment.coboundary.n_list"),

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -22,6 +20,7 @@ from rdslab.limits import (
     LimitsError,
     OrbitEnsemble,
     _complex_se,
+    _geometric_tail,
     clt_test,
     coboundary_check,
     condition_h_check,
@@ -250,17 +249,21 @@ def test_covariance_route_a_bit_equal_to_per_level_reference(small_stats_lab):
     lab, M, n = small_stats_lab, 5, COVARIANCE_CHUNK + 40  # two chunks
     cov = ensemble_covariances(lab, lab.observable, M, n, seed=29, sample_depth=6)
     ref = reference_route_a(lab, lab.observable, M, n, 29, 6)
-    for row, ref_row in zip(cov.rows, ref):
-        got = [row.operator_route, row.operator_se, row.fiber_part, row.base_part]
-        assert np.array_equal(got, ref_row), (row.m, got, ref_row)
+    assert np.array_equal(cov.s, ref[:, 0]), (cov.s, ref[:, 0])
+    assert np.array_equal(cov.se, ref[:, 1]), (cov.se, ref[:, 1])
+    # the tail, from the reference's split of each lag into its fiber and base parts
+    fiber, base = ref[:, 2], ref[:, 3]
+    fiber_pts = [(m, abs(fiber[m])) for m in range(1, M + 1) if abs(fiber[m]) > 1e-13]
+    base_pts = [(m, abs(base[m])) for m in range(1, M + 1) if abs(base[m]) > 2.0 * ref[m, 1]]
+    fiber_tail, rate = _geometric_tail(fiber_pts[-6:], M)
+    assert cov.tail == fiber_tail + _geometric_tail(base_pts[-6:], M, fallback_rate=rate)[0]
 
 
 def test_covariance_constant_observable(stats_lab):
     g = constant_observable(stats_lab.spec, 0.8)
     for route in (covariance_sequence, ensemble_covariances):  # annealed, then route A
         cov = route(stats_lab, g, 4, 150, seed=8)
-        for row in cov.rows:
-            assert abs(row.operator_route) <= 1e-10
+        assert np.all(np.abs(cov.s) <= 1e-10), cov.s
         assert cov.mu == pytest.approx(0.8, abs=1e-10)
 
 
@@ -275,21 +278,19 @@ def orbit_route(lab, g, M, trials, seed):
     return [(float(p.mean()), float(p.std(ddof=1) / np.sqrt(len(p)))) for p in prods]
 
 
-def routes_agree(rows, orbit):
-    return [abs(row.operator_route - s_b) <= 4.0 * np.hypot(row.operator_se, se_b) + 1e-12
-            for row, (s_b, se_b) in zip(rows, orbit)]
+def routes_agree(s, se, orbit):
+    return [abs(v - s_b) <= 4.0 * np.hypot(e, se_b) + 1e-12
+            for v, e, (s_b, se_b) in zip(s, se, orbit)]
 
 
 def test_covariance_routes_agree(stats_lab):
     g = stats_lab.observable
     cov = ensemble_covariances(stats_lab, g, 8, 400, seed=9)
     orbit = orbit_route(stats_lab, g, 8, 2000, seed=9)
-    assert cov.rows[0].operator_route > 0  # s_0 = Var(g) >= 0
-    assert all(routes_agree(cov.rows, orbit)), (cov.rows, orbit)
+    assert cov.s[0] > 0  # s_0 = Var(g) >= 0
+    assert all(routes_agree(cov.s, cov.se, orbit)), (cov.s, cov.se, orbit)
     # the check has teeth: a bias of a fifth of s_0 planted in route A fails every lag
-    bias = 0.2 * cov.rows[0].operator_route
-    planted = [replace(r, operator_route=r.operator_route + bias) for r in cov.rows]
-    assert not any(routes_agree(planted, orbit))
+    assert not any(routes_agree(cov.s + 0.2 * cov.s[0], cov.se, orbit))
 
 
 def test_covariance_stationarity(stats_lab):
@@ -490,7 +491,7 @@ def test_lil_block_stat_matches_per_step_running_max(small_stats_lab):
 def test_lil_centering_follows_the_potential(small_stats_lab, small_gibbs_lab):
     # geometric potential: one pass, centred and normalised by the exact mu(g) and sigma^2
     lab, n_max, trials, seed = small_stats_lab, 300, 40, 8
-    cov = limits.truncated_covariances(lab)
+    cov = limits.covariance_sequence(lab)
     res = lil_probe(lab, n_max=n_max, trials=trials, seed=seed, sample_depth=6)
     assert (res.centering, res.mu_used) == ("annealed", cov.mu)
     assert res.sigma_used == np.sqrt(cov.sigma2())
@@ -776,8 +777,7 @@ def test_assumption6_releases_the_phases_it_formed(monkeypatch):
 def test_covariance_decay_dominance(stats_lab):
     # route A's |s_m| decays at least geometrically down to the Monte Carlo floor
     cov = ensemble_covariances(stats_lab, stats_lab.observable, 10, 400, seed=26)
-    s = [abs(r.operator_route) for r in cov.rows]
-    se = [r.operator_se for r in cov.rows]
+    s, se = np.abs(cov.s), cov.se
     for m in range(1, len(s)):
         assert s[m] <= max(0.55 * s[m - 1], 4.0 * se[m])
 
