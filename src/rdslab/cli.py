@@ -240,8 +240,9 @@ def _run_clt(lab, config, seed, threads, memo):
 
 
 def _run_lil(lab, config, seed, threads, memo):
-    exp = config["experiment"]["lil"]
+    exp, st = config["experiment"]["lil"], config["statistics"]
     res = limits.lil_probe(lab, None, n_max=exp["n_max"], trials=exp["trials"], seed=seed,
+                           M=st["m"], tail_tol=st["tail_tol"], m_max=st["m_max"],
                            sample_depth=config["numerics"]["sample_depth"], threads=threads)
     art = {"lil.csv": csv_text(("checkpoint", "median_running_max"),
                                list(zip(res.checkpoints, res.median_trajectory)))}

@@ -794,7 +794,8 @@ def _lil_denominators(sigma: float, n_max: int) -> np.ndarray:
 
 
 def lil_probe(lab: Lab, g=None, n_max: int = 100_000, trials: int = 200, seed: int = 42,
-              sigma2: float | None = None, sample_depth: int = 24, threads: int = 1) -> LilResult:
+              sigma2: float | None = None, M: int = 12, tail_tol: float = 1e-4,
+              m_max: int = 48, sample_depth: int = 24, threads: int = 1) -> LilResult:
     """Running max of |S_n - n mu| / (sigma sqrt(2 n log log n)).
 
     A smoke test: the iterated-logarithm normalization converges only
@@ -803,15 +804,15 @@ def lil_probe(lab: Lab, g=None, n_max: int = 100_000, trials: int = 200, seed: i
     running maxima, one orbit block at a time, and records them at geometric
     checkpoints.  With the geometric potential mu and sigma^2 are the exact
     mu(g) and covariance series of the annealed operator, as the theorem's
-    statistic has them (`covariance_sequence` with its defaults, which
-    are sigma2_estimate's); otherwise a pilot pass over the same streams
+    statistic has them, truncated by M, tail_tol and m_max as in
+    `sigma2_estimate`; otherwise a pilot pass over the same streams
     estimates them first.  A given sigma2 takes precedence.
     """
     if n_max < 100:
         raise LimitsError("n_max must be at least 100")
     g = g if g is not None else lab.observable
     if lab.spec.has_geometric_potential:
-        cov = covariance_sequence(lab, g)
+        cov = covariance_sequence(lab, g, M, tail_tol=tail_tol, m_max=m_max)
         mu, centering = cov.mu, "annealed"
         sigma2 = cov.sigma2() if sigma2 is None else sigma2
     else:

@@ -353,6 +353,10 @@ LIBRARY_DEFAULTS = [
     (limits.covariance_sequence, "tail_tol", "statistics.tail_tol"),
     (limits.covariance_sequence, "m_max", "statistics.m_max"),
     (limits.covariance_sequence, "sample_depth", "numerics.sample_depth"),
+    (limits.lil_probe, "M", "statistics.m"),
+    (limits.lil_probe, "tail_tol", "statistics.tail_tol"),
+    (limits.lil_probe, "m_max", "statistics.m_max"),
+    (limits.lil_probe, "sample_depth", "numerics.sample_depth"),
     (limits.lil_probe, "n_max", "experiment.lil.n_max"),
     (limits.lil_probe, "trials", "experiment.lil.trials"),
     (limits.coboundary_check, "n_list", "experiment.coboundary.n_list"),
@@ -455,6 +459,16 @@ def test_sigma2_growing_truncation_runs_one_orbit_pass(monkeypatch):
     assert results["series_route"] == "ensemble"
     assert results["m_used"] > 4
     assert len(calls) == 1
+
+
+def test_lil_sigma_is_sigma2s_truncated_series():
+    # lil's exact sigma^2 is cut off by the statistics leaves, as sigma2's series is
+    config = apply_overrides(small_config(), ["statistics.m=2", "statistics.m_max=3"])
+    series = cli.build_report("sigma2", config)[0]["results"]
+    lil = cli.build_report("lil", config)[0]["results"]
+    assert series["series_route"] == "annealed" and series["m_used"] == 2
+    assert lil["centering"] == "annealed"
+    assert lil["sigma_used"] == math.sqrt(series["sigma2_series"])
 
 
 def test_sigma2_and_clt_results_keep_their_keys(monkeypatch):
