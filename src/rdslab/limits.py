@@ -7,6 +7,8 @@ runs on an OrbitEnsemble: a conformal window over a batch of i.i.d. base
 points, with fiber states drawn from the invariant fiber measures by CDF
 inversion; with the geometric potential the covariance series and mu(g) are
 exact sparse products of the annealed operator instead (`annealed.py`).
+`covariance_sequence` is the one entry point of the series: it picks the
+route and truncates it, for sigma2, clt and lil alike.
 """
 
 from __future__ import annotations
@@ -752,7 +754,7 @@ def clt_test(var: VarianceReport) -> CltResult:
     """
     sn, n, trials, sigma2 = var.sums, var.n_var, var.trials, var.sigma2_series
     mu_thermo, mu_thermo_se = var.g_mean, var.g_mean_se
-    mu_orbit = float(sn.mean() / n)
+    mu_orbit = var.mu_estimate
     mu_orbit_se = float(sn.std(ddof=1) / (n * np.sqrt(trials)))
     consistent = abs(mu_orbit - mu_thermo) <= 4.0 * np.sqrt(mu_orbit_se**2 + mu_thermo_se**2) + 1e-12
 
