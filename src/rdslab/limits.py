@@ -554,14 +554,12 @@ def ensemble_covariances(lab: Lab, g, M: int, n_base_samples: int, seed: int,
             if m < M:
                 u, rho = ens.transport(u, m), ens.transport(rho, m)
 
-    g0 = np.array(gm_all[0])
-    s, se, fiber_part, base_part = (np.empty(M + 1) for _ in range(4))
-    for m in range(M + 1):
-        fiber, gm = np.array(fiber_terms[m]), np.array(gm_all[m])
-        base_prod = (g0 - g0.mean()) * (gm - gm.mean())
-        fiber_part[m], base_part[m] = fiber.mean(), base_prod.mean()
-        s[m] = fiber_part[m] + base_part[m]
-        se[m] = (fiber + base_prod).std(ddof=1) / np.sqrt(len(fiber))
+    fiber, gm = np.array(fiber_terms), np.array(gm_all)  # row m: lag m, one column per sample
+    g0 = gm[0]
+    base_prod = (g0 - g0.mean()) * (gm - gm.mean(axis=1)[:, None])
+    fiber_part, base_part = fiber.mean(axis=1), base_prod.mean(axis=1)
+    s = fiber_part + base_part
+    se = (fiber + base_prod).std(axis=1, ddof=1) / np.sqrt(len(g0))
     fiber_pts = [(m, abs(fiber_part[m])) for m in range(1, M + 1) if abs(fiber_part[m]) > 1e-13]
     base_pts = [(m, abs(base_part[m])) for m in range(1, M + 1)
                 if abs(base_part[m]) > 2.0 * se[m]]
