@@ -8,7 +8,7 @@ their Hölder calculus, and the Monte Carlo decay-of-correlations check.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -220,9 +220,6 @@ class CorrelationReport:
     noise_dominated: bool
     fit_points: int
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def base_correlation_check(
     spec: BaseMeasureSpec,
@@ -243,12 +240,12 @@ def base_correlation_check(
     seeds = sample_seeds(seed, 0, n_samples)
     flo, fhi = F.window
     fvals = F.values_for_blocks(symbols_for_seeds(spec, seeds, flo, fhi + 1))
+    fc = fvals - fvals.mean()
     rows = []
     glo, ghi = G.window
     for n in n_list:
         # G(shift^-n x) reads coordinates [glo - n, ghi - n] of x
         gvals = G.values_for_blocks(symbols_for_seeds(spec, seeds, glo - n, ghi - n + 1))
-        fc = fvals - fvals.mean()
         gc = gvals - gvals.mean()
         prod = fc * gc
         est = float(prod.mean())

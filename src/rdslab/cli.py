@@ -10,6 +10,7 @@ success, 2 contract violation or replay divergence, 1 operational error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -36,6 +37,19 @@ from .thermo import Lab, random_lipschitz_functions, random_smooth_functions
 
 
 def _sanitize(obj):
+    """The report form of a value.  A record (dataclass instance) becomes its fields
+    but those with metadata {"reported": False}; a complex field x becomes x_re, x_im."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        out = {}
+        for f in dataclasses.fields(obj):
+            if not f.metadata.get("reported", True):
+                continue
+            v = getattr(obj, f.name)
+            if isinstance(v, complex):
+                out[f"{f.name}_re"], out[f"{f.name}_im"] = v.real, v.imag
+            else:
+                out[f.name] = _sanitize(v)
+        return out
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -48,8 +62,6 @@ def _sanitize(obj):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     return obj
 
 
@@ -87,7 +99,8 @@ def _observable_for(lab, name: str, const: float = 0.25):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: each returns (results, contract_ok, artifacts).
+# subcommand implementations: each returns (results, contract_ok, artifacts),
+# results being the library's record as it is, or a dict, for `_sanitize`.
 # Each gets a fresh Lab on the report's one SystemSpec.  `memo` is a dict that
 # lives for one build_report call and holds results that several subcommands
 # of `all` share, keyed by config names rather than by objects of one Lab.
@@ -134,7 +147,7 @@ def _run_gap(lab, config, seed, threads, memo):
     fit = thermo.gap_estimate(lab, xs, us, n_range)
     ok = fit.measurable and fit.kappa < 1.0 and fit.r_squared >= 0.98
     rows = list(zip(fit.n_values, fit.mean_log_residuals))
-    return fit.as_dict(), bool(ok), {"gap.csv": csv_text(("n", "mean_log_residual"), rows)}
+    return fit, bool(ok), {"gap.csv": csv_text(("n", "mean_log_residual"), rows)}
 
 
 def _run_bounds(lab, config, seed, threads, memo):
@@ -153,7 +166,7 @@ def _run_encoding(lab, config, seed, threads, memo):
     res = limits.encoding_check(lab, exp["r_sequence"], config["statistics"]["n_base_samples"],
                                 seed, sample_depth=config["numerics"]["sample_depth"],
                                 epsilon0=config["numerics"]["epsilon0"])
-    return res.as_dict(), bool(res.within_tolerance), {}
+    return res, bool(res.within_tolerance), {}
 
 
 def _run_condition_h(lab, config, seed, threads, memo):
@@ -170,7 +183,7 @@ def _run_condition_h(lab, config, seed, threads, memo):
         ("k", "difference", "std_err", "operator_term", "operator_se", "base_term", "base_se"),
         rows)}
     ok = (not res.noise_dominated) and res.c_fit > 0
-    return res.as_dict(), bool(ok), art
+    return res, bool(ok), art
 
 
 def _run_assumption6(lab, config, seed, threads, memo):
@@ -178,12 +191,8 @@ def _run_assumption6(lab, config, seed, threads, memo):
     pairs = thermo.regularity_pairs(lab.spec.base, seed, exp["pair_depths"], exp["pair_reps"])
     res = limits.assumption6_check(lab, exp["n_list"], exp["r_draws"], pairs, seed,
                                    epsilon0=config["numerics"]["epsilon0"])
-    maxima = [res.by_n[n]["max"] for n in sorted(res.by_n)]
-    ratio = max(maxima) / min(maxima)
-    results = res.as_dict()
-    results["norm_ratio_across_n"] = float(ratio)
-    ok = res.uniform and ratio <= 2.0
-    return results, bool(ok), {}
+    ok = res.uniform and res.norm_ratio_across_n <= 2.0
+    return res, bool(ok), {}
 
 
 def _run_decay_base(lab, config, seed, threads, memo):
@@ -196,9 +205,7 @@ def _run_decay_base(lab, config, seed, threads, memo):
     ok = all(abs(r.estimate) <= 3.0 * r.std_err for r in rep.rows if r.n >= start)
     rows = [(r.n, r.estimate, r.std_err, r.n_samples) for r in rep.rows]
     art = {"decay.csv": csv_text(("n", "estimate", "std_err", "n_samples"), rows)}
-    results = rep.as_dict()
-    results["disjoint_from"] = start
-    return results, bool(ok), art
+    return {**_sanitize(rep), "disjoint_from": start}, bool(ok), art
 
 
 def _sigma2(lab, name, config, seed, threads, memo):
@@ -217,14 +224,12 @@ def _run_sigma2(lab, config, seed, threads, memo):
     rep = _sigma2(lab, "default", config, seed, threads, memo)
     rows = [(m, s, se) for m, (s, se) in enumerate(zip(rep.s_values, rep.s_std_errs))]
     art = {"covariance.csv": csv_text(("m", "s_m", "std_err"), rows)}
-    return rep.as_dict(), bool(rep.agreement and rep.tail_ok), art
+    return rep, bool(rep.agreement and rep.tail_ok), art
 
 
 def _run_clt(lab, config, seed, threads, memo):
     var = _sigma2(lab, config["experiment"]["clt"]["observable"], config, seed, threads, memo)
     res = limits.clt_test(var)
-    results = res.as_dict()
-    results["sigma2_mc"] = var.sigma2_mc
     # raw samples and histogram-vs-density plot data
     hist, edges = np.histogram(res.samples, bins=40, density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -236,7 +241,7 @@ def _run_clt(lab, config, seed, threads, memo):
                                   list(zip(centers.tolist(), hist.tolist(), gauss.tolist()))),
     }
     ok = res.status == "ok" and res.p_value > 0.01 and res.centering_consistent
-    return results, bool(ok), art
+    return res, bool(ok), art
 
 
 def _run_lil(lab, config, seed, threads, memo):
@@ -247,7 +252,7 @@ def _run_lil(lab, config, seed, threads, memo):
     art = {"lil.csv": csv_text(("checkpoint", "median_running_max"),
                                list(zip(res.checkpoints, res.median_trajectory)))}
     ok = 0.5 <= res.median_terminal <= 1.5
-    return res.as_dict(), bool(ok), art
+    return res, bool(ok), art
 
 
 def _run_coboundary(lab, config, seed, threads, memo):
@@ -256,15 +261,13 @@ def _run_coboundary(lab, config, seed, threads, memo):
     res = limits.coboundary_check(lab, g, n_list=exp["n_list"], trials=exp["trials"],
                                   seed=seed, sample_depth=config["numerics"]["sample_depth"],
                                   threads=threads)
-    results = res.as_dict()
-    results["sigma2_proxy"] = float(res.l2_norms[-1] ** 2 / res.n_list[-1])
     if exp["observable"] == "coboundary":
         ok = res.verdict == "coboundary-consistent" and res.quarter_decreasing
     else:
         ok = res.verdict == "not coboundary"
     art = {"coboundary.csv": csv_text(("n", "l2_norm", "quarter_stat"),
                                       list(zip(res.n_list, res.l2_norms, res.quarter_trend)))}
-    return results, bool(ok), art
+    return res, bool(ok), art
 
 
 _RUNNERS = {

@@ -8,12 +8,13 @@ points, with fiber states drawn from the invariant fiber measures by CDF
 inversion; with the geometric potential the covariance series and mu(g) are
 exact sparse products of the annealed operator instead (`annealed.py`).
 `covariance_sequence` is the one entry point of the series: it picks the
-route and truncates it, for sigma2, clt and lil alike.
+route and truncates it, for sigma2, clt and lil alike, at a tail that is the
+geometric remainder past M, 2 sum_{m>M} |s_m|, on both routes.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -227,13 +228,6 @@ class EncodingResult:
     within_tolerance: bool
     orbit_bias_warning: bool = False
 
-    def as_dict(self):
-        out = asdict(self)
-        for name in ("lhs", "rhs"):
-            z = out.pop(name)
-            out[f"{name}_re"], out[f"{name}_im"] = z.real, z.imag
-        return out
-
 
 def encoding_check(lab: Lab, r_sequence, n_base_samples: int, seed: int,
                    sample_depth: int = 24, epsilon0: float = 1.0) -> EncodingResult:
@@ -316,9 +310,6 @@ class CondHResult:
     noise_dominated: bool
     n_samples: int
 
-    def as_dict(self):
-        return asdict(self)
-
 
 def condition_h_check(lab: Lab, config: BlockConfig, k_list, n_base_samples: int,
                       seed: int, sample_depth: int = 24) -> CondHResult:
@@ -392,9 +383,7 @@ class Assumption6Result:
     by_n: dict
     growth_slope: float
     uniform: bool
-
-    def as_dict(self):
-        return asdict(self)
+    norm_ratio_across_n: float  # the largest norm maximum of any n over the smallest
 
 
 def assumption6_check(lab: Lab, n_list, r_draws: int, base_pairs, seed: int,
@@ -470,7 +459,9 @@ def assumption6_check(lab: Lab, n_list, r_draws: int, base_pairs, seed: int,
         by_n[n] = {"max": float(max(norms)), "min": float(min(norms))}
     growth = 0.0 if len(n_list) < 2 else float(np.polyfit(
         np.array(n_list, dtype=float), np.log([by_n[n]["max"] for n in n_list]), 1)[0])
-    return Assumption6Result(beta, records, by_n, growth, bool(growth <= 0.05))
+    maxima = [by_n[n]["max"] for n in n_list]
+    return Assumption6Result(beta, records, by_n, growth, bool(growth <= 0.05),
+                             float(max(maxima) / min(maxima)))
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +475,7 @@ class CovarianceResult:
     mu: float  # mu(g) and its standard error, 0 on the annealed route
     mu_se: float
     route: str  # "annealed" or "ensemble" (route A)
-    tail: float  # the route's bound on the lags past M, which sigma2 holds to tail_tol
+    tail: float  # 2 sum_{m>M} |s_m|, the remainder past M on either route, held to tail_tol
 
     def sigma2(self) -> float:
         """The series s_0 + 2 sum_{m=1..M} s_m."""
@@ -529,9 +520,10 @@ def ensemble_covariances(lab: Lab, g, M: int, n_base_samples: int, seed: int,
     base covariance of G(x) = mu_x(g), whose level-0 mean is mu(g); the fiber
     part is quadrature-exact per sample; the chain and rho go up the levels
     together, and each nu snapshot is released once read.  s_M has a Monte
-    Carlo floor, so the tail is the fiber part of s_M plus the geometric
-    extrapolation fitted to the base parts above 2 standard errors.  The
-    per-lag cross-check against orbit products is
+    Carlo floor, so the tail is the remainder past M of two geometric decays,
+    one fitted to the fiber parts and one to the base parts above 2 standard
+    errors, each by the rule of `geometric_remainder`.  The per-lag
+    cross-check against orbit products is
     tests/test_limits.py::test_covariance_routes_agree.
     """
     M = int(M)
@@ -570,17 +562,20 @@ def ensemble_covariances(lab: Lab, g, M: int, n_base_samples: int, seed: int,
 
 
 def _geometric_tail(points, at_m, fallback_rate=None):
-    """(value, rate): the decay fitted to points (m, value > noise), extrapolated to at_m."""
+    """(remainder, rate): the decay fitted to points (m, value > noise), and its
+    `geometric_remainder` past at_m, 2 v r / (1 - r) for the value v it reaches at at_m."""
     if not points:
         return 0.0, fallback_rate
     if len(points) == 1:
         m0, v0 = points[0]
         rate = 0.5 if fallback_rate is None else fallback_rate
-        return float(v0 * rate ** (at_m - m0)), rate
-    a = np.array(points, dtype=float)
-    sl, ic = np.polyfit(a[:, 0], np.log(a[:, 1]), 1)
-    rate = float(np.exp(min(sl, -1e-3)))
-    return float(np.exp(ic) * rate**at_m), rate
+        v = v0 * rate ** (at_m - m0)
+    else:
+        a = np.array(points, dtype=float)
+        sl, ic = np.polyfit(a[:, 0], np.log(a[:, 1]), 1)
+        rate = float(np.exp(min(sl, -1e-3)))
+        v = np.exp(ic) * rate**at_m
+    return float(geometric_remainder([v / rate, v])), rate
 
 
 @dataclass
@@ -600,13 +595,10 @@ class VarianceReport:
     mu_estimate: float
     series_route: str
     # the direct pass's S_n and the series' mu(g), read by clt_test, not reported
-    sums: np.ndarray
-    g_mean: float
-    g_mean_se: float
+    sums: np.ndarray = field(metadata={"reported": False})
+    g_mean: float = field(metadata={"reported": False})
+    g_mean_se: float = field(metadata={"reported": False})
     orbit_bias_warning: bool = False
-
-    def as_dict(self):
-        return {k: v for k, v in asdict(self).items() if k not in ("sums", "g_mean", "g_mean_se")}
 
 
 def sigma2_estimate(lab: Lab, g=None, M: int = 12, n_base_samples: int = 600,
@@ -649,6 +641,7 @@ class CltResult:
     ks_stat: float
     p_value: float
     sigma2_used: float
+    sigma2_mc: float  # the sigma2 report's Var(S_n)/n, on the same sums
     n: int
     trials: int
     sample_mean: float
@@ -660,10 +653,7 @@ class CltResult:
     mu_thermo_se: float
     centering_consistent: bool
     orbit_bias_warning: bool = False
-    samples: np.ndarray | None = None  # the normalized sums; not part of the report results
-
-    def as_dict(self):
-        return {k: v for k, v in asdict(self).items() if k != "samples"}
+    samples: np.ndarray | None = field(default=None, metadata={"reported": False})
 
 
 def _durbin_cdf(n: int, d: float) -> float:
@@ -761,7 +751,7 @@ def clt_test(var: VarianceReport) -> CltResult:
         status, ks_stat, p_value = "degenerate: use coboundary_check", float("nan"), float("nan")
     else:
         status, (ks_stat, p_value) = "ok", _ks_normal(samples, np.sqrt(sigma2))
-    return CltResult(status, ks_stat, p_value, float(sigma2), n, trials,
+    return CltResult(status, ks_stat, p_value, float(sigma2), var.sigma2_mc, n, trials,
                      float(samples.mean()), float(samples.var(ddof=1)), _skew(samples),
                      mu_orbit, mu_orbit_se, mu_thermo, mu_thermo_se, bool(consistent),
                      orbit_bias_warning=var.orbit_bias_warning, samples=samples)
@@ -771,16 +761,13 @@ def clt_test(var: VarianceReport) -> CltResult:
 class LilResult:
     checkpoints: list
     median_trajectory: list
-    trajectories: np.ndarray  # (len(checkpoints), trials) per-trial running maxima
+    trajectories: np.ndarray = field(metadata={"reported": False})  # (checkpoints, trials) maxima
     terminal_values: list
     median_terminal: float
     sigma_used: float
     mu_used: float
     centering: str  # "annealed" (exact mu and sigma^2) or "pilot" (a first orbit pass)
     orbit_bias_warning: bool = False
-
-    def as_dict(self):
-        return {k: v for k, v in asdict(self).items() if k != "trajectories"}
 
 
 def _lil_denominators(sigma: float, n_max: int) -> np.ndarray:
@@ -858,10 +845,8 @@ class CoboundaryResult:
     quarter_decreasing: bool
     verdict: str
     mu_estimate: float
+    sigma2_proxy: float  # ||S_n - n mu||^2 / n at the largest n
     orbit_bias_warning: bool = False
-
-    def as_dict(self):
-        return asdict(self)
 
 
 def coboundary_check(lab: Lab, g=None, n_list=(100, 1000, 10_000), trials: int = 1000,
@@ -893,4 +878,5 @@ def coboundary_check(lab: Lab, g=None, n_list=(100, 1000, 10_000), trials: int =
         verdict = "inconclusive"
     return CoboundaryResult(list(times), l2, slope, quarter,
                             bool(quarter[-1] <= quarter[0]), verdict, mu,
+                            float(l2[-1] ** 2 / times[-1]),
                             orbit_bias_warning=not lab.spec.has_geometric_potential)

@@ -15,7 +15,7 @@ base-regularity checks.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -429,9 +429,6 @@ class GapFit:
     mean_log_residuals: list
     measurable: bool
     note: str = ""
-
-    def as_dict(self):
-        return asdict(self)
 
 
 def gap_estimate(lab: Lab, x_samples, u_samples, n_range) -> GapFit:

@@ -11,11 +11,13 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rdslab as rl
-from rdslab import limits
+from rdslab import cli, limits
 from rdslab.annealed import AnnealedOperator, geometric_remainder
-from rdslab.fiber import ScaledObservable
+from rdslab.fiber import TWO_PI, CoboundaryObservable, ScaledObservable
 from rdslab.limits import covariance_sequence, ensemble_covariances, sigma2_estimate
 
 SERIES_FIELDS = ("s_values", "s_std_errs", "sigma2_series", "sigma2_series_se", "m_used",
@@ -47,6 +49,52 @@ def test_lags_sum_to_the_resolvent(small_stats_lab):
     assert op.mean(g) == mu
     assert abs(sum(lags[1:]) - resolvent) <= 1e-12
     assert abs(lags[-1]) <= 1e-30  # decays at the gap rate, with no rounding floor
+
+
+@st.composite
+def random_systems(draw):
+    """2-3 symbols with random weights, branch counts 2-4, nonlinearity inside
+    check_maps' bound min d - 2 pi max eps > 1, random offsets and phases."""
+    q = draw(st.integers(2, 3))
+
+    def each(strategy):
+        return draw(st.lists(strategy, min_size=q, max_size=q))
+
+    weights = each(st.floats(0.1, 1.0))
+    d = each(st.integers(2, 4))
+    return rl.make_system(weights=tuple(w / sum(weights) for w in weights), branch_count=d,
+                          nonlinearity=each(st.floats(0.0, 0.9 * (min(d) - 1) / TWO_PI)),
+                          potential_amp=(0.0,) * q, obs_offset=each(st.floats(-1.0, 1.0)),
+                          obs_phase=each(st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(random_systems())
+def test_annealed_identities_on_random_systems(spec):
+    # the reference is built from the operator table and the base weights alone
+    lab, n = rl.Lab(spec, n_points=256, pullback_depth=16), 256
+    op, g, p = AnnealedOperator(lab.table), lab.observable, spec.base.weights
+    nodes = lab.table.nodes()
+    ll = sum(pe * lab.table.op(e).matrix.toarray() for e, pe in enumerate(p))
+    # the fixed density: (I - LL) rho = 0 with mean(rho) = 1.  Column sums are no
+    # check, as only smooth functions keep their grid mean under the discrete LL
+    rho = np.linalg.solve(np.eye(n) - ll + 1.0 / n, np.ones(n))
+    assert abs(np.mean(ll @ op.rho) / np.mean(op.rho) - 1.0) <= 1e-12  # lambda(0), unnormalised
+    assert np.all(op.rho > 0) and np.max(np.abs(op.rho - rho)) <= 1e-12
+    gs = [g.values_for_symbol(e, nodes) for e in spec.alphabet]
+    gbar = sum(pe * ge for pe, ge in zip(p, gs))
+    mu = np.mean(gbar * rho)
+    assert abs(op.mean(g) - mu) <= 1e-12
+    # sum_{m>=1} s_m = <gbar, (I - P LL)^{-1} P w>, P onto mean-zero functions along rho
+    w = sum(pe * (lab.table.op(e).matrix @ (ge * rho)) for e, pe, ge in zip(spec.alphabet, p, gs))
+    project = np.eye(n) - np.outer(rho, np.full(n, 1.0 / n))
+    resolvent = np.mean(gbar * np.linalg.solve(np.eye(n) - project @ ll, project @ (w - mu * rho)))
+    lags = list(islice(op.lags(g), 200))
+    assert abs(lags[-1]) <= 1e-30 and abs(sum(lags[1:]) - resolvent) <= 1e-12
+    # a coboundary's sigma^2 is 0 up to the grid's discretization: at most 1.4e-6
+    # measured over these draws, which the bound keeps with a margin
+    s = list(islice(op.lags(CoboundaryObservable(spec, const=0.25)), 200))
+    assert abs(s[0] + 2.0 * sum(s[1:])) <= 1e-5
 
 
 def test_affine_variant_gives_the_closed_form():
@@ -108,7 +156,7 @@ def test_exact_route_grows_M_on_one_operator(small_stats_lab, monkeypatch):
 def test_series_fields_do_not_depend_on_the_seed(small_stats_lab):
     reports = [sigma2_estimate(small_stats_lab, None, n_var=200, trials=100, seed=seed)
                for seed in (42, 308)]
-    a, b = ({k: v for k, v in r.as_dict().items() if k in SERIES_FIELDS} for r in reports)
+    a, b = ({k: v for k, v in cli._sanitize(r).items() if k in SERIES_FIELDS} for r in reports)
     assert a == b
     assert a["series_route"] == "annealed" and a["tail_ok"] and a["m_used"] == 12
     assert reports[0].g_mean == reports[1].g_mean and reports[0].g_mean_se == 0.0

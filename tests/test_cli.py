@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -443,8 +445,29 @@ def test_clt_computes_no_orbit_sums_twice(monkeypatch):
     report, _ = cli.build_report("clt", small_config())
     assert len(calls) == 1  # sigma2's Var(S_n)/n pass, which clt reads
     (var,) = reports
-    expected = {**limits.clt_test(var).as_dict(), "sigma2_mc": var.sigma2_mc}
-    assert report["results"] == cli._sanitize(expected)
+    assert report["results"] == cli._sanitize(limits.clt_test(var))
+
+
+def test_sanitize_is_the_one_rule_from_record_to_report(small_stats_lab):
+    # a record reports its fields: complex ones as _re/_im, the unreported ones not at all
+    enc = limits.EncodingResult(1 + 2j, 3 - 4j, np.float64(0.5), 0.1, 3, 10, np.bool_(True))
+    assert cli._sanitize(enc) == {
+        "lhs_re": 1.0, "lhs_im": 2.0, "rhs_re": 3.0, "rhs_im": -4.0, "difference": 0.5,
+        "std_err": 0.1, "n": 3, "n_samples": 10, "within_tolerance": True,
+        "orbit_bias_warning": False}
+    var = limits.sigma2_estimate(small_stats_lab, None, n_var=200, trials=100, seed=3)
+    lil = limits.lil_probe(small_stats_lab, None, n_max=200, trials=10, seed=3)
+    clt = limits.clt_test(var)
+    for record, unreported in ((var, {"sums", "g_mean", "g_mean_se"}),
+                               (lil, {"trajectories"}), (clt, {"samples"})):
+        fields = cli._sanitize(record)
+        assert set(fields) == {f.name for f in dataclasses.fields(record)} - unreported
+        json.dumps(fields, allow_nan=True)  # plain JSON types all the way down
+    assert cli._sanitize(clt)["sigma2_mc"] == var.sigma2_mc
+    # nested records go through the same rule
+    rows = [limits.CondHRow(1, 0.5, 0.1, 0.4, 0.1, 0.1, 0.05)]
+    nested = cli._sanitize(limits.CondHResult(rows, 0.3, 1.0, False, 10))
+    assert nested["rows"] == [dataclasses.asdict(rows[0])]
 
 
 def test_sigma2_growing_truncation_runs_one_orbit_pass(monkeypatch):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import rdslab as rl
-from rdslab import limits, rng
+from rdslab import cli, limits, rng
+from rdslab.annealed import geometric_remainder
 from rdslab.base import BasePoint, sample_base
 from rdslab.fiber import (
     CoboundaryObservable,
@@ -257,6 +258,21 @@ def test_covariance_route_a_bit_equal_to_per_level_reference(small_stats_lab):
     base_pts = [(m, abs(base[m])) for m in range(1, M + 1) if abs(base[m]) > 2.0 * ref[m, 1]]
     fiber_tail, rate = _geometric_tail(fiber_pts[-6:], M)
     assert cov.tail == fiber_tail + _geometric_tail(base_pts[-6:], M, fallback_rate=rate)[0]
+
+
+@pytest.mark.parametrize("c", [1.0, 3e-4])
+def test_route_a_tail_is_the_remainder_past_M(c):
+    # on lags s_m = c 0.5^m route A's fitted tail is the exact route's remainder of
+    # the last two lags, 2 sum_{m>M} s_m, not the fitted s_M, which is half of it
+    M = 12
+    s = [c * 0.5**m for m in range(M + 1)]
+    points = [(m, s[m]) for m in range(1, M + 1)]
+    tail, rate = _geometric_tail(points[-6:], M)
+    assert rate == pytest.approx(0.5, rel=1e-12)
+    assert tail == pytest.approx(geometric_remainder(s[-2:]), rel=1e-12)
+    # a single point decays at the fallback rate
+    assert _geometric_tail(points[-1:], M, fallback_rate=0.5)[0] == pytest.approx(
+        geometric_remainder(s[-2:]), rel=1e-15)
 
 
 def test_covariance_constant_observable(stats_lab):
@@ -765,13 +781,13 @@ def test_assumption6_releases_the_phases_it_formed(monkeypatch):
         return out
 
     monkeypatch.setattr(SymbolOperator, "perturbed_weights", counting)
-    first = rl.assumption6_check(lab, [2, 4], 2, pairs, 7).as_dict()
+    first = cli._sanitize(rl.assumption6_check(lab, [2, 4], 2, pairs, 7))
     assert max(most) > 1  # the check formed phases of its own ...
     assert [list(op._weights) for op in lab.table.ops.values()] == [
         [(lab.observable, (0.25).hex())], []]  # ... and released them all
     assert lab.table.op(0).perturbed_weights(0.25, lab.observable) is kept
     # a second call forms them again, with the same bits
-    assert rl.assumption6_check(lab, [2, 4], 2, pairs, 7).as_dict() == first
+    assert cli._sanitize(rl.assumption6_check(lab, [2, 4], 2, pairs, 7)) == first
 
 
 def test_covariance_decay_dominance(stats_lab):
