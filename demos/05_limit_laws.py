@@ -47,7 +47,7 @@ print(f"\nCLT: KS statistic {res.ks_stat:.4f}, p = {res.p_value:.3f}; "
 
 lil = lil_probe(lab, None, n_max=100_000, trials=200, seed=42, sigma2=var.sigma2_series)
 print(f"LIL: median running max of |S_n - n mu| / (sigma sqrt(2 n log log n)) = "
-      f"{lil.median_terminal:.3f} (limit 1, logarithmic convergence; {lil.centering} mu)")
+      f"{lil.median_terminal:.3f} (limit 1, logarithmic convergence; exact mu = {lil.mu_used:.5f})")
 
 g = CoboundaryObservable(lab.spec, const=0.25)
 cb = coboundary_check(lab, g, n_list=(100, 1000, 10_000), trials=1000, seed=42)

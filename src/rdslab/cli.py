@@ -224,7 +224,7 @@ def _run_sigma2(lab, config, seed, threads, memo):
     rep = _sigma2(lab, "default", config, seed, threads, memo)
     rows = [(m, s, se) for m, (s, se) in enumerate(zip(rep.s_values, rep.s_std_errs))]
     art = {"covariance.csv": csv_text(("m", "s_m", "std_err"), rows)}
-    return rep, bool(rep.agreement and rep.tail_ok), art
+    return rep, bool(rep.agreement is not False and rep.tail_ok), art  # None: no orbit pass
 
 
 def _run_clt(lab, config, seed, threads, memo):
@@ -284,6 +284,7 @@ _RUNNERS = {
     "coboundary": _run_coboundary,
 }
 SUBCOMMANDS = (*_RUNNERS, "all")
+ORBIT_SUBCOMMANDS = ("clt", "lil", "coboundary", "all")  # verdicts read from forward orbits
 
 UNTESTED = list(limits.UNTESTED_CLAIMS)
 
@@ -296,6 +297,10 @@ def build_report(subcommand: str, config: dict, threads: int = 1) -> tuple[dict,
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     seed = int(config["statistics"]["seed"])
     spec = system_from_config(config)
+    if subcommand in ORBIT_SUBCOMMANDS and not spec.has_geometric_potential:
+        raise ConfigError(f"{subcommand} reads forward orbits, which sample the geometric "
+                          "potential only: system.potential_t must be 1 and system.potential_amp "
+                          f"all 0, not {spec.potential_t} and {list(spec.potential_amp)}")
     memo = {}
     if subcommand == "all":
         sub_results, ok_all, artifacts = {}, True, {}

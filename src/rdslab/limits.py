@@ -9,7 +9,9 @@ inversion; with the geometric potential the covariance series and mu(g) are
 exact sparse products of the annealed operator instead (`annealed.py`).
 `covariance_sequence` is the one entry point of the series: it picks the
 route and truncates it, for sigma2, clt and lil alike, at a tail that is the
-geometric remainder past M, 2 sum_{m>M} |s_m|, on both routes.
+geometric remainder past M, 2 sum_{m>M} |s_m|, on both routes.  Forward
+float orbits sample the fiber measures of the geometric potential only:
+`orbit_birkhoff_sums` refuses any other, and sigma2 keeps route A alone there.
 """
 
 from __future__ import annotations
@@ -162,7 +164,8 @@ def orbit_birkhoff_sums(lab: Lab, g, record_at, trials: int, seed: int, stream: 
 
     Initial fiber points are drawn from the invariant fiber measures, so the
     sampled process is stationary.  Returns (times, matrix (len(times),
-    trials)).
+    trials)).  Geometric potential only, as forward float orbits relax to
+    the acim: any other raises LimitsError before a step is taken.
 
     Every step applies a keyed jitter of size 2^-43.  Without it, float64
     iteration of d z mod 1 drains mantissa bits (multiplying by the branch
@@ -190,6 +193,8 @@ def orbit_birkhoff_sums(lab: Lab, g, record_at, trials: int, seed: int, stream: 
     holds S after step t0 + k + 1 for the trials in slice `sl`.  With
     threads > 1, groups call it concurrently on disjoint slices.
     """
+    if not lab.spec.has_geometric_potential:
+        raise LimitsError("forward orbits sample the geometric potential's measures only")
     record_at = sorted(set(int(t) for t in record_at))
     n_steps = record_at[-1]
     bounds = list(range(0, trials, ORBIT_CHUNK)) + [trials]
@@ -589,16 +594,14 @@ class VarianceReport:
     m_used: int
     tail_bound: float
     tail_ok: bool
-    agreement: bool
+    agreement: bool | None  # None: no orbit pass to agree with (a non-geometric potential)
     n_var: int
     trials: int
     mu_estimate: float
     series_route: str
-    # the direct pass's S_n and the series' mu(g), read by clt_test, not reported
-    sums: np.ndarray = field(metadata={"reported": False})
+    # the direct pass's S_n (None without one) and mu(g), read by clt_test, not reported
+    sums: np.ndarray | None = field(metadata={"reported": False})
     g_mean: float = field(metadata={"reported": False})
-    g_mean_se: float = field(metadata={"reported": False})
-    orbit_bias_warning: bool = False
 
 
 def sigma2_estimate(lab: Lab, g=None, M: int = 12, n_base_samples: int = 600,
@@ -611,24 +614,27 @@ def sigma2_estimate(lab: Lab, g=None, M: int = 12, n_base_samples: int = 600,
     the route named by `series_route`, truncated adaptively: M grows, up to
     m_max, until the route's tail bound drops below tail_tol.  Agreement
     requires |series - direct| <= max(5% of series, 4 combined standard errors).
+    On a non-geometric potential route A stands alone: no orbit pass is made,
+    `agreement` and `sums` are None, and the direct fields are NaN.
     """
     g = g if g is not None else lab.observable
     cov = covariance_sequence(lab, g, M, n_base_samples, seed, tail_tol, m_max, sample_depth)
     sigma2_series = cov.sigma2()
     series_se = float(np.sqrt(cov.se[0] ** 2 + 4.0 * (cov.se[1:] ** 2).sum()))
 
-    _, sums = orbit_birkhoff_sums(lab, g, [n_var], trials, seed, stream=29,
-                                  sample_depth=sample_depth, threads=threads)
-    sn = sums[0]
-    sigma2_mc = float(sn.var(ddof=1) / n_var)
-    mc_se = float(sigma2_mc * np.sqrt(2.0 / (trials - 1)))
-    diff = abs(sigma2_series - sigma2_mc)
-    tol = max(0.05 * abs(sigma2_series), 4.0 * np.sqrt(series_se**2 + mc_se**2))
+    sn, agreement = None, None
+    sigma2_mc = mc_se = mu_orbit = float("nan")
+    if lab.spec.has_geometric_potential:
+        sn = orbit_birkhoff_sums(lab, g, [n_var], trials, seed, stream=29,
+                                 sample_depth=sample_depth, threads=threads)[1][0]
+        sigma2_mc = float(sn.var(ddof=1) / n_var)
+        mc_se = float(sigma2_mc * np.sqrt(2.0 / (trials - 1)))
+        tol = max(0.05 * abs(sigma2_series), 4.0 * np.sqrt(series_se**2 + mc_se**2))
+        agreement, mu_orbit = bool(abs(sigma2_series - sigma2_mc) <= tol), float(sn.mean() / n_var)
     return VarianceReport(
         cov.s.tolist(), cov.se.tolist(), sigma2_series, series_se, sigma2_mc, mc_se,
-        len(cov.s) - 1, float(cov.tail), bool(cov.tail < tail_tol), bool(diff <= tol),
-        int(n_var), int(trials), float(sn.mean() / n_var), cov.route, sn, cov.mu, cov.mu_se,
-        orbit_bias_warning=not lab.spec.has_geometric_potential)
+        len(cov.s) - 1, float(cov.tail), bool(cov.tail < tail_tol), agreement,
+        int(n_var), int(trials), mu_orbit, cov.route, sn, cov.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -650,9 +656,7 @@ class CltResult:
     mu_orbit: float
     mu_orbit_se: float
     mu_thermo: float
-    mu_thermo_se: float
     centering_consistent: bool
-    orbit_bias_warning: bool = False
     samples: np.ndarray | None = field(default=None, metadata={"reported": False})
 
 
@@ -731,20 +735,21 @@ def clt_test(var: VarianceReport) -> CltResult:
 
     The sums S_n are the report's own direct Var(S_n)/n pass and sigma^2 is
     its covariance series.  Centering uses the pooled orbit mean (std err
-    sigma/sqrt(n * trials)), cross-checked against the covariance route's
-    mu(g) (exact on the annealed route) within 4 combined standard errors.
-    The p-value is exact (`_ks_normal`), and no part of scipy.stats loads.
-    At or below the declared sigma^2 floor the caller is directed to the
-    coboundary check.
+    sigma/sqrt(n * trials)), cross-checked against the annealed route's exact
+    mu(g) within 4 standard errors.  A report without a direct pass (a
+    non-geometric potential) raises LimitsError.  The p-value is exact
+    (`_ks_normal`), and no part of scipy.stats loads.  At or below the
+    declared sigma^2 floor the caller is directed to the coboundary check.
 
     sigma2's agreement check and this KS test read the same sums; each keeps
     its sample size and its null hypothesis.  The series reads no orbit pass.
     """
+    if var.sums is None:
+        raise LimitsError("the sigma2 report holds no orbit pass: its potential is not geometric")
     sn, n, trials, sigma2 = var.sums, var.n_var, var.trials, var.sigma2_series
-    mu_thermo, mu_thermo_se = var.g_mean, var.g_mean_se
-    mu_orbit = var.mu_estimate
+    mu_thermo, mu_orbit = var.g_mean, var.mu_estimate
     mu_orbit_se = float(sn.std(ddof=1) / (n * np.sqrt(trials)))
-    consistent = abs(mu_orbit - mu_thermo) <= 4.0 * np.sqrt(mu_orbit_se**2 + mu_thermo_se**2) + 1e-12
+    consistent = abs(mu_orbit - mu_thermo) <= 4.0 * mu_orbit_se + 1e-12
 
     samples = (sn - n * mu_orbit) / np.sqrt(n)
     if sigma2 <= SIGMA2_FLOOR:
@@ -753,8 +758,7 @@ def clt_test(var: VarianceReport) -> CltResult:
         status, (ks_stat, p_value) = "ok", _ks_normal(samples, np.sqrt(sigma2))
     return CltResult(status, ks_stat, p_value, float(sigma2), var.sigma2_mc, n, trials,
                      float(samples.mean()), float(samples.var(ddof=1)), _skew(samples),
-                     mu_orbit, mu_orbit_se, mu_thermo, mu_thermo_se, bool(consistent),
-                     orbit_bias_warning=var.orbit_bias_warning, samples=samples)
+                     mu_orbit, mu_orbit_se, mu_thermo, bool(consistent), samples=samples)
 
 
 @dataclass
@@ -766,8 +770,6 @@ class LilResult:
     median_terminal: float
     sigma_used: float
     mu_used: float
-    centering: str  # "annealed" (exact mu and sigma^2) or "pilot" (a first orbit pass)
-    orbit_bias_warning: bool = False
 
 
 def _lil_denominators(sigma: float, n_max: int) -> np.ndarray:
@@ -789,24 +791,16 @@ def lil_probe(lab: Lab, g=None, n_max: int = 100_000, trials: int = 200, seed: i
     logarithmically, so the qualitative contract is a median terminal value
     in [0.5, 1.5], not a tolerance claim.  One orbit pass accumulates the
     running maxima, one orbit block at a time, and records them at geometric
-    checkpoints.  With the geometric potential mu and sigma^2 are the exact
-    mu(g) and covariance series of the annealed operator, as the theorem's
-    statistic has them, truncated by M, tail_tol and m_max as in
-    `sigma2_estimate`; otherwise a pilot pass over the same streams
-    estimates them first.  A given sigma2 takes precedence.
+    checkpoints.  mu and sigma^2 are the exact mu(g) and covariance series of
+    the annealed operator, as the theorem's statistic has them, truncated by
+    M, tail_tol and m_max as in `sigma2_estimate`; a given sigma2 takes
+    precedence.  The orbit pass refuses a non-geometric potential.
     """
     if n_max < 100:
         raise LimitsError("n_max must be at least 100")
     g = g if g is not None else lab.observable
-    if lab.spec.has_geometric_potential:
-        cov = covariance_sequence(lab, g, M, tail_tol=tail_tol, m_max=m_max)
-        mu, centering = cov.mu, "annealed"
-        sigma2 = cov.sigma2() if sigma2 is None else sigma2
-    else:
-        _, sums = orbit_birkhoff_sums(lab, g, [n_max], trials, seed, stream=31,
-                                      sample_depth=sample_depth, threads=threads)
-        mu, centering = float(sums[0].mean() / n_max), "pilot"
-        sigma2 = float(sums[0].var(ddof=1) / n_max) if sigma2 is None else sigma2
+    cov = covariance_sequence(lab, g, M, tail_tol=tail_tol, m_max=m_max)
+    mu, sigma2 = cov.mu, cov.sigma2() if sigma2 is None else sigma2
     sigma = float(np.sqrt(max(sigma2, 1e-30)))
 
     checkpoints = sorted(set(np.unique(np.geomspace(10, n_max, 25).astype(int)).tolist()))
@@ -832,8 +826,7 @@ def lil_probe(lab: Lab, g=None, n_max: int = 100_000, trials: int = 200, seed: i
     orbit_birkhoff_sums(lab, g, [n_max], trials, seed, stream=31, sample_depth=sample_depth,
                         running_stat=stat, threads=threads)
     return LilResult(checkpoints, [float(np.median(row)) for row in trajectories], trajectories,
-                     running.tolist(), float(np.median(running)), sigma, mu, centering,
-                     orbit_bias_warning=not lab.spec.has_geometric_potential)
+                     running.tolist(), float(np.median(running)), sigma, mu)
 
 
 @dataclass
@@ -846,7 +839,6 @@ class CoboundaryResult:
     verdict: str
     mu_estimate: float
     sigma2_proxy: float  # ||S_n - n mu||^2 / n at the largest n
-    orbit_bias_warning: bool = False
 
 
 def coboundary_check(lab: Lab, g=None, n_list=(100, 1000, 10_000), trials: int = 1000,
@@ -878,5 +870,4 @@ def coboundary_check(lab: Lab, g=None, n_list=(100, 1000, 10_000), trials: int =
         verdict = "inconclusive"
     return CoboundaryResult(list(times), l2, slope, quarter,
                             bool(quarter[-1] <= quarter[0]), verdict, mu,
-                            float(l2[-1] ** 2 / times[-1]),
-                            orbit_bias_warning=not lab.spec.has_geometric_potential)
+                            float(l2[-1] ** 2 / times[-1]))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import rdslab.cli as cli
 import rdslab.config as config_module
-from rdslab import limits
+from rdslab import limits, transfer
 from rdslab.thermo import Lab
 from rdslab.config import (
     DEFAULTS,
@@ -458,7 +458,7 @@ def test_sanitize_is_the_one_rule_from_record_to_report(small_stats_lab):
     var = limits.sigma2_estimate(small_stats_lab, None, n_var=200, trials=100, seed=3)
     lil = limits.lil_probe(small_stats_lab, None, n_max=200, trials=10, seed=3)
     clt = limits.clt_test(var)
-    for record, unreported in ((var, {"sums", "g_mean", "g_mean_se"}),
+    for record, unreported in ((var, {"sums", "g_mean"}),
                                (lil, {"trajectories"}), (clt, {"samples"})):
         fields = cli._sanitize(record)
         assert set(fields) == {f.name for f in dataclasses.fields(record)} - unreported
@@ -470,18 +470,48 @@ def test_sanitize_is_the_one_rule_from_record_to_report(small_stats_lab):
     assert nested["rows"] == [dataclasses.asdict(rows[0])]
 
 
-def test_sigma2_growing_truncation_runs_one_orbit_pass(monkeypatch):
-    # a non-geometric potential takes route A: M grows 4 -> 6 -> 9 here, and
-    # the covariance series is recomputed at each M without any orbit pass of its own
+def test_sigma2_growing_truncation_runs_no_orbit_pass(monkeypatch):
+    # a non-geometric potential takes route A: M grows 4 -> 6 -> 9 here, and the
+    # series is recomputed at each M; forward orbits do not sample this potential's
+    # measure, so no orbit pass runs and the contract is the tail alone
     calls = record_orbit_calls(monkeypatch)
+    reports = []
+    real_sigma2 = limits.sigma2_estimate
+    monkeypatch.setattr(limits, "sigma2_estimate",
+                        lambda *args, **kwargs: reports.append(real_sigma2(*args, **kwargs))
+                        or reports[-1])
     config = apply_overrides(resolve_config({}), [
         "numerics.n_points=128", "numerics.pullback_depth=16", "statistics.m=4",
         "statistics.m_max=9", "statistics.tail_tol=1e-12", "statistics.trials=200",
         "statistics.n=1000", "statistics.n_base_samples=200", "system.potential_amp=[0.1,0.15]"])
-    results = cli.build_report("sigma2", config)[0]["results"]
+    report = cli.build_report("sigma2", config)[0]
+    results = report["results"]
     assert results["series_route"] == "ensemble"
     assert results["m_used"] > 4
-    assert len(calls) == 1
+    assert calls == []
+    assert results["agreement"] is None and report["contract_ok"] == results["tail_ok"]
+    assert all(math.isnan(results[k]) for k in ("sigma2_mc", "sigma2_mc_se", "mu_estimate"))
+    (var,) = reports
+    assert var.sums is None
+    with pytest.raises(limits.LimitsError, match="no orbit pass"):
+        limits.clt_test(var)
+
+
+@pytest.mark.parametrize("override", ["system.potential_amp=[0.1,0.15]",
+                                      "system.potential_t=0.5"], ids=["amp", "t"])
+@pytest.mark.parametrize("subcommand", ["clt", "lil", "coboundary", "all"])
+def test_orbit_subcommands_refuse_other_potentials(subcommand, override, tmp_path, capsys,
+                                                   monkeypatch):
+    # forward orbits sample the geometric potential only: refused before any Lab is built
+    calls, tables = record_orbit_calls(monkeypatch), []
+    real_init = transfer.OperatorTable.__init__
+    monkeypatch.setattr(transfer.OperatorTable, "__init__",
+                        lambda self, *args, **kwargs: tables.append(1)
+                        or real_init(self, *args, **kwargs))
+    assert cli.run(subcommand, out_dir=str(tmp_path), sets=[override]) == 1
+    err = capsys.readouterr().err
+    assert "system.potential_t" in err and "system.potential_amp" in err
+    assert calls == [] and tables == [] and not any(tmp_path.iterdir())
 
 
 def test_lil_sigma_is_sigma2s_truncated_series():
@@ -490,7 +520,6 @@ def test_lil_sigma_is_sigma2s_truncated_series():
     series = cli.build_report("sigma2", config)[0]["results"]
     lil = cli.build_report("lil", config)[0]["results"]
     assert series["series_route"] == "annealed" and series["m_used"] == 2
-    assert lil["centering"] == "annealed"
     assert lil["sigma_used"] == math.sqrt(series["sigma2_series"])
 
 
@@ -501,12 +530,12 @@ def test_sigma2_and_clt_results_keep_their_keys(monkeypatch):
             monkeypatch.setitem(cli._RUNNERS, name, lambda *args: ({}, True, {}))
     results = cli.build_report("all", small_config())[0]["results"]
     assert set(results["sigma2"]["results"]) == {
-        "agreement", "m_used", "mu_estimate", "n_var", "orbit_bias_warning", "s_std_errs",
+        "agreement", "m_used", "mu_estimate", "n_var", "s_std_errs",
         "s_values", "series_route", "sigma2_mc", "sigma2_mc_se", "sigma2_series",
         "sigma2_series_se", "tail_bound", "tail_ok", "trials"}
     assert set(results["clt"]["results"]) == {
         "centering_consistent", "ks_stat", "mu_orbit", "mu_orbit_se", "mu_thermo",
-        "mu_thermo_se", "n", "orbit_bias_warning", "p_value", "sample_mean", "sample_skew",
+        "n", "p_value", "sample_mean", "sample_skew",
         "sample_var", "sigma2_mc", "sigma2_used", "status", "trials"}
 
 
